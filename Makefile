@@ -10,10 +10,15 @@ GO ?= go
 # pool turns the same setting into real speedup.
 BENCH_GOMAXPROCS ?= 4
 
-.PHONY: build vet test race bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
+.PHONY: build fmt-check vet test race bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing
+# the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -97,4 +102,4 @@ cluster-smoke:
 	$(GO) run ./cmd/faultlab -cluster -seed 1 -events 400 -replicas 3 -json \
 		> /tmp/cluster_smoke.json
 
-verify: build vet test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke
+verify: build fmt-check vet test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke

@@ -73,11 +73,11 @@ type benchDataplane struct {
 }
 
 type benchRecord struct {
-	Timestamp        string            `json:"timestamp"`
-	GoMaxProcs       int               `json:"gomaxprocs"`
-	SequentialWallMS float64           `json:"sequential_wall_ms"`
-	ParallelWallMS   float64           `json:"parallel_wall_ms"`
-	Speedup          float64           `json:"speedup"`
+	Timestamp        string  `json:"timestamp"`
+	GoMaxProcs       int     `json:"gomaxprocs"`
+	SequentialWallMS float64 `json:"sequential_wall_ms"`
+	ParallelWallMS   float64 `json:"parallel_wall_ms"`
+	Speedup          float64 `json:"speedup"`
 	// BatchedSpeedup is the batched-over-serial controller pipeline
 	// throughput ratio (packets/sec), when both pipeline benches ran.
 	BatchedSpeedup float64           `json:"batched_packets_speedup,omitempty"`

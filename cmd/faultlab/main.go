@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sdnbugs/internal/faultlab"
@@ -60,27 +61,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "faultlab:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.Int64("seed", 1, "campaign seed")
-	trials := flag.Int("trials", 6, "trials per fault × strategy")
-	extended := flag.Bool("extended", false, "include the extended-scope event transform")
-	campaign := flag.Bool("campaign", false, "run the sustained fault-injection campaign instead")
-	events := flag.Int("events", 1500, "campaign schedule length (with -campaign/-repair)")
-	ckptEvery := flag.Int("checkpoint-every", 64, "supervised checkpoint cadence (with -campaign/-repair)")
-	jsonOut := flag.Bool("json", false, "emit results and metrics as JSON (with -campaign/-repair)")
-	repairLoop := flag.Bool("repair", false, "run the automatic repair loop instead")
-	maxCandidates := flag.Int("max-candidates", 8, "full validations per shed class (with -repair)")
-	repairClass := flag.String("repair-class", "", "restrict repair attempts to this shed class (with -repair)")
-	cluster := flag.Bool("cluster", false, "run the controller-HA failover campaign instead")
-	replicas := flag.Int("replicas", 3, "ensemble size (with -cluster)")
-	leaseSlots := flag.Int("lease-slots", 3, "slots a partitioned primary holds its lease (with -cluster)")
-	flag.Parse()
+// run parses args and writes the selected report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("faultlab", flag.ExitOnError)
+	seed := fs.Int64("seed", 1, "campaign seed")
+	trials := fs.Int("trials", 6, "trials per fault × strategy")
+	extended := fs.Bool("extended", false, "include the extended-scope event transform")
+	campaign := fs.Bool("campaign", false, "run the sustained fault-injection campaign instead")
+	events := fs.Int("events", 1500, "campaign schedule length (with -campaign/-repair)")
+	ckptEvery := fs.Int("checkpoint-every", 64, "supervised checkpoint cadence (with -campaign/-repair)")
+	jsonOut := fs.Bool("json", false, "emit results and metrics as JSON (with -campaign/-repair)")
+	repairLoop := fs.Bool("repair", false, "run the automatic repair loop instead")
+	maxCandidates := fs.Int("max-candidates", 8, "full validations per shed class (with -repair)")
+	repairClass := fs.String("repair-class", "", "restrict repair attempts to this shed class (with -repair)")
+	cluster := fs.Bool("cluster", false, "run the controller-HA failover campaign instead")
+	replicas := fs.Int("replicas", 3, "ensemble size (with -cluster)")
+	leaseSlots := fs.Int("lease-slots", 3, "slots a partitioned primary holds its lease (with -cluster)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	exclusive := 0
 	for _, on := range []bool{*campaign, *repairLoop, *cluster} {
@@ -92,13 +97,13 @@ func run() error {
 		return fmt.Errorf("-campaign, -repair and -cluster are mutually exclusive")
 	}
 	if *repairLoop {
-		return runRepair(*seed, *events, *ckptEvery, *maxCandidates, *repairClass, *jsonOut)
+		return runRepair(w, *seed, *events, *ckptEvery, *maxCandidates, *repairClass, *jsonOut)
 	}
 	if *cluster {
-		return runCluster(*seed, *events, *replicas, *leaseSlots, *jsonOut)
+		return runCluster(w, *seed, *events, *replicas, *leaseSlots, *jsonOut)
 	}
 	if *campaign {
-		return runCampaign(*seed, *events, *ckptEvery, *jsonOut)
+		return runCampaign(w, *seed, *events, *ckptEvery, *jsonOut)
 	}
 	if *jsonOut {
 		return fmt.Errorf("-json requires -campaign, -repair or -cluster")
@@ -131,11 +136,11 @@ func run() error {
 			return err
 		}
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
+	if err := tbl.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	dc := m.DeterminismCoverage()
 	sum := &report.Table{Title: "Coverage by determinism class",
 		Headers: []string{"strategy", "deterministic", "non-deterministic"}}
@@ -145,11 +150,11 @@ func run() error {
 			return err
 		}
 	}
-	if err := sum.Render(os.Stdout); err != nil {
+	if err := sum.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	cov := m.CoverageByTrigger()
 	trig := &report.Table{Title: "Coverage by trigger",
 		Headers: []string{"strategy", "configuration", "external-call", "network-event", "hardware-reboot"}}
@@ -166,14 +171,14 @@ func run() error {
 			return err
 		}
 	}
-	return trig.Render(os.Stdout)
+	return trig.Render(w)
 }
 
 // runRepair runs the automatic repair loop and renders the NetRep-
 // style per-category/per-class outcome — as tables, or with jsonOut
 // as one JSON document carrying the full repair report plus the live
 // metrics snapshot (candidate counters, validation wall times).
-func runRepair(seed int64, events, ckptEvery, maxCandidates int, repairClass string, jsonOut bool) error {
+func runRepair(w io.Writer, seed int64, events, ckptEvery, maxCandidates int, repairClass string, jsonOut bool) error {
 	reg := metrics.NewRegistry()
 	cfg := repair.Config{
 		Seed:            seed,
@@ -197,7 +202,7 @@ func runRepair(seed int64, events, ckptEvery, maxCandidates int, repairClass str
 			Report  repair.Report    `json:"report"`
 			Metrics metrics.Snapshot `json:"metrics"`
 		}{Seed: seed, Events: events, Report: rep, Metrics: reg.Snapshot()}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
@@ -209,11 +214,11 @@ func runRepair(seed int64, events, ckptEvery, maxCandidates int, repairClass str
 	_ = sum.AddRow("events shed", fmt.Sprintf("%d", rep.Epoch1.Shed), fmt.Sprintf("%d", rep.Epoch2.Shed))
 	_ = sum.AddRow("event availability", fmt.Sprintf("%.4f", rep.Epoch1.Availability), fmt.Sprintf("%.4f", rep.Epoch2.Availability))
 	_ = sum.AddRow("classes shed", fmt.Sprintf("%v", rep.Epoch1.ShedClasses), fmt.Sprintf("%v", rep.Epoch2.ShedClasses))
-	if err := sum.Render(os.Stdout); err != nil {
+	if err := sum.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	cls := &report.Table{Title: "Per-class repair outcomes",
 		Headers: []string{"class", "candidates", "reproducer len", "repaired", "winning patch"}}
 	for _, cr := range rep.Classes {
@@ -226,11 +231,11 @@ func runRepair(seed int64, events, ckptEvery, maxCandidates int, repairClass str
 			return err
 		}
 	}
-	if err := cls.Render(os.Stdout); err != nil {
+	if err := cls.Render(w); err != nil {
 		return err
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	rates := &report.Table{Title: "Repair rate by taxonomy trigger category",
 		Headers: []string{"category", "shed", "repaired", "rate"}}
 	for _, rt := range rep.Rates {
@@ -239,7 +244,7 @@ func runRepair(seed int64, events, ckptEvery, maxCandidates int, repairClass str
 			return err
 		}
 	}
-	return rates.Render(os.Stdout)
+	return rates.Render(w)
 }
 
 // runCluster runs the controller-HA campaign and renders the
@@ -249,7 +254,7 @@ func runRepair(seed int64, events, ckptEvery, maxCandidates int, repairClass str
 // wall-tick histogram). It fails — non-zero exit — when the converged
 // ensemble state is not byte-identical to the unfaulted run, which
 // makes it usable as a smoke check in CI.
-func runCluster(seed int64, events, replicas, leaseSlots int, jsonOut bool) error {
+func runCluster(w io.Writer, seed int64, events, replicas, leaseSlots int, jsonOut bool) error {
 	reg := metrics.NewRegistry()
 	res, err := faultlab.RunClusterCampaign(faultlab.ClusterCampaignConfig{
 		Seed: seed, Events: events, Replicas: replicas, LeaseSlots: leaseSlots, Metrics: reg,
@@ -275,7 +280,7 @@ func runCluster(seed int64, events, replicas, leaseSlots int, jsonOut bool) erro
 		}{Seed: seed, Events: events, Replicas: replicas, Identical: res.Identical(),
 			Modes:   []faultlab.ClusterRunResult{res.Cluster, res.Baseline, res.Unfaulted},
 			Metrics: reg.Snapshot()}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			return err
@@ -317,11 +322,11 @@ func runCluster(seed int64, events, replicas, leaseSlots int, jsonOut bool) erro
 	})
 	row("log length", d(func(r faultlab.ClusterRunResult) int { return r.LogLen }))
 	row("state fingerprint", func(r faultlab.ClusterRunResult) string { return r.Fingerprint })
-	if err := tbl.Render(os.Stdout); err != nil {
+	if err := tbl.Render(w); err != nil {
 		return err
 	}
 	if verify == nil {
-		fmt.Printf("\nconverged ensemble state byte-identical to the unfaulted run (%s)\n",
+		fmt.Fprintf(w, "\nconverged ensemble state byte-identical to the unfaulted run (%s)\n",
 			res.Unfaulted.Fingerprint)
 	}
 	return verify
@@ -331,7 +336,7 @@ func runCluster(seed int64, events, replicas, leaseSlots int, jsonOut bool) erro
 // comparison the E22 experiment asserts on — as tables, or with
 // jsonOut as one JSON document that also carries the live metrics
 // snapshot (restart counts, probe firings, restore timings).
-func runCampaign(seed int64, events, ckptEvery int, jsonOut bool) error {
+func runCampaign(w io.Writer, seed int64, events, ckptEvery int, jsonOut bool) error {
 	reg := metrics.NewRegistry()
 	modes := []faultlab.CampaignConfig{
 		{Seed: seed, Events: events, Supervised: true, CheckpointEvery: ckptEvery, Metrics: reg},
@@ -354,7 +359,7 @@ func runCampaign(seed int64, events, ckptEvery int, jsonOut bool) error {
 			Campaigns []faultlab.CampaignResult `json:"campaigns"`
 			Metrics   metrics.Snapshot          `json:"metrics"`
 		}{Seed: seed, Events: events, Campaigns: results, Metrics: reg.Snapshot()}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
@@ -400,5 +405,5 @@ func runCampaign(seed int64, events, ckptEvery int, jsonOut bool) error {
 			return err
 		}
 	}
-	return tbl.Render(os.Stdout)
+	return tbl.Render(w)
 }

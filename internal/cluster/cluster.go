@@ -81,11 +81,11 @@ type Metrics struct {
 	Processed int
 	Lost      int
 
-	Elections       int
-	FailedElections int
-	Failovers       int
-	FencedRejects   int
-	FencedLeaks     int
+	Elections        int
+	FailedElections  int
+	Failovers        int
+	FencedRejects    int
+	FencedLeaks      int
 	WireStaleRejects int
 
 	FailoverTicks  []int // wall of each completed failover

@@ -40,8 +40,8 @@ func workload(n int) []sdn.Event {
 		switch i % 3 {
 		case 0:
 			evs = append(evs, sdn.Event{
-				Kind: sdn.EventConfig,
-				Key:  fmt.Sprintf("vlan.zone%d", i%7),
+				Kind:  sdn.EventConfig,
+				Key:   fmt.Sprintf("vlan.zone%d", i%7),
 				Value: fmt.Sprintf("%d", 100+i),
 			})
 		default:

@@ -65,69 +65,39 @@ func DeterministicPoisonClasses() []string {
 	}
 }
 
-// itemKind is one campaign schedule slot type.
-type itemKind int
-
-const (
-	itemConfig itemKind = iota
-	itemPoisonConfig
-	itemExternal
-	itemReboot
-	itemUnicast
-	itemBroadcast
-	itemMirrorBroadcast
-	itemWireFault
-)
-
-// scheduleItem is one slot of the deterministic campaign schedule.
-type scheduleItem struct {
-	kind itemKind
-	ev   sdn.Event
-	src  uint64
-	dst  uint64
-	wire WireFaultKind
-}
-
 // buildSchedule derives the interleaved fault/workload schedule from
 // the seed alone — independent of run dynamics, so supervised and
 // unsupervised runs face the identical input sequence.
-func buildSchedule(seed int64, n int, hosts, dpids []uint64) []scheduleItem {
+func buildSchedule(seed int64, n int, hosts, dpids []uint64) Schedule {
 	rng := rand.New(rand.NewSource(seed*7919 + 17))
-	items := make([]scheduleItem, 0, n)
+	slots := make([]Slot, 0, n)
 	for i := 0; i < n; i++ {
-		r := rng.Float64()
-		var it scheduleItem
-		switch {
+		var kind SlotKind
+		a, b := 0, 0
+		switch r := rng.Float64(); {
 		case r < 0.16:
-			it = scheduleItem{kind: itemConfig, ev: sdn.Event{Kind: sdn.EventConfig,
-				Key:   fmt.Sprintf("vlan.zone%d", rng.Intn(40)),
-				Value: fmt.Sprintf("%d", 100+rng.Intn(3000))}}
+			kind, a, b = SlotConfig, rng.Intn(40), rng.Intn(3000)
 		case r < 0.19:
-			it = scheduleItem{kind: itemPoisonConfig, ev: sdn.Event{Kind: sdn.EventConfig,
-				Key: fmt.Sprintf("multicast.group%d", rng.Intn(8)), Value: "225"}}
+			kind, a = SlotPoisonConfig, rng.Intn(8)
 		case r < 0.30:
-			it = scheduleItem{kind: itemExternal, ev: sdn.Event{Kind: sdn.EventExternalCall,
-				Service: services[rng.Intn(len(services))]}}
+			kind, a = SlotExternal, rng.Intn(len(services))
 		case r < 0.34:
-			it = scheduleItem{kind: itemReboot, ev: sdn.Event{Kind: sdn.EventHardwareReboot,
-				DPID: dpids[rng.Intn(len(dpids))]}}
+			kind, a = SlotReboot, rng.Intn(len(dpids))
 		case r < 0.70:
-			src := hosts[rng.Intn(len(hosts))]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
+			kind, a, b = SlotUnicast, rng.Intn(len(hosts)), rng.Intn(len(hosts))
+			for b == a {
+				b = rng.Intn(len(hosts))
 			}
-			it = scheduleItem{kind: itemUnicast, src: src, dst: dst}
 		case r < 0.84:
-			it = scheduleItem{kind: itemBroadcast, src: hosts[rng.Intn(len(hosts))]}
+			kind, a = SlotBroadcast, rng.Intn(len(hosts))
 		case r < 0.92:
-			it = scheduleItem{kind: itemMirrorBroadcast, src: hosts[rng.Intn(len(hosts))]}
+			kind, a = SlotMirrorBroadcast, rng.Intn(len(hosts))
 		default:
-			it = scheduleItem{kind: itemWireFault, wire: WireFaultKind(rng.Intn(int(numWireFaultKinds)))}
+			kind, a = SlotWireFault, rng.Intn(int(numWireFaultKinds))
 		}
-		items = append(items, it)
+		slots = append(slots, NewSlot(kind, a, b, hosts, dpids))
 	}
-	return items
+	return Schedule{Slots: slots, WireSeed: seed*104729 + 5}
 }
 
 // CampaignConfig parameterizes one sustained fault-injection run.
@@ -142,13 +112,6 @@ type CampaignConfig struct {
 	// CheckpointEvery (supervised) is the checkpoint cadence in
 	// processed events; 0 makes every restart a cold full-log replay.
 	CheckpointEvery int
-	// DegradeAfter (supervised) is the failed-recovery streak before a
-	// class is shed (default 3).
-	DegradeAfter int
-	// WatchdogEvery (unsupervised) is the liveness-check period in
-	// schedule items (default 8) — the detection lag during which a
-	// crashed controller silently loses events.
-	WatchdogEvery int
 	// Metrics, when set, receives live campaign observability:
 	// schedule slots, wire faults, watchdog restarts, plus the
 	// supervisor's supervise_* counters and restore-timing histograms
@@ -167,6 +130,11 @@ type CampaignConfig struct {
 	OnShed func(class string)
 }
 
+// watchdogEvery is the unsupervised watchdog's liveness-check period
+// in schedule slots — the detection lag during which a crashed
+// controller silently loses events.
+const watchdogEvery = 8
+
 // count increments a campaign counter when observability is wired.
 func (c CampaignConfig) count(name string) {
 	if c.Metrics != nil {
@@ -177,9 +145,6 @@ func (c CampaignConfig) count(name string) {
 func (c CampaignConfig) withDefaults() CampaignConfig {
 	if c.Events <= 0 {
 		c.Events = 1500
-	}
-	if c.WatchdogEvery <= 0 {
-		c.WatchdogEvery = 8
 	}
 	return c
 }
@@ -233,53 +198,71 @@ type CampaignResult struct {
 	FinalState  string
 }
 
-// EventAvailability is the fraction of offered events processed.
-func (r CampaignResult) EventAvailability() float64 {
-	if r.Offered == 0 {
-		return 1
+// ratio is num/den, or empty when den is zero.
+func ratio(num, den int, empty float64) float64 {
+	if den == 0 {
+		return empty
 	}
-	return float64(r.Processed) / float64(r.Offered)
+	return float64(num) / float64(den)
 }
+
+// EventAvailability is the fraction of offered events processed.
+func (r CampaignResult) EventAvailability() float64 { return ratio(r.Processed, r.Offered, 1) }
 
 // TimeAvailability is uptime over total logical time.
 func (r CampaignResult) TimeAvailability() float64 {
-	total := r.UptimeTicks + r.DowntimeTicks
-	if total == 0 {
-		return 1
-	}
-	return float64(r.UptimeTicks) / float64(total)
+	return ratio(r.UptimeTicks, r.UptimeTicks+r.DowntimeTicks, 1)
 }
 
 // MTTR is mean downtime ticks per detected incident.
-func (r CampaignResult) MTTR() float64 {
-	if r.Incidents == 0 {
-		return 0
-	}
-	return float64(r.DowntimeTicks) / float64(r.Incidents)
-}
+func (r CampaignResult) MTTR() float64 { return ratio(r.DowntimeTicks, r.Incidents, 0) }
 
 // MeanCheckpointRestoreTicks is the mean recovery cost of a
 // checkpoint-based restart (0 when none happened).
 func (r CampaignResult) MeanCheckpointRestoreTicks() float64 {
-	if r.CheckpointRestores == 0 {
-		return 0
-	}
-	return float64(r.CheckpointRestoreTicks) / float64(r.CheckpointRestores)
+	return ratio(r.CheckpointRestoreTicks, r.CheckpointRestores, 0)
 }
 
 // MeanColdRestoreTicks is the mean recovery cost of a cold full-log
 // replay restart (0 when none happened).
 func (r CampaignResult) MeanColdRestoreTicks() float64 {
-	if r.ColdRestores == 0 {
-		return 0
-	}
-	return float64(r.ColdRestoreTicks) / float64(r.ColdRestores)
+	return ratio(r.ColdRestoreTicks, r.ColdRestores, 0)
 }
 
 // Fingerprint is a canonical serialization for byte-identity checks
 // across runs at the same seed.
 func (r CampaignResult) Fingerprint() string {
 	return fmt.Sprintf("%+v", r)
+}
+
+// foldSupervisor overwrites the fields a supervisor accounts — event
+// outcomes, incidents, recoveries, time, wire errors, the shed set and
+// the controller state — from its live metrics.
+func (r *CampaignResult) foldSupervisor(sup *supervise.Supervisor) {
+	m := sup.Metrics
+	r.Offered = m.EventsOffered
+	r.Processed = m.EventsProcessed
+	r.Healed = m.EventsHealed
+	r.Shed = m.EventsShed
+	r.Lost = m.EventsLost
+	r.Incidents = m.Incidents
+	r.FailStops = m.FailStops
+	r.Stalls = m.Stalls
+	r.PerfRegressions = m.PerfRegressions
+	r.Divergences = m.Divergences
+	r.Restarts = m.Restarts
+	r.Degradations = m.Degradations
+	r.BudgetDenials = m.BudgetDenials
+	r.Checkpoints = m.Checkpoints
+	r.CheckpointRestores = m.CheckpointRestores
+	r.ColdRestores = m.ColdRestores
+	r.CheckpointRestoreTicks = m.CheckpointRestoreTicks
+	r.ColdRestoreTicks = m.ColdRestoreTicks
+	r.UptimeTicks = m.UptimeTicks
+	r.DowntimeTicks = m.RecoveryTicks
+	r.WireErrors = m.WireErrors
+	r.ShedClasses = sup.ShedClasses()
+	r.FinalState = sup.C.State.String()
 }
 
 // RunCampaign executes one sustained fault-injection campaign: the
@@ -302,141 +285,110 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		return CampaignResult{}, err
 	}
 	hosts := lab.C.Net.Hosts()
-	dpids := lab.C.Net.Switches()
-	schedule := buildSchedule(cfg.Seed, cfg.Events, hosts, dpids)
-	wireRng := rand.New(rand.NewSource(cfg.Seed*104729 + 5))
-	return runUnsupervised(cfg, lab, schedule, hosts, wireRng)
+	sched := buildSchedule(cfg.Seed, cfg.Events, hosts, lab.C.Net.Switches())
+	rt := &watchdogRuntime{lab: lab, cfg: cfg, full: len(hosts) - 1,
+		res: CampaignResult{Mode: "unsupervised", Events: len(sched.Slots)}}
+	err = NewPlayer(rt, sched).Play()
+	rt.res.FinalState = lab.C.State.String()
+	return rt.res, err
 }
 
-// pump injects one packet and routes the resulting punts, one batch
-// per control round, through flush, returning how many distinct hosts
-// the packet reached. Events point into the drained packet-in slice
-// (ownership transfers at DrainPacketIns), so a round costs one event
-// slice instead of a heap copy per punt; flush implementations process
-// each event individually, keeping results byte-identical to the old
-// one-at-a-time pump.
-func pump(net *sdn.Network, src uint64, p sdn.Packet, flush func([]sdn.Event)) int {
-	net.DrainDeliveries()
-	if _, err := net.InjectFromHost(src, p); err != nil {
-		return 0
-	}
-	var events []sdn.Event
-	for round := 0; round < 32; round++ {
-		pis := net.DrainPacketIns()
-		if len(pis) == 0 {
-			break
-		}
-		events = events[:0]
-		for i := range pis {
-			events = append(events, sdn.Event{Kind: sdn.EventNetwork, Msg: &pis[i]})
-		}
-		flush(events)
-	}
-	seen := make(map[uint64]bool)
-	for _, d := range net.DrainDeliveries() {
-		seen[d.MAC] = true
-	}
-	return len(seen)
+// watchdogRuntime is the fail-fast baseline: a watchdog that only
+// notices crashes (with detection lag), cold crash-restarts that drop
+// all state, no stall or divergence handling, and wire faults that
+// kill the process outright.
+type watchdogRuntime struct {
+	lab        *Lab
+	cfg        CampaignConfig
+	res        CampaignResult
+	full       int
+	sinceCheck int
 }
 
-// runUnsupervised executes the schedule under the fail-fast baseline:
-// a watchdog that only notices crashes (with detection lag), cold
-// crash-restarts that drop all state, no stall or divergence
-// handling, and wire faults that kill the process outright.
-func runUnsupervised(cfg CampaignConfig, lab *Lab, schedule []scheduleItem, hosts []uint64, wireRng *rand.Rand) (CampaignResult, error) {
-	res := CampaignResult{Mode: "unsupervised", Events: len(schedule)}
-	c := lab.C
-	sinceCheck := 0
-	submit := func(ev sdn.Event) {
-		res.Offered++
+func (r *watchdogRuntime) Net() *sdn.Network { return r.lab.C.Net }
+
+// Submit reserves the log region once per round, then accounts every
+// event on its own.
+func (r *watchdogRuntime) Submit(events []sdn.Event) {
+	c := r.lab.C
+	c.ReserveLog(len(events))
+	for _, ev := range events {
+		r.res.Offered++
 		if c.State == sdn.StateCrashed {
 			// Down and nobody noticed yet: the event is gone.
-			res.Lost++
-			res.DowntimeTicks++
-			return
+			r.res.Lost++
+			r.res.DowntimeTicks++
+			continue
 		}
 		before := c.Stats.TotalCost
 		err := c.Submit(ev)
 		cost := c.Stats.TotalCost - before
 		if err != nil {
 			// The event died with the controller.
-			res.Lost++
-			res.Incidents++
-			res.FailStops++
-			res.DowntimeTicks += cost
-			return
+			r.res.Lost++
+			r.res.Incidents++
+			r.res.FailStops++
+			r.res.DowntimeTicks += cost
+			continue
 		}
 		if c.State == sdn.StateStalled {
 			// Frozen while "processing": the time was lost even though
 			// the watchdog never notices a stall.
-			res.Stalls++
-			res.DowntimeTicks += cost
+			r.res.Stalls++
+			r.res.DowntimeTicks += cost
 		} else {
-			res.UptimeTicks += cost
+			r.res.UptimeTicks += cost
 		}
-		res.Processed++
+		r.res.Processed++
 	}
-	// flushBatch drains one pump round: the log append region is
-	// reserved once per batch, then every event goes through the same
-	// per-event accounting as before.
-	flushBatch := func(events []sdn.Event) {
-		c.ReserveLog(len(events))
-		for _, ev := range events {
-			submit(ev)
-		}
+}
+
+// Slot plays the slot, then runs the watchdog: every watchdogEvery
+// slots a crashed controller is cold-restarted.
+func (r *watchdogRuntime) Slot(_ int, s Slot, play func(Slot) error) error {
+	r.cfg.count("faultlab_campaign_slots_total")
+	if err := play(s); err != nil {
+		return err
 	}
-	watchdog := func() {
-		sinceCheck++
-		if sinceCheck < cfg.WatchdogEvery {
-			return
-		}
-		sinceCheck = 0
-		if c.State == sdn.StateCrashed {
-			lab.NewIncarnations()
-			c.Restart(false)
-			res.Restarts++
-			res.ColdRestores++
-			res.ColdRestoreTicks += supervise.RestartCost
-			res.DowntimeTicks += supervise.RestartCost
-			cfg.count("faultlab_watchdog_restarts_total")
-		}
+	r.sinceCheck++
+	if r.sinceCheck < watchdogEvery {
+		return nil
 	}
-	full := len(hosts) - 1
-	for _, it := range schedule {
-		cfg.count("faultlab_campaign_slots_total")
-		switch it.kind {
-		case itemConfig, itemPoisonConfig, itemExternal, itemReboot:
-			submit(it.ev)
-		case itemUnicast:
-			pump(c.Net, it.src, sdn.Packet{EthDst: it.dst, EthType: 0x0800}, flushBatch)
-		case itemBroadcast:
-			res.BroadcastProbes++
-			if pump(c.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, flushBatch) < full {
-				res.BroadcastFailures++
-			}
-		case itemMirrorBroadcast:
-			res.BroadcastProbes++
-			if pump(c.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}, flushBatch) < full {
-				res.BroadcastFailures++
-			}
-		case itemWireFault:
-			res.WireFaults++
-			cfg.count("faultlab_wire_faults_total")
-			ferr, err := WireEpisode(it.wire, wireRng)
-			if err != nil {
-				return res, err
-			}
-			if ferr != nil {
-				// Fail-fast: the unhandled wire error propagates up and
-				// kills the controller process.
-				res.WireErrors++
-				res.WireKills++
-				res.Incidents++
-				c.State = sdn.StateCrashed
-			}
-		}
-		watchdog()
+	r.sinceCheck = 0
+	if r.lab.C.State == sdn.StateCrashed {
+		r.lab.NewIncarnations()
+		r.lab.C.Restart(false)
+		r.res.Restarts++
+		r.res.ColdRestores++
+		r.res.ColdRestoreTicks += supervise.RestartCost
+		r.res.DowntimeTicks += supervise.RestartCost
+		r.cfg.count("faultlab_watchdog_restarts_total")
 	}
-	res.FinalState = c.State.String()
-	return res, nil
+	return nil
+}
+
+// Wire is fail-fast: an unhandled wire error propagates up and kills
+// the controller process.
+func (r *watchdogRuntime) Wire(s Slot, rng *rand.Rand) error {
+	r.res.WireFaults++
+	r.cfg.count("faultlab_wire_faults_total")
+	ferr, err := WireEpisode(s.Wire, rng)
+	if err != nil {
+		return err
+	}
+	if ferr != nil {
+		r.res.WireErrors++
+		r.res.WireKills++
+		r.res.Incidents++
+		r.lab.C.State = sdn.StateCrashed
+	}
+	return nil
+}
+
+// Probe counts a broadcast that missed a host as a failure.
+func (r *watchdogRuntime) Probe(s Slot, flood func(Slot) int) {
+	r.res.BroadcastProbes++
+	if flood(s) < r.full {
+		r.res.BroadcastFailures++
+	}
 }

@@ -40,22 +40,22 @@ func TestClassifyEvent(t *testing.T) {
 func TestBuildScheduleDeterministic(t *testing.T) {
 	hosts := []uint64{1, 2, 3}
 	dpids := []uint64{1, 2}
-	a := buildSchedule(5, 300, hosts, dpids)
-	b := buildSchedule(5, 300, hosts, dpids)
+	a := buildSchedule(5, 300, hosts, dpids).Slots
+	b := buildSchedule(5, 300, hosts, dpids).Slots
 	if len(a) != 300 || len(b) != 300 {
 		t.Fatalf("lengths %d, %d", len(a), len(b))
 	}
-	counts := make(map[itemKind]int)
+	counts := make(map[SlotKind]int)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("schedule diverged at %d: %+v vs %+v", i, a[i], b[i])
 		}
-		counts[a[i].kind]++
+		counts[a[i].Kind]++
 	}
 	// Every band of the schedule must actually be exercised.
-	for k := itemConfig; k <= itemWireFault; k++ {
+	for k := SlotConfig; k <= SlotWireFault; k++ {
 		if counts[k] == 0 {
-			t.Errorf("item kind %d never scheduled in 300 slots", k)
+			t.Errorf("slot kind %d never scheduled in 300 slots", k)
 		}
 	}
 }

@@ -13,31 +13,12 @@ package faultlab
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"sdnbugs/internal/cluster"
 	"sdnbugs/internal/metrics"
-	"sdnbugs/internal/resilience"
 	"sdnbugs/internal/sdn"
 	"sdnbugs/internal/supervise"
 )
-
-// cleanController builds the lab topology and app with no fault
-// middleware — the cluster campaign induces failures externally
-// (crashes, partitions), never inside the controller, so replicas
-// replaying the same log converge byte-identically.
-func cleanController() (*sdn.Controller, error) {
-	net, err := sdn.LinearTopology(topologySize)
-	if err != nil {
-		return nil, err
-	}
-	env := sdn.NewEnvironment(services...)
-	expected := map[string]int{}
-	for _, s := range services {
-		expected[s] = env.Versions[s]
-	}
-	return sdn.NewController(net, env, sdn.NewL2Switch(expected)), nil
-}
 
 // clusterEpisode is one induced control-plane failure.
 type clusterEpisode int
@@ -54,20 +35,6 @@ const (
 	// epHeal restores all links and revives crashed replicas.
 	epHeal
 )
-
-func (e clusterEpisode) String() string {
-	switch e {
-	case epCrashPrimary:
-		return "crash-primary"
-	case epPartitionPrimary:
-		return "partition-primary"
-	case epAsymPartition:
-		return "asymmetric-partition"
-	case epHeal:
-		return "heal"
-	}
-	return "unknown"
-}
 
 // buildClusterEpisodes derives the failure schedule from the seed
 // alone: disruptions cycle crash → partition → asymmetric, each
@@ -142,7 +109,7 @@ type ClusterRunResult struct {
 	UptimeTicks   int
 	DowntimeTicks int
 
-	BroadcastProbes  int
+	BroadcastProbes   int
 	WireFaultsSkipped int
 
 	LogLen      int
@@ -154,11 +121,7 @@ type ClusterRunResult struct {
 
 // TimeAvailability is uptime over total logical time.
 func (r ClusterRunResult) TimeAvailability() float64 {
-	total := r.UptimeTicks + r.DowntimeTicks
-	if total == 0 {
-		return 1
-	}
-	return float64(r.UptimeTicks) / float64(total)
+	return ratio(r.UptimeTicks, r.UptimeTicks+r.DowntimeTicks, 1)
 }
 
 // ClusterCampaignResult bundles the three modes.
@@ -195,108 +158,148 @@ func (r ClusterCampaignResult) Fingerprint() string {
 // RunClusterCampaign plays the schedule in all three modes.
 func RunClusterCampaign(cfg ClusterCampaignConfig) (ClusterCampaignResult, error) {
 	cfg = cfg.withDefaults()
-	probe, err := cleanController()
+	base, err := newController(nil)
 	if err != nil {
 		return ClusterCampaignResult{}, err
 	}
-	hosts := probe.Net.Hosts()
-	dpids := probe.Net.Switches()
-	schedule := buildSchedule(cfg.Seed, cfg.Events, hosts, dpids)
+	truth, err := newController(nil)
+	if err != nil {
+		return ClusterCampaignResult{}, err
+	}
+	sched := buildSchedule(cfg.Seed, cfg.Events, truth.Net.Hosts(), truth.Net.Switches())
 	episodes := buildClusterEpisodes(cfg.Seed, cfg.Events, cfg.LeaseSlots)
 	res := ClusterCampaignResult{Seed: cfg.Seed, Events: cfg.Events}
-	if res.Cluster, err = runClusterMode(cfg, schedule, episodes, hosts); err != nil {
-		return res, err
-	}
-	if res.Baseline, err = runBaselineMode(cfg, schedule, episodes, hosts); err != nil {
-		return res, err
-	}
-	if res.Unfaulted, err = runUnfaultedMode(schedule, hosts); err != nil {
-		return res, err
-	}
-	return res, nil
-}
 
-// runClusterMode plays the schedule on the replicated ensemble.
-// Wire-fault slots are skipped identically in all modes (the cluster
-// campaign induces failures at the control plane, not the wire).
-// While the ensemble is leaderless (partitioned primary, election
-// pending) slots are deferred, not dropped: they replay in order the
-// moment a primary is serving again, which is what keeps the final
-// state byte-identical to the unfaulted run.
-func runClusterMode(cfg ClusterCampaignConfig, schedule []scheduleItem, episodes map[int]clusterEpisode, hosts []uint64) (ClusterRunResult, error) {
 	ens, err := cluster.New(cluster.Config{
 		Replicas:   cfg.Replicas,
 		LeaseSlots: cfg.LeaseSlots,
-		Factory:    cleanController,
+		Factory:    func() (*sdn.Controller, error) { return newController(nil) },
 		Classify:   ClassifyEvent,
 		Metrics:    cfg.Metrics,
 	})
 	if err != nil {
-		return ClusterRunResult{}, err
+		return res, err
 	}
-	res := ClusterRunResult{Mode: "cluster"}
-	flushBatch := func(events []sdn.Event) {
-		ens.Primary().C.ReserveLog(len(events))
-		for _, ev := range events {
-			ens.Submit(ev)
-		}
-	}
-	play := func(it scheduleItem) {
-		switch it.kind {
-		case itemConfig, itemPoisonConfig, itemExternal, itemReboot:
-			// Management events reach a crashed primary through the
-			// supervisor, whose exhausted restart budget escalates to the
-			// ensemble failover — the detection-by-request path.
-			ens.Submit(it.ev)
-		case itemUnicast:
-			// Traffic re-homes before packets flow: switches notice a dead
-			// master by keepalive timeout and the ensemble fails over
-			// before injection, so the packets land on the serving net.
-			ens.EnsureServing()
-			pump(ens.Primary().C.Net, it.src, sdn.Packet{EthDst: it.dst, EthType: 0x0800}, flushBatch)
-		case itemBroadcast:
-			ens.EnsureServing()
-			res.BroadcastProbes++
-			pump(ens.Primary().C.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, flushBatch)
-		case itemMirrorBroadcast:
-			ens.EnsureServing()
-			res.BroadcastProbes++
-			pump(ens.Primary().C.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}, flushBatch)
-		}
-	}
-	var pending []scheduleItem
-	for i, it := range schedule {
-		if ep, ok := episodes[i]; ok {
-			applyEpisode(ens, ep)
-		}
-		if it.kind == itemWireFault {
-			res.WireFaultsSkipped++
-			ens.EndSlot()
-			continue
-		}
-		if !ens.Available() {
-			pending = append(pending, it)
-			ens.EndSlot()
-			continue
-		}
-		for _, p := range pending {
-			play(p)
-		}
-		pending = pending[:0]
-		play(it)
-		ens.EndSlot()
+	er := &ensembleRuntime{clusterMode: clusterMode{res: ClusterRunResult{Mode: "cluster"}}, ens: ens, episodes: episodes}
+	p := NewPlayer(er, sched)
+	if err := p.Play(); err != nil {
+		return res, err
 	}
 	// Quiet tail: heal everything, drain any leftover deferred slots,
 	// and drive replication to convergence.
 	ens.HealLinks()
 	ens.EnsureServing()
-	for _, p := range pending {
-		play(p)
+	for _, s := range er.pending {
+		if err := p.PlaySlot(s); err != nil {
+			return res, err
+		}
 	}
 	if err := ens.Sync(); err != nil {
 		return res, err
 	}
-	m := ens.Metrics
+	res.Cluster = er.result()
+
+	br := &baselineRuntime{clusterMode: clusterMode{res: ClusterRunResult{Mode: "baseline-single"}},
+		sup: newSupervisor(base, supervise.Config{}), episodes: episodes}
+	if err := NewPlayer(br, sched).Play(); err != nil {
+		return res, err
+	}
+	res.Baseline = br.result()
+
+	ur := &unfaultedRuntime{clusterMode: clusterMode{res: ClusterRunResult{Mode: "unfaulted"}}, c: truth}
+	if err := NewPlayer(ur, sched).Play(); err != nil {
+		return res, err
+	}
+	res.Unfaulted = ur.finish(truth)
+	return res, nil
+}
+
+// clusterMode is what the three cluster-campaign runtimes share.
+// Wire-fault slots are skipped identically in all modes (the campaign
+// induces failures at the control plane, not the wire), and broadcast
+// probes are counted, not judged.
+type clusterMode struct{ res ClusterRunResult }
+
+func (m *clusterMode) Wire(Slot, *rand.Rand) error {
+	m.res.WireFaultsSkipped++
+	return nil
+}
+
+func (m *clusterMode) Probe(s Slot, flood func(Slot) int) {
+	m.res.BroadcastProbes++
+	flood(s)
+}
+
+// finish records the final controller's log length and state
+// fingerprint.
+func (m *clusterMode) finish(c *sdn.Controller) ClusterRunResult {
+	m.res.LogLen = len(c.Log)
+	m.res.Fingerprint = cluster.StateFingerprint(c)
+	return m.res
+}
+
+// ensembleRuntime plays the schedule on the replicated ensemble. While
+// the ensemble is leaderless (partitioned primary, election pending)
+// slots are deferred, not dropped: they replay in order the moment a
+// primary is serving again, which is what keeps the final state
+// byte-identical to the unfaulted run.
+type ensembleRuntime struct {
+	clusterMode
+	ens      *cluster.Ensemble
+	episodes map[int]clusterEpisode
+	pending  []Slot
+}
+
+// Net re-homes traffic before packets flow: switches notice a dead
+// master by keepalive timeout and the ensemble fails over before
+// injection, so the packets land on the serving net.
+func (r *ensembleRuntime) Net() *sdn.Network {
+	r.ens.EnsureServing()
+	return r.ens.Primary().C.Net
+}
+
+// Submit sends events through the ensemble. Management events reach a
+// crashed primary through the supervisor, whose exhausted restart
+// budget escalates to the ensemble failover — the detection-by-request
+// path.
+func (r *ensembleRuntime) Submit(events []sdn.Event) {
+	r.ens.Primary().C.ReserveLog(len(events))
+	for _, ev := range events {
+		r.ens.Submit(ev)
+	}
+}
+
+// Slot applies the slot's failure episode, then skips a wire slot,
+// defers the slot while leaderless, or replays the deferred slots and
+// plays it; every slot ends with a replication round.
+func (r *ensembleRuntime) Slot(i int, s Slot, play func(Slot) error) error {
+	if ep, ok := r.episodes[i]; ok {
+		applyEpisode(r.ens, ep)
+	}
+	var err error
+	switch {
+	case s.Kind == SlotWireFault:
+		err = play(s)
+	case !r.ens.Available():
+		r.pending = append(r.pending, s)
+	default:
+		for _, p := range r.pending {
+			if err = play(p); err != nil {
+				return err
+			}
+		}
+		r.pending = r.pending[:0]
+		err = play(s)
+	}
+	r.ens.EndSlot()
+	return err
+}
+
+// result folds the ensemble metrics and every replica's converged
+// fingerprint into the mode result.
+func (r *ensembleRuntime) result() ClusterRunResult {
+	m := r.ens.Metrics
+	res := &r.res
 	res.Offered = m.Offered
 	res.Processed = m.Processed
 	res.Lost = m.Lost
@@ -310,12 +313,10 @@ func runClusterMode(cfg ClusterCampaignConfig, schedule []scheduleItem, episodes
 	res.MeanFailoverTicks = m.MeanFailoverTicks()
 	res.UptimeTicks = m.UptimeTicks
 	res.DowntimeTicks = m.DowntimeTicks
-	res.LogLen = len(ens.Primary().C.Log)
-	res.Fingerprint = cluster.StateFingerprint(ens.Primary().C)
-	for _, rep := range ens.Reps {
+	for _, rep := range r.ens.Reps {
 		res.ReplicaFingerprints = append(res.ReplicaFingerprints, cluster.StateFingerprint(rep.C))
 	}
-	return res, nil
+	return r.finish(r.ens.Primary().C)
 }
 
 // applyEpisode translates one failure episode into ensemble state.
@@ -346,105 +347,69 @@ func applyEpisode(ens *cluster.Ensemble, ep clusterEpisode) {
 	}
 }
 
-// runBaselineMode plays the schedule on a single supervised
-// controller facing the same crash episodes. Partitions and
-// asymmetric links are no-ops (there is nothing to partition from);
-// every crash is healed by a supervised restart with a cold full-log
-// replay — the recovery cost failover is measured against.
-func runBaselineMode(cfg ClusterCampaignConfig, schedule []scheduleItem, episodes map[int]clusterEpisode, hosts []uint64) (ClusterRunResult, error) {
-	c, err := cleanController()
-	if err != nil {
-		return ClusterRunResult{}, err
-	}
-	sup := supervise.New(c, supervise.Config{
-		Backoff:  resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 64 * time.Millisecond},
-		Budget:   resilience.NewBudget(64, 0.25),
-		Classify: ClassifyEvent,
-	})
-	res := ClusterRunResult{Mode: "baseline-single"}
-	flushBatch := func(events []sdn.Event) {
-		c.ReserveLog(len(events))
-		for _, ev := range events {
-			sup.Submit(ev)
-		}
-	}
-	for i, it := range schedule {
-		if ep, ok := episodes[i]; ok && ep == epCrashPrimary {
-			c.State = sdn.StateCrashed
-		}
-		switch it.kind {
-		case itemConfig, itemPoisonConfig, itemExternal, itemReboot:
-			sup.Submit(it.ev)
-		case itemUnicast:
-			pump(c.Net, it.src, sdn.Packet{EthDst: it.dst, EthType: 0x0800}, flushBatch)
-		case itemBroadcast:
-			res.BroadcastProbes++
-			pump(c.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, flushBatch)
-		case itemMirrorBroadcast:
-			res.BroadcastProbes++
-			pump(c.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}, flushBatch)
-		case itemWireFault:
-			res.WireFaultsSkipped++
-		}
-	}
-	m := sup.Metrics
-	res.Offered = m.EventsOffered
-	res.Processed = m.EventsProcessed
-	res.Lost = m.EventsLost
-	res.Restarts = m.Restarts
-	res.ColdRestores = m.ColdRestores
-	if m.ColdRestores > 0 {
-		res.MeanColdRestoreTicks = float64(m.ColdRestoreTicks) / float64(m.ColdRestores)
-	}
-	res.UptimeTicks = m.UptimeTicks
-	res.DowntimeTicks = m.RecoveryTicks
-	res.LogLen = len(c.Log)
-	res.Fingerprint = cluster.StateFingerprint(c)
-	return res, nil
+// baselineRuntime plays the schedule on a single supervised controller
+// facing the same crash episodes. Partitions and asymmetric links are
+// no-ops (there is nothing to partition from); every crash is healed
+// by a supervised restart with a cold full-log replay — the recovery
+// cost failover is measured against.
+type baselineRuntime struct {
+	clusterMode
+	sup      *supervise.Supervisor
+	episodes map[int]clusterEpisode
 }
 
-// runUnfaultedMode plays the schedule on one clean controller with no
-// failures — the ground truth the cluster must match byte-for-byte.
-func runUnfaultedMode(schedule []scheduleItem, hosts []uint64) (ClusterRunResult, error) {
-	c, err := cleanController()
-	if err != nil {
-		return ClusterRunResult{}, err
+func (r *baselineRuntime) Net() *sdn.Network { return r.sup.C.Net }
+
+func (r *baselineRuntime) Submit(events []sdn.Event) {
+	r.sup.C.ReserveLog(len(events))
+	for _, ev := range events {
+		r.sup.Submit(ev)
 	}
-	res := ClusterRunResult{Mode: "unfaulted"}
-	submit := func(ev sdn.Event) error {
-		res.Offered++
-		before := c.Stats.TotalCost
-		if err := c.Submit(ev); err != nil {
-			res.Lost++
-			return err
-		}
-		res.UptimeTicks += c.Stats.TotalCost - before
-		res.Processed++
-		return nil
-	}
-	flushBatch := func(events []sdn.Event) {
-		c.ReserveLog(len(events))
-		for _, ev := range events {
-			_ = submit(ev)
-		}
-	}
-	for _, it := range schedule {
-		switch it.kind {
-		case itemConfig, itemPoisonConfig, itemExternal, itemReboot:
-			_ = submit(it.ev)
-		case itemUnicast:
-			pump(c.Net, it.src, sdn.Packet{EthDst: it.dst, EthType: 0x0800}, flushBatch)
-		case itemBroadcast:
-			res.BroadcastProbes++
-			pump(c.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, flushBatch)
-		case itemMirrorBroadcast:
-			res.BroadcastProbes++
-			pump(c.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}, flushBatch)
-		case itemWireFault:
-			res.WireFaultsSkipped++
-		}
-	}
-	res.LogLen = len(c.Log)
-	res.Fingerprint = cluster.StateFingerprint(c)
-	return res, nil
 }
+
+func (r *baselineRuntime) Slot(i int, s Slot, play func(Slot) error) error {
+	if ep, ok := r.episodes[i]; ok && ep == epCrashPrimary {
+		r.sup.C.State = sdn.StateCrashed
+	}
+	return play(s)
+}
+
+// result folds the supervisor's metrics into the mode result.
+func (r *baselineRuntime) result() ClusterRunResult {
+	var m CampaignResult
+	m.foldSupervisor(r.sup)
+	r.res.Offered = m.Offered
+	r.res.Processed = m.Processed
+	r.res.Lost = m.Lost
+	r.res.Restarts = m.Restarts
+	r.res.ColdRestores = m.ColdRestores
+	r.res.MeanColdRestoreTicks = m.MeanColdRestoreTicks()
+	r.res.UptimeTicks = m.UptimeTicks
+	r.res.DowntimeTicks = m.DowntimeTicks
+	return r.finish(r.sup.C)
+}
+
+// unfaultedRuntime plays the schedule on one clean controller with no
+// failures — the ground truth the cluster must match byte-for-byte.
+type unfaultedRuntime struct {
+	clusterMode
+	c *sdn.Controller
+}
+
+func (r *unfaultedRuntime) Net() *sdn.Network { return r.c.Net }
+
+func (r *unfaultedRuntime) Submit(events []sdn.Event) {
+	r.c.ReserveLog(len(events))
+	for _, ev := range events {
+		r.res.Offered++
+		before := r.c.Stats.TotalCost
+		if err := r.c.Submit(ev); err != nil {
+			r.res.Lost++
+			continue
+		}
+		r.res.UptimeTicks += r.c.Stats.TotalCost - before
+		r.res.Processed++
+	}
+}
+
+func (r *unfaultedRuntime) Slot(_ int, s Slot, play func(Slot) error) error { return play(s) }

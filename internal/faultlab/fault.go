@@ -125,17 +125,9 @@ func (f *Fault) signatureMatch(ev sdn.Event) bool {
 	}
 	switch ev.Kind {
 	case sdn.EventNetwork:
-		// The poison input is a broadcast frame on the mirror VLAN
-		// (FAUCET-1623's mirrored-broadcast edge case).
-		if pi, ok := ev.Msg.(*openflow.PacketIn); ok {
-			pkt, err := sdn.DecodePacket(pi.Data)
-			return err == nil && pkt.IsBroadcast() && pkt.VlanID == PoisonVLAN
-		}
-		return false
+		return isMirrorBroadcast(ev)
 	case sdn.EventConfig:
-		// The poison input is a multicast/host-handler config stanza
-		// (CORD-2470's null-pointer-inducing key).
-		return strings.HasPrefix(ev.Key, "multicast.")
+		return isMulticastConfig(ev)
 	case sdn.EventExternalCall:
 		// Calls into a drifted service (FAUCET-355's Gauge → InfluxDB
 		// type mismatch). Ecosystem faults are live only while the
@@ -152,26 +144,38 @@ func (f *Fault) signatureMatch(ev sdn.Event) bool {
 	}
 }
 
+// isMirrorBroadcast reports whether ev punts a broadcast frame on the
+// mirror VLAN — the poison input of deterministic network faults
+// (FAUCET-1623's mirrored-broadcast edge case).
+func isMirrorBroadcast(ev sdn.Event) bool {
+	pi, ok := ev.Msg.(*openflow.PacketIn)
+	if !ok {
+		return false
+	}
+	pkt, err := sdn.DecodePacket(pi.Data)
+	return err == nil && pkt.IsBroadcast() && pkt.VlanID == PoisonVLAN
+}
+
+// isMulticastConfig reports whether ev pushes a multicast/host-handler
+// config stanza — the poison input of deterministic misconfiguration
+// faults (CORD-2470's null-pointer-inducing key).
+func isMulticastConfig(ev sdn.Event) bool {
+	return ev.Kind == sdn.EventConfig && strings.HasPrefix(ev.Key, "multicast.")
+}
+
 // activates decides whether the bug fires for this event.
 func (f *Fault) activates(ev sdn.Event) bool {
 	if f.Disabled {
 		return false
 	}
 	if f.Spec.Deterministic {
-		if f.Spec.Cause == taxonomy.CauseMemory {
-			// Leaks accumulate on every matching-kind event and blow
-			// up when the budget is exhausted (ONOS-4859).
+		if f.Spec.Cause == taxonomy.CauseMemory || f.Spec.Cause == taxonomy.CauseLoad {
+			// Leaks accumulate on every matching-kind event and blow up
+			// when the budget is exhausted (ONOS-4859); load bugs fire
+			// once event volume crosses the same threshold (ONOS-5992's
+			// cluster collapse under pressure).
 			if ev.Kind == triggerKind(f.Spec.Trigger) {
 				f.leaked++
-				return f.leaked >= f.Spec.MemoryBudget
-			}
-			return false
-		}
-		if f.Spec.Cause == taxonomy.CauseLoad {
-			// Load bugs fire once event volume crosses a threshold
-			// (ONOS-5992's cluster collapse under pressure).
-			if ev.Kind == triggerKind(f.Spec.Trigger) {
-				f.leaked++ // reuse counter as a volume counter
 				return f.leaked >= f.Spec.MemoryBudget
 			}
 			return false

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sdnbugs/internal/openflow"
 	"sdnbugs/internal/sdn"
 	"sdnbugs/internal/taxonomy"
 )
@@ -13,9 +12,9 @@ import (
 // a controller whose code carries the injected fault, and a canonical
 // workload with symptom detectors.
 type Lab struct {
+	pumper
 	Fault *Fault
 	C     *sdn.Controller
-	D     *sdn.Driver
 
 	// Faults lists every armed fault when the lab runs a multi-fault
 	// campaign (see NewMultiLab); single-fault labs leave it nil and
@@ -46,29 +45,7 @@ const topologySize = 3
 var services = []string{"influxdb", "atomix"}
 
 // NewLab builds a lab around the fault.
-func NewLab(f *Fault) (*Lab, error) {
-	lab := &Lab{Fault: f}
-	// Measure the healthy baseline with the fault switched off (before
-	// building, so environment tampering is not applied either).
-	f.Disabled = true
-	if err := lab.build(); err != nil {
-		return nil, err
-	}
-	obs, err := lab.RunWorkload()
-	if err != nil {
-		return nil, fmt.Errorf("faultlab: baseline run: %w", err)
-	}
-	if obs.Symptom != taxonomy.SymptomUnknown {
-		return nil, fmt.Errorf("faultlab: baseline not healthy: observed %v", obs.Symptom)
-	}
-	lab.baselineMeanCost = lab.C.Stats.MeanEventCost()
-	f.Disabled = false
-	f.resetState() // first faulty run is still incarnation 0
-	if err := lab.build(); err != nil {
-		return nil, err
-	}
-	return lab, nil
-}
+func NewLab(f *Fault) (*Lab, error) { return newLab(&Lab{Fault: f}) }
 
 // NewMultiLab builds a lab with every fault of the slice armed at
 // once — the sustained-campaign substrate, where the taxonomy's fault
@@ -77,8 +54,15 @@ func NewMultiLab(faults []*Fault) (*Lab, error) {
 	if len(faults) == 0 {
 		return nil, errors.New("faultlab: multi lab needs at least one fault")
 	}
-	lab := &Lab{Fault: faults[0], Faults: faults}
-	for _, f := range faults {
+	return newLab(&Lab{Fault: faults[0], Faults: faults})
+}
+
+// newLab measures the healthy baseline with every armed fault switched
+// off (before building, so environment tampering is not applied
+// either), then rebuilds with the faults armed; the first faulty run
+// is still incarnation 0.
+func newLab(lab *Lab) (*Lab, error) {
+	for _, f := range lab.armed() {
 		f.Disabled = true
 	}
 	if err := lab.build(); err != nil {
@@ -92,7 +76,7 @@ func NewMultiLab(faults []*Fault) (*Lab, error) {
 		return nil, fmt.Errorf("faultlab: baseline not healthy: observed %v", obs.Symptom)
 	}
 	lab.baselineMeanCost = lab.C.Stats.MeanEventCost()
-	for _, f := range faults {
+	for _, f := range lab.armed() {
 		f.Disabled = false
 		f.resetState()
 	}
@@ -127,25 +111,36 @@ func (l *Lab) NewIncarnations() {
 // installed. The fault object itself survives — it is the bug in the
 // code.
 func (l *Lab) build() error {
-	net, err := sdn.LinearTopology(topologySize)
+	c, err := newController(l.armed())
 	if err != nil {
 		return err
+	}
+	l.C = c
+	return nil
+}
+
+// newController builds the lab topology, environment and L2 switch
+// app, with every fault armed in the environment and installed as
+// middleware. With no faults it is the clean controller the cluster
+// campaign replicates: failures there are induced externally, never
+// inside the controller, so replicas replaying one log converge
+// byte-identically.
+func newController(faults []*Fault) (*sdn.Controller, error) {
+	net, err := sdn.LinearTopology(topologySize)
+	if err != nil {
+		return nil, err
 	}
 	env := sdn.NewEnvironment(services...)
 	expected := map[string]int{}
 	for _, s := range services {
 		expected[s] = env.Versions[s]
 	}
-	faults := l.armed()
 	mws := make([]sdn.Middleware, len(faults))
 	for i, f := range faults {
 		f.ArmEnvironment(env)
 		mws[i] = f.Middleware()
 	}
-	app := sdn.NewL2Switch(expected)
-	l.C = sdn.NewController(net, env, app, mws...)
-	l.D = &sdn.Driver{C: l.C}
-	return nil
+	return sdn.NewController(net, env, sdn.NewL2Switch(expected), mws...), nil
 }
 
 // Rebuild replaces the controller/network with fresh instances (same
@@ -232,48 +227,39 @@ func (l *Lab) RunWorkload() (Observation, error) {
 		dst := hosts[(pair+1)%len(hosts)]
 		pair++
 		if l.C.State != sdn.StateCrashed {
-			if _, err := l.pumpPacket(src, sdn.Packet{EthDst: dst, EthType: 0x0800}); err != nil {
-				return Observation{}, err
-			}
-			if _, err := l.pumpPacket(src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}); err != nil {
-				return Observation{}, err
-			}
-			// Mirror-VLAN broadcast: the poison input of deterministic
-			// network faults.
-			if _, err := l.pumpPacket(src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}); err != nil {
-				return Observation{}, err
+			// A unicast exchange, a broadcast, and the mirror-VLAN
+			// broadcast that poisons deterministic network faults.
+			for _, k := range []SlotKind{SlotUnicast, SlotBroadcast, SlotMirrorBroadcast} {
+				if _, err := l.pumpSlot(Slot{Kind: k, Src: src, Dst: dst}); err != nil {
+					return Observation{}, err
+				}
 			}
 		}
 	}
 	return l.Observe()
 }
 
-// pumpPacket is Driver.SendPacket but honouring the lab filter for the
-// resulting packet-in events.
-func (l *Lab) pumpPacket(src uint64, p sdn.Packet) ([]sdn.Delivery, error) {
-	net := l.C.Net
-	net.DrainDeliveries()
-	if _, err := net.InjectFromHost(src, p); err != nil {
-		return nil, err
-	}
-	for round := 0; round < 32; round++ {
-		pis := net.DrainPacketIns()
-		if len(pis) == 0 {
-			break
-		}
-		// Ownership of pis transfers at DrainPacketIns: events point into
-		// the drained slice, no per-punt heap copy.
-		l.C.ReserveLog(len(pis))
-		for i := range pis {
+// pumpSlot is Driver.SendPacket for a traffic slot, but honouring the
+// lab filter for the resulting packet-in events. It stops at a crash
+// or a harness error.
+func (l *Lab) pumpSlot(s Slot) ([]sdn.Delivery, error) {
+	var err error
+	deliveries, ierr := l.pump(l.C.Net, s.Src, s.packet(), func(events []sdn.Event) bool {
+		l.C.ReserveLog(len(events))
+		for _, ev := range events {
 			if l.C.State == sdn.StateCrashed {
-				return net.DrainDeliveries(), nil
+				return false
 			}
-			if err := l.submit(sdn.Event{Kind: sdn.EventNetwork, Msg: &pis[i]}); err != nil {
-				return net.DrainDeliveries(), err
+			if err = l.submit(ev); err != nil {
+				return false
 			}
 		}
+		return true
+	})
+	if ierr != nil {
+		return nil, ierr
 	}
-	return net.DrainDeliveries(), nil
+	return deliveries, err
 }
 
 // Observe runs the detectors against the controller's current state,
@@ -326,7 +312,7 @@ func (l *Lab) connectivity() (sdn.ConnectivityReport, error) {
 	hosts := l.C.Net.Hosts()
 	var rep sdn.ConnectivityReport
 	for _, src := range hosts {
-		if _, err := l.pumpPacket(src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}); err != nil {
+		if _, err := l.pumpSlot(Slot{Kind: SlotBroadcast, Src: src}); err != nil {
 			return rep, err
 		}
 	}
@@ -336,7 +322,7 @@ func (l *Lab) connectivity() (sdn.ConnectivityReport, error) {
 				continue
 			}
 			rep.Pairs++
-			deliveries, err := l.pumpPacket(src, sdn.Packet{EthDst: dst, EthType: 0x0800})
+			deliveries, err := l.pumpSlot(Slot{Kind: SlotUnicast, Src: src, Dst: dst})
 			if err != nil {
 				return rep, err
 			}
@@ -350,16 +336,12 @@ func (l *Lab) connectivity() (sdn.ConnectivityReport, error) {
 	}
 	// Broadcast must work on the default VLAN and on the mirror VLAN
 	// (the gray failure of FAUCET-1623 breaks only the latter).
-	for _, vlan := range []uint16{0, PoisonVLAN} {
-		got, err := l.pumpPacket(hosts[0], sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: vlan})
+	for _, k := range []SlotKind{SlotBroadcast, SlotMirrorBroadcast} {
+		got, err := l.pumpSlot(Slot{Kind: k, Src: hosts[0]})
 		if err != nil {
 			return rep, err
 		}
-		seen := map[uint64]bool{}
-		for _, del := range got {
-			seen[del.MAC] = true
-		}
-		if len(seen) != len(hosts)-1 {
+		if distinctHosts(got) != len(hosts)-1 {
 			rep.BroadcastOK = false
 			return rep, nil
 		}
@@ -374,18 +356,9 @@ func (l *Lab) connectivity() (sdn.ConnectivityReport, error) {
 func PoisonSignature(trigger taxonomy.Trigger) func(sdn.Event) bool {
 	switch trigger {
 	case taxonomy.TriggerNetworkEvent:
-		return func(ev sdn.Event) bool {
-			pi, ok := ev.Msg.(*openflow.PacketIn)
-			if !ok {
-				return false
-			}
-			pkt, err := sdn.DecodePacket(pi.Data)
-			return err == nil && pkt.IsBroadcast() && pkt.VlanID == PoisonVLAN
-		}
+		return isMirrorBroadcast
 	case taxonomy.TriggerConfiguration:
-		return func(ev sdn.Event) bool {
-			return ev.Kind == sdn.EventConfig && len(ev.Key) >= 10 && ev.Key[:10] == "multicast."
-		}
+		return isMulticastConfig
 	case taxonomy.TriggerExternalCall:
 		return func(ev sdn.Event) bool { return ev.Kind == sdn.EventExternalCall }
 	case taxonomy.TriggerHardwareReboot:

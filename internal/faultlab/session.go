@@ -19,16 +19,102 @@ import (
 	"sdnbugs/internal/supervise"
 )
 
-// Session holds one live supervised campaign runtime.
-type Session struct {
+// newSupervisor attaches a self-healing supervisor with the campaigns'
+// shared backoff, restart budget, and event classes to c.
+func newSupervisor(c *sdn.Controller, cfg supervise.Config) *supervise.Supervisor {
+	cfg.Backoff = resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 64 * time.Millisecond}
+	cfg.Budget = resilience.NewBudget(64, 0.25)
+	cfg.Classify = ClassifyEvent
+	return supervise.New(c, cfg)
+}
+
+// Supervised is a supervised controller on a multi-fault lab with an
+// optional flow-rule program ahead of the supervisor's shed filter —
+// the runtime core the campaign Session and the perfuzz harness share.
+type Supervised struct {
 	Lab *Lab
 	Sup *supervise.Supervisor
 
-	cfg     CampaignConfig
-	hosts   []uint64
-	dpids   []uint64
-	wireRng *rand.Rand
 	program *sdn.Program
+}
+
+// NewSupervised arms faults on a fresh multi-fault lab and attaches a
+// supervisor configured by cfg (checkpoint cadence, shed callback,
+// metrics). Every restart advances the fault incarnations and resets
+// the program's per-incarnation clamp counters.
+func NewSupervised(faults []*Fault, program *sdn.Program, cfg supervise.Config) (*Supervised, error) {
+	lab, err := NewMultiLab(faults)
+	if err != nil {
+		return nil, err
+	}
+	s := &Supervised{Lab: lab, program: program}
+	cfg.BaselineMeanCost = lab.baselineMeanCost
+	cfg.OnRestart = func() {
+		lab.NewIncarnations()
+		s.program.NewIncarnation()
+	}
+	s.Sup = newSupervisor(lab.C, cfg)
+	// The graceful-degradation hook: shed classes die at the lab
+	// filter, before they reach the controller.
+	lab.Filter = s.Sup.Filter
+	return s, nil
+}
+
+// SetProgram installs (or replaces) the flow-rule program — the repair
+// loop installs the validated composed program here before lifting
+// sheds.
+func (s *Supervised) SetProgram(p *sdn.Program) { s.program = p }
+
+// Net is the lab network.
+func (s *Supervised) Net() *sdn.Network { return s.Lab.C.Net }
+
+// Offer routes one event: program first (repairs rewrite or clamp
+// poison inputs), then the supervisor's shed filter, then supervised
+// submission. It returns the program's verdict and whether the event
+// reached the supervisor.
+func (s *Supervised) Offer(ev sdn.Event) (sdn.Verdict, bool) {
+	verdict := sdn.VerdictPass
+	if s.program != nil {
+		if ev, verdict = s.program.Apply(ev); verdict == sdn.VerdictDropped {
+			return verdict, false
+		}
+	}
+	ev, keep := s.Lab.Filter(ev)
+	if keep {
+		s.Sup.Submit(ev)
+	}
+	return verdict, keep
+}
+
+// Wire plays one wire episode; a faulty one costs the supervisor a
+// reconnect.
+func (s *Supervised) Wire(sl Slot, rng *rand.Rand) error {
+	ferr, err := WireEpisode(sl.Wire, rng)
+	if err != nil {
+		return err
+	}
+	if ferr != nil {
+		s.Sup.WireError(ferr)
+	}
+	return nil
+}
+
+// SupervisorResult is a campaign result holding only the fields the
+// supervisor accounts (see foldSupervisor); a Session's Snapshot adds
+// its own slot counters on top.
+func (s *Supervised) SupervisorResult() CampaignResult {
+	var r CampaignResult
+	r.foldSupervisor(s.Sup)
+	return r
+}
+
+// Session holds one live supervised campaign runtime.
+type Session struct {
+	*Supervised
+
+	cfg    CampaignConfig
+	full   int
+	player *Player
 
 	// res accumulates the session-local counters (schedule slots, wire
 	// faults, broadcast probes, program rewrites/drops) across epochs;
@@ -41,136 +127,31 @@ type Session struct {
 // interposed ahead of the shed filter.
 func NewSession(cfg CampaignConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
-	lab, err := NewMultiLab(CampaignSuite(cfg.Seed))
+	sv, err := NewSupervised(CampaignSuite(cfg.Seed), cfg.Program, supervise.Config{
+		CheckpointEvery: cfg.CheckpointEvery,
+		OnShed:          cfg.OnShed,
+		Metrics:         cfg.Metrics,
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		Lab:     lab,
-		cfg:     cfg,
-		hosts:   lab.C.Net.Hosts(),
-		dpids:   lab.C.Net.Switches(),
-		wireRng: rand.New(rand.NewSource(cfg.Seed*104729 + 5)),
-		program: cfg.Program,
-	}
-	mode := "supervised-cold"
+	hosts := sv.Net().Hosts()
+	s := &Session{Supervised: sv, cfg: cfg, full: len(hosts) - 1}
+	s.res.Mode = "supervised-cold"
 	if cfg.CheckpointEvery > 0 {
-		mode = "supervised-checkpoint"
+		s.res.Mode = "supervised-checkpoint"
 	}
-	s.res = CampaignResult{Mode: mode}
-	s.Sup = supervise.New(lab.C, supervise.Config{
-		BaselineMeanCost: lab.baselineMeanCost,
-		Backoff:          resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 64 * time.Millisecond},
-		Budget:           resilience.NewBudget(64, 0.25),
-		CheckpointEvery:  cfg.CheckpointEvery,
-		DegradeAfter:     cfg.DegradeAfter,
-		Classify:         ClassifyEvent,
-		OnRestart:        s.onRestart,
-		OnShed:           cfg.OnShed,
-		Metrics:          cfg.Metrics,
-	})
-	// The graceful-degradation hook: shed classes die at the lab
-	// filter, before they reach the controller.
-	lab.Filter = s.Sup.Filter
+	s.player = NewPlayer(s, buildSchedule(cfg.Seed, cfg.Events, hosts, sv.Net().Switches()))
 	return s, nil
-}
-
-// onRestart advances fault incarnations and resets the program's
-// per-incarnation clamp counters on every supervised restart.
-func (s *Session) onRestart() {
-	s.Lab.NewIncarnations()
-	if s.program != nil {
-		s.program.NewIncarnation()
-	}
-}
-
-// SetProgram installs (or replaces) the flow-rule program for
-// subsequent epochs — the repair loop installs the validated composed
-// program here before lifting sheds.
-func (s *Session) SetProgram(p *sdn.Program) { s.program = p }
-
-// offer routes one workload event: program first (repairs rewrite or
-// clamp poison inputs), then the supervisor's shed filter, then
-// supervised submission.
-func (s *Session) offer(ev sdn.Event) {
-	if s.program != nil {
-		out, verdict := s.program.Apply(ev)
-		switch verdict {
-		case sdn.VerdictDropped:
-			s.res.ProgramDrops++
-			s.cfg.count("faultlab_program_drops_total")
-			return
-		case sdn.VerdictRewritten:
-			s.res.ProgramRewrites++
-			s.cfg.count("faultlab_program_rewrites_total")
-		}
-		ev = out
-	}
-	if rewritten, keep := s.Lab.Filter(ev); keep {
-		s.Sup.Submit(rewritten)
-	}
-}
-
-// offerBatch routes one pump round of workload events. The program,
-// shed filter, and supervised submission still run per event in order
-// — a mid-round shed or restart must affect the very next event,
-// exactly as the one-at-a-time path did — so only the controller's log
-// growth is amortized into a single pre-reserved region per round.
-func (s *Session) offerBatch(events []sdn.Event) {
-	s.Sup.C.ReserveLog(len(events))
-	for _, ev := range events {
-		s.offer(ev)
-	}
 }
 
 // PlayEpoch plays one full schedule epoch — the same seed-derived
 // schedule every time, so epochs before and after a repair face the
 // identical offered workload — and returns the cumulative result.
 func (s *Session) PlayEpoch() (CampaignResult, error) {
-	schedule := buildSchedule(s.cfg.Seed, s.cfg.Events, s.hosts, s.dpids)
-	s.res.Events += len(schedule)
-	full := len(s.hosts) - 1
-	for _, it := range schedule {
-		s.cfg.count("faultlab_campaign_slots_total")
-		switch it.kind {
-		case itemConfig, itemPoisonConfig, itemExternal, itemReboot:
-			s.offer(it.ev)
-		case itemUnicast:
-			pump(s.Lab.C.Net, it.src, sdn.Packet{EthDst: it.dst, EthType: 0x0800}, s.offerBatch)
-		case itemBroadcast:
-			s.res.BroadcastProbes++
-			got := pump(s.Lab.C.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, s.offerBatch)
-			if got < full && !s.Sup.ClassShed("network-event") {
-				// Byzantine divergence the probes can't see: feed the
-				// spot-check into the supervisor.
-				s.res.BroadcastFailures++
-				s.Sup.ReportDivergence("network-event", func() bool {
-					return pump(s.Lab.C.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, s.offerBatch) >= full
-				})
-			}
-		case itemMirrorBroadcast:
-			s.res.BroadcastProbes++
-			shedAlready := s.Sup.ClassShed("network-event/mirror-vlan")
-			got := pump(s.Lab.C.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}, s.offerBatch)
-			if got < full && !shedAlready {
-				s.res.BroadcastFailures++
-				s.Sup.ReportDivergence("network-event/mirror-vlan", func() bool {
-					return pump(s.Lab.C.Net, it.src, sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: PoisonVLAN}, s.offerBatch) >= full
-				})
-			}
-		case itemWireFault:
-			s.res.WireFaults++
-			s.cfg.count("faultlab_wire_faults_total")
-			ferr, err := WireEpisode(it.wire, s.wireRng)
-			if err != nil {
-				return s.Snapshot(), err
-			}
-			if ferr != nil {
-				s.Sup.WireError(ferr)
-			}
-		}
-	}
-	return s.Snapshot(), nil
+	s.res.Events += s.cfg.Events
+	err := s.player.Play()
+	return s.Snapshot(), err
 }
 
 // Snapshot folds the live supervisor metrics into the session
@@ -179,29 +160,60 @@ func (s *Session) PlayEpoch() (CampaignResult, error) {
 // discards traffic buys no availability.
 func (s *Session) Snapshot() CampaignResult {
 	res := s.res
-	m := s.Sup.Metrics
-	res.Offered = m.EventsOffered + res.ProgramDrops
-	res.Processed = m.EventsProcessed
-	res.Healed = m.EventsHealed
-	res.Shed = m.EventsShed + res.ProgramDrops
-	res.Lost = m.EventsLost
-	res.Incidents = m.Incidents
-	res.FailStops = m.FailStops
-	res.Stalls = m.Stalls
-	res.PerfRegressions = m.PerfRegressions
-	res.Divergences = m.Divergences
-	res.Restarts = m.Restarts
-	res.Degradations = m.Degradations
-	res.BudgetDenials = m.BudgetDenials
-	res.Checkpoints = m.Checkpoints
-	res.CheckpointRestores = m.CheckpointRestores
-	res.ColdRestores = m.ColdRestores
-	res.CheckpointRestoreTicks = m.CheckpointRestoreTicks
-	res.ColdRestoreTicks = m.ColdRestoreTicks
-	res.UptimeTicks = m.UptimeTicks
-	res.DowntimeTicks = m.RecoveryTicks
-	res.WireErrors = m.WireErrors
-	res.ShedClasses = s.Sup.ShedClasses()
-	res.FinalState = s.Lab.C.State.String()
+	res.foldSupervisor(s.Sup)
+	res.Offered += res.ProgramDrops
+	res.Shed += res.ProgramDrops
 	return res
+}
+
+// Submit routes one pump round. The program, shed filter, and
+// supervised submission run per event in order — a mid-round shed or
+// restart must affect the very next event — so only the controller's
+// log growth is amortized into a single pre-reserved region per round.
+func (s *Session) Submit(events []sdn.Event) {
+	s.Sup.C.ReserveLog(len(events))
+	for _, ev := range events {
+		switch verdict, _ := s.Offer(ev); verdict {
+		case sdn.VerdictDropped:
+			s.res.ProgramDrops++
+			s.cfg.count("faultlab_program_drops_total")
+		case sdn.VerdictRewritten:
+			s.res.ProgramRewrites++
+			s.cfg.count("faultlab_program_rewrites_total")
+		}
+	}
+}
+
+// Slot counts the slot and plays it.
+func (s *Session) Slot(_ int, sl Slot, play func(Slot) error) error {
+	s.cfg.count("faultlab_campaign_slots_total")
+	return play(sl)
+}
+
+// Wire counts the wire fault and plays its episode.
+func (s *Session) Wire(sl Slot, rng *rand.Rand) error {
+	s.res.WireFaults++
+	s.cfg.count("faultlab_wire_faults_total")
+	return s.Supervised.Wire(sl, rng)
+}
+
+// Probe feeds a broadcast that missed a host into the supervisor as a
+// Byzantine divergence the probes can't see, with a re-flood as its
+// spot-check — unless the class is already shed. A plain broadcast
+// reads the shed state after its pump, a mirror broadcast before it.
+func (s *Session) Probe(sl Slot, flood func(Slot) int) {
+	s.res.BroadcastProbes++
+	class := "network-event"
+	if sl.Kind == SlotMirrorBroadcast {
+		class = "network-event/mirror-vlan"
+	}
+	shed := sl.Kind == SlotMirrorBroadcast && s.Sup.ClassShed(class)
+	reached := flood(sl)
+	if sl.Kind == SlotBroadcast {
+		shed = s.Sup.ClassShed(class)
+	}
+	if reached < s.full && !shed {
+		s.res.BroadcastFailures++
+		s.Sup.ReportDivergence(class, func() bool { return flood(sl) >= s.full })
+	}
 }

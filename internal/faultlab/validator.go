@@ -14,6 +14,7 @@ package faultlab
 
 import (
 	"fmt"
+	"slices"
 
 	"sdnbugs/internal/sdn"
 )
@@ -30,15 +31,9 @@ type CampaignCheck struct {
 // established for supervised campaigns. The list is fixed and
 // ordered, so baseline and patched runs compare check-by-check.
 func SupervisedChecklist(r CampaignResult) []CampaignCheck {
-	allowed := make(map[string]bool)
-	for _, c := range DeterministicPoisonClasses() {
-		allowed[c] = true
-	}
 	shedOK := true
 	for _, c := range r.ShedClasses {
-		if !allowed[c] {
-			shedOK = false
-		}
+		shedOK = shedOK && slices.Contains(DeterministicPoisonClasses(), c)
 	}
 	return []CampaignCheck{
 		{Name: "no-lost-events", Pass: r.Lost == 0,
@@ -58,8 +53,8 @@ func SupervisedChecklist(r CampaignResult) []CampaignCheck {
 type Verdict struct {
 	// Class is the shed class the candidate claims to repair ("" when
 	// validating a composed program with no single target class).
-	Class  string         `json:"class,omitempty"`
-	Result CampaignResult `json:"-"`
+	Class  string          `json:"class,omitempty"`
+	Result CampaignResult  `json:"-"`
 	Checks []CampaignCheck `json:"checks"`
 	// Regressions names baseline-passing checks the patched run fails.
 	Regressions []string `json:"regressions"`
@@ -102,14 +97,6 @@ func NewValidator(cfg CampaignConfig) (*Validator, error) {
 	return &Validator{cfg: cfg, baseline: base, baseChecks: SupervisedChecklist(base)}, nil
 }
 
-// Baseline returns the cached unpatched campaign result.
-func (v *Validator) Baseline() CampaignResult { return v.baseline }
-
-// BaselineChecks returns the baseline's checklist evaluation.
-func (v *Validator) BaselineChecks() []CampaignCheck {
-	return append([]CampaignCheck(nil), v.baseChecks...)
-}
-
 // Validate runs the full campaign with prog interposed and judges it
 // against the baseline. The program is cloned first, so validation
 // never leaks clamp state into the caller's copy.
@@ -127,12 +114,7 @@ func (v *Validator) Validate(prog *sdn.Program, class string) (Verdict, error) {
 			regressions = append(regressions, c.Name)
 		}
 	}
-	classShed := false
-	for _, c := range res.ShedClasses {
-		if class != "" && c == class {
-			classShed = true
-		}
-	}
+	classShed := class != "" && slices.Contains(res.ShedClasses, class)
 	verdict := Verdict{
 		Class:                class,
 		Result:               res,

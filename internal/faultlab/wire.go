@@ -56,11 +56,6 @@ func (k WireFaultKind) String() string {
 	}
 }
 
-// NumWireFaultKinds returns how many wire fault kinds exist, so
-// callers (the perf fuzzer's genome decoder) can map raw integers
-// onto valid kinds.
-func NumWireFaultKinds() int { return int(numWireFaultKinds) }
-
 // errWireStall is the deadline error a stalled read surfaces.
 var errWireStall = errors.New("faultlab: wire read timed out")
 

@@ -116,4 +116,3 @@ func RemoveStopwords(tokens []string) []string {
 	}
 	return out
 }
-

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"sdnbugs/internal/faultlab"
 )
 
 // Op is one episode kind a gene can encode. The set mirrors the
@@ -95,6 +97,35 @@ const MaxGap = 7
 
 // Genome is one candidate schedule.
 type Genome []Gene
+
+// Compile lowers the genome onto a topology's hosts and switches as a
+// campaign schedule. Each Gap pad becomes a benign external-call slot
+// (influxdb telemetry) that spaces its gene out in logical time; ops
+// map onto slot kinds one to one, and a unicast gene's B picks a
+// destination distinct from its source. Wire episodes draw from a PRNG
+// seeded by the harness seed. The slots are appended to dst, so a
+// caller compiling many genomes can reuse one buffer.
+func (g Genome) Compile(dst []faultlab.Slot, seed int64, hosts, dpids []uint64) (faultlab.Schedule, error) {
+	if len(hosts) < 2 || len(dpids) == 0 {
+		return faultlab.Schedule{}, fmt.Errorf("perfuzz: topology too small (%d hosts, %d switches)", len(hosts), len(dpids))
+	}
+	slots := dst
+	pad := faultlab.NewSlot(faultlab.SlotExternal, 0, 0, hosts, dpids)
+	for _, gene := range g {
+		for p := 0; p < int(gene.Gap%(MaxGap+1)); p++ {
+			slots = append(slots, pad)
+		}
+		if gene.Op >= numOps {
+			continue
+		}
+		a, b := int(gene.A), int(gene.B)
+		if gene.Op == OpUnicast {
+			b = a + 1 + b%(len(hosts)-1)
+		}
+		slots = append(slots, faultlab.NewSlot(faultlab.SlotKind(gene.Op), a, b, hosts, dpids))
+	}
+	return faultlab.Schedule{Slots: slots, WireSeed: seed*52361 + 7}, nil
+}
 
 // Fingerprint is a canonical string form, used as the evaluation
 // cache key and in byte-identity checks.
@@ -187,29 +218,20 @@ func Mutate(rng *rand.Rand, g Genome, maxLen int) Genome {
 	case 0: // duplicate a chunk — the densifying move stateful
 		// (budget-driven) bugs reward.
 		if len(out) > 0 {
-			start := rng.Intn(len(out))
-			size := 1 + rng.Intn(maxChunk(len(out)))
-			if start+size > len(out) {
-				size = len(out) - start
-			}
+			start, size := randomSpan(rng, len(out))
 			chunk := append(Genome{}, out[start:start+size]...)
 			at := rng.Intn(len(out) + 1)
 			out = append(out[:at], append(chunk, out[at:].Clone()...)...)
 		}
 	case 1: // delete a chunk.
 		if len(out) > 1 {
-			start := rng.Intn(len(out))
-			size := 1 + rng.Intn(maxChunk(len(out)))
-			if start+size > len(out) {
-				size = len(out) - start
-			}
+			start, size := randomSpan(rng, len(out))
 			out = append(out[:start], out[start+size:]...)
 		}
 	case 2: // retime: rewrite the gaps of a random span.
 		if len(out) > 0 {
-			start := rng.Intn(len(out))
-			size := 1 + rng.Intn(maxChunk(len(out)))
-			for i := start; i < len(out) && i < start+size; i++ {
+			start, size := randomSpan(rng, len(out))
+			for i := start; i < start+size; i++ {
 				out[i].Gap = uint8(rng.Intn(MaxGap + 1))
 			}
 		}
@@ -231,13 +253,12 @@ func Mutate(rng *rand.Rand, g Genome, maxLen int) Genome {
 	return clampLen(out, maxLen)
 }
 
-// maxChunk bounds mutation chunk sizes to a quarter of the genome.
-func maxChunk(n int) int {
-	c := n / 4
-	if c < 1 {
-		c = 1
-	}
-	return c
+// randomSpan picks a random span of an n-gene genome: a start and a
+// length of up to a quarter of the genome, clipped to its end.
+func randomSpan(rng *rand.Rand, n int) (start, size int) {
+	start = rng.Intn(n)
+	size = 1 + rng.Intn(max(n/4, 1))
+	return start, min(size, n-start)
 }
 
 // Splice crosses two parents at one cut point each — the genetic

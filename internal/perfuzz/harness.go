@@ -2,13 +2,10 @@ package perfuzz
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"sdnbugs/internal/faultlab"
 	"sdnbugs/internal/metrics"
-	"sdnbugs/internal/resilience"
 	"sdnbugs/internal/sdn"
 	"sdnbugs/internal/supervise"
 	"sdnbugs/internal/taxonomy"
@@ -168,6 +165,8 @@ type Harness struct {
 	Program *sdn.Program
 
 	cache map[string]Eval
+	// slots is the compiled-schedule buffer, reused across runs.
+	slots []faultlab.Slot
 	// Evals counts logical evaluations (cache hits included);
 	// UniqueEvals counts lab runs.
 	Evals       int
@@ -212,135 +211,73 @@ func (h *Harness) run(g Genome) (Eval, error) {
 	if suite == nil {
 		suite = FaultSuite
 	}
-	lab, err := faultlab.NewMultiLab(suite(h.Seed))
+	sv, err := faultlab.NewSupervised(suite(h.Seed), h.Program, supervise.Config{
+		CheckpointEvery: checkpointEvery,
+		Metrics:         h.Registry,
+	})
 	if err != nil {
 		return Eval{}, fmt.Errorf("perfuzz: lab: %w", err)
 	}
 	h.Program.NewIncarnation()
-	hosts := lab.C.Net.Hosts()
-	dpids := lab.C.Net.Switches()
-	if len(hosts) < 2 || len(dpids) == 0 {
-		return Eval{}, fmt.Errorf("perfuzz: topology too small (%d hosts, %d switches)", len(hosts), len(dpids))
+	sched, err := g.Compile(h.slots[:0], h.Seed, sv.Net().Hosts(), sv.Net().Switches())
+	if err != nil {
+		return Eval{}, err
 	}
-	sup := supervise.New(lab.C, supervise.Config{
-		BaselineMeanCost: lab.BaselineMeanCost(),
-		Backoff:          resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 64 * time.Millisecond},
-		Budget:           resilience.NewBudget(64, 0.25),
-		CheckpointEvery:  checkpointEvery,
-		Classify:         faultlab.ClassifyEvent,
-		OnRestart: func() {
-			lab.NewIncarnations()
-			h.Program.NewIncarnation()
-		},
-		Metrics: h.Registry,
-	})
-	lab.Filter = sup.Filter
-
-	// Per-event latency: the delta of the supervisor's monotonic
-	// uptime+recovery tick total around each offered event, so heal
-	// time (restarts, replays) is charged to the event that caused it.
-	var costs []int
-	elapsed := func() int { return sup.Metrics.UptimeTicks + sup.Metrics.RecoveryTicks }
-	offer := func(ev sdn.Event) {
-		if h.Program != nil {
-			out, verdict := h.Program.Apply(ev)
-			if verdict == sdn.VerdictDropped {
-				return
-			}
-			ev = out
-		}
-		if rewritten, keep := lab.Filter(ev); keep {
-			before := elapsed()
-			sup.Submit(rewritten)
-			costs = append(costs, elapsed()-before)
-		}
-	}
-	wireRng := rand.New(rand.NewSource(h.Seed*52361 + 7))
-
-	for _, gene := range g {
-		// Retime pads: benign external telemetry calls that space the
-		// episode out in logical time.
-		for p := 0; p < int(gene.Gap%(MaxGap+1)); p++ {
-			offer(sdn.Event{Kind: sdn.EventExternalCall, Service: "influxdb"})
-		}
-		switch gene.Op {
-		case OpConfig:
-			offer(sdn.Event{Kind: sdn.EventConfig,
-				Key:   fmt.Sprintf("vlan.zone%d", int(gene.A)%40),
-				Value: fmt.Sprintf("%d", 100+int(gene.B)%3000)})
-		case OpPoisonConfig:
-			offer(sdn.Event{Kind: sdn.EventConfig,
-				Key: fmt.Sprintf("multicast.group%d", int(gene.A)%8), Value: "225"})
-		case OpExternal:
-			svc := "influxdb"
-			if gene.A%2 == 1 {
-				svc = "atomix"
-			}
-			offer(sdn.Event{Kind: sdn.EventExternalCall, Service: svc})
-		case OpReboot:
-			offer(sdn.Event{Kind: sdn.EventHardwareReboot,
-				DPID: dpids[int(gene.A)%len(dpids)]})
-		case OpUnicast:
-			src := hosts[int(gene.A)%len(hosts)]
-			dst := hosts[(int(gene.A)+1+int(gene.B)%(len(hosts)-1))%len(hosts)]
-			pump(lab.C.Net, src, sdn.Packet{EthDst: dst, EthType: 0x0800}, offer)
-		case OpBroadcast:
-			pump(lab.C.Net, hosts[int(gene.A)%len(hosts)],
-				sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}, offer)
-		case OpMirrorBroadcast:
-			pump(lab.C.Net, hosts[int(gene.A)%len(hosts)],
-				sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: faultlab.PoisonVLAN}, offer)
-		case OpWireFault:
-			kind := faultlab.WireFaultKind(int(gene.A) % faultlab.NumWireFaultKinds())
-			ferr, werr := faultlab.WireEpisode(kind, wireRng)
-			if werr != nil {
-				return Eval{}, fmt.Errorf("perfuzz: wire episode: %w", werr)
-			}
-			if ferr != nil {
-				sup.WireError(ferr)
-			}
-		}
+	h.slots = sched.Slots
+	rt := &evalRuntime{Supervised: sv}
+	if err := faultlab.NewPlayer(rt, sched).Play(); err != nil {
+		return Eval{}, fmt.Errorf("perfuzz: wire episode: %w", err)
 	}
 
-	m := sup.Metrics
+	r := sv.SupervisorResult()
 	e := Eval{
-		Offered:         m.EventsOffered,
-		Processed:       m.EventsProcessed,
-		Shed:            m.EventsShed,
-		Stalls:          m.Stalls,
-		PerfRegressions: m.PerfRegressions,
-		FailStops:       m.FailStops,
-		Restarts:        m.Restarts,
-		Degradations:    m.Degradations,
-		WireErrors:      m.WireErrors,
-		BaselineMean:    lab.BaselineMeanCost(),
+		Offered:         r.Offered,
+		Processed:       r.Processed,
+		Shed:            r.Shed,
+		Stalls:          r.Stalls,
+		PerfRegressions: r.PerfRegressions,
+		FailStops:       r.FailStops,
+		Restarts:        r.Restarts,
+		Degradations:    r.Degradations,
+		WireErrors:      r.WireErrors,
+		BaselineMean:    sv.Lab.BaselineMeanCost(),
 	}
-	e.MeanTicks, e.P50Ticks, e.P95Ticks, e.P99Ticks = latencySummary(costs)
+	e.MeanTicks, e.P50Ticks, e.P95Ticks, e.P99Ticks = latencySummary(rt.costs)
 	e.classify()
 	e.computeFitness()
 	return e, nil
 }
 
-// pump injects one packet and routes the resulting punts through
-// offer (mirrors the campaign's traffic pump). Events point into the
-// drained packet-in slice — ownership transfers at DrainPacketIns, so
-// no per-punt heap copy is needed and offer-order is unchanged.
-func pump(net *sdn.Network, src uint64, p sdn.Packet, offer func(sdn.Event)) {
-	net.DrainDeliveries()
-	if _, err := net.InjectFromHost(src, p); err != nil {
-		return
-	}
-	for round := 0; round < 32; round++ {
-		pis := net.DrainPacketIns()
-		if len(pis) == 0 {
-			break
-		}
-		for i := range pis {
-			offer(sdn.Event{Kind: sdn.EventNetwork, Msg: &pis[i]})
-		}
-	}
-	net.DrainDeliveries()
+// evalRuntime is the supervised campaign runtime plus per-event
+// latency capture: each event that reaches the supervisor is charged
+// the delta of the supervisor's monotonic uptime+recovery tick total,
+// so heal time (restarts, replays) lands on the event that caused it.
+// Punts are offered one at a time, with no log reservation.
+type evalRuntime struct {
+	*faultlab.Supervised
+	costs []int
 }
+
+func (r *evalRuntime) elapsed() int {
+	return r.Sup.Metrics.UptimeTicks + r.Sup.Metrics.RecoveryTicks
+}
+
+func (r *evalRuntime) Submit(events []sdn.Event) {
+	for _, ev := range events {
+		before := r.elapsed()
+		if _, ok := r.Offer(ev); ok {
+			r.costs = append(r.costs, r.elapsed()-before)
+		}
+	}
+}
+
+func (r *evalRuntime) Slot(_ int, s faultlab.Slot, play func(faultlab.Slot) error) error {
+	return play(s)
+}
+
+// Probe floods without judging: degradation shows in the probe
+// signals and the latency tail instead.
+func (r *evalRuntime) Probe(s faultlab.Slot, flood func(faultlab.Slot) int) { flood(s) }
 
 // latencySummary reduces per-event tick costs to mean and quantiles.
 func latencySummary(costs []int) (mean, p50, p95, p99 float64) {

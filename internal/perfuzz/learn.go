@@ -83,11 +83,9 @@ type FailureModel struct {
 	tree *dtree.Tree
 }
 
-// TrainFailureModel fits a decision tree on the full corpus.
-func TrainFailureModel(corpus []Record) (*FailureModel, error) {
-	if len(corpus) < 2 {
-		return nil, ErrTinyCorpus
-	}
+// featurizeCorpus lays the corpus out as a feature matrix and
+// degraded (1) / healthy (0) labels.
+func featurizeCorpus(corpus []Record) (*mathx.Matrix, []int) {
 	x := mathx.NewMatrix(len(corpus), numFeatures)
 	y := make([]int, len(corpus))
 	for i, r := range corpus {
@@ -96,6 +94,15 @@ func TrainFailureModel(corpus []Record) (*FailureModel, error) {
 			y[i] = 1
 		}
 	}
+	return x, y
+}
+
+// TrainFailureModel fits a decision tree on the full corpus.
+func TrainFailureModel(corpus []Record) (*FailureModel, error) {
+	if len(corpus) < 2 {
+		return nil, ErrTinyCorpus
+	}
+	x, y := featurizeCorpus(corpus)
 	t := &dtree.Tree{MaxDepth: 8, MinLeaf: 1}
 	if err := t.Fit(x, y); err != nil {
 		return nil, err
@@ -120,14 +127,7 @@ func Learn(corpus []Record, seed int64) (LearnerReport, error) {
 	if len(corpus) < 6 {
 		return LearnerReport{}, ErrTinyCorpus
 	}
-	x := mathx.NewMatrix(len(corpus), numFeatures)
-	y := make([]int, len(corpus))
-	for i, r := range corpus {
-		copy(x.Row(i), Featurize(r.Genome))
-		if r.Eval.Degraded() {
-			y[i] = 1
-		}
-	}
+	x, y := featurizeCorpus(corpus)
 	d, err := ml.NewDataset(x, y)
 	if err != nil {
 		return LearnerReport{}, err

@@ -199,3 +199,23 @@ func TestFeaturizeWidth(t *testing.T) {
 		t.Fatalf("max traffic run = %v, want 2", f[2+int(numOps)])
 	}
 }
+
+// TestLatencySummaryRounding pins latencySummary's nearest-rank rule,
+// ⌊p·n+0.5⌋−1. It is not stats.Percentile's ⌈p·n⌉−1: the two pick
+// different ranks whenever frac(p·n) is in (0, 0.5), so swapping one
+// for the other would change every E24 report.
+func TestLatencySummaryRounding(t *testing.T) {
+	costs := make([]int, 11)
+	for i := range costs {
+		costs[i] = 10 - i // unsorted on purpose: 10, 9, ..., 0
+	}
+	mean, p50, p95, p99 := latencySummary(costs)
+	// n=11: p50 → ⌊6.0⌋−1 = 5; p95 → ⌊10.95⌋−1 = 9 (⌈10.45⌉−1 would
+	// be 10); p99 → ⌊11.39⌋−1 = 10.
+	if mean != 5 || p50 != 5 || p95 != 9 || p99 != 10 {
+		t.Fatalf("latencySummary = (%v, %v, %v, %v), want (5, 5, 9, 10)", mean, p50, p95, p99)
+	}
+	if m, a, b, c := latencySummary(nil); m != 0 || a != 0 || b != 0 || c != 0 {
+		t.Fatalf("empty summary = (%v, %v, %v, %v), want zeros", m, a, b, c)
+	}
+}

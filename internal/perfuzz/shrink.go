@@ -29,18 +29,6 @@ func Shrink(g Genome, class string, h *Harness, budget int) (Genome, Eval, Shrin
 		budget = 400
 	}
 	var stats ShrinkStats
-	check := func(cand Genome) (bool, Eval, error) {
-		if stats.Evals >= budget {
-			return false, Eval{}, nil
-		}
-		stats.Evals++
-		e, err := h.Eval(cand)
-		if err != nil {
-			return false, Eval{}, err
-		}
-		return e.Class == class, e, nil
-	}
-
 	cur := g.Clone()
 	curEval, err := h.Eval(cur)
 	if err != nil {
@@ -53,21 +41,33 @@ func Shrink(g Genome, class string, h *Harness, budget int) (Genome, Eval, Shrin
 		return cur, curEval, stats, nil
 	}
 
+	// try evaluates a candidate within the budget and accepts it when
+	// it still triggers class.
+	try := func(cand Genome) (bool, error) {
+		if stats.Evals >= budget {
+			return false, nil
+		}
+		stats.Evals++
+		e, err := h.Eval(cand)
+		if err != nil || e.Class != class {
+			return false, err
+		}
+		cur, curEval = cand, e
+		stats.Steps++
+		return true, nil
+	}
+
 	// Pass 1: remove chunks, halving the chunk size from len/2 down
 	// to 2. Restart a size level whenever a removal sticks so earlier
 	// offsets get retried against the smaller schedule.
 	for size := len(cur) / 2; size >= 2; size /= 2 {
 		for start := 0; start+size <= len(cur) && len(cur) > 1; {
-			cand := removeRange(cur, start, size)
-			ok, e, err := check(cand)
+			ok, err := try(removeRange(cur, start, size))
 			if err != nil {
 				return nil, Eval{}, stats, err
 			}
-			if ok {
-				cur, curEval = cand, e
-				stats.Steps++
-				// keep start: the next chunk slid into this offset
-			} else {
+			// On success keep start: the next chunk slid into this offset.
+			if !ok {
 				start += size
 			}
 		}
@@ -77,14 +77,11 @@ func Shrink(g Genome, class string, h *Harness, budget int) (Genome, Eval, Shrin
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(cur) && len(cur) > 1; {
-			cand := removeRange(cur, i, 1)
-			ok, e, err := check(cand)
+			ok, err := try(removeRange(cur, i, 1))
 			if err != nil {
 				return nil, Eval{}, stats, err
 			}
 			if ok {
-				cur, curEval = cand, e
-				stats.Steps++
 				changed = true
 			} else {
 				i++
@@ -100,13 +97,8 @@ func Shrink(g Genome, class string, h *Harness, budget int) (Genome, Eval, Shrin
 		}
 		cand := cur.Clone()
 		cand[i].Gap = 0
-		ok, e, err := check(cand)
-		if err != nil {
+		if _, err := try(cand); err != nil {
 			return nil, Eval{}, stats, err
-		}
-		if ok {
-			cur, curEval = cand, e
-			stats.Steps++
 		}
 	}
 

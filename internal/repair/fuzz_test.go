@@ -18,7 +18,7 @@ func FuzzRepairPatch(f *testing.F) {
 	f.Add(int64(3), uint8(0), 0, 1, false, "", "", 0, 0)
 	f.Add(int64(0), uint8(1), -3, 7, true, "0", "app.quarantine.", 2, 10)
 	f.Add(int64(2), uint8(2), 1, 1, false, "disabled", "multicast.loop", -1, -5)
-	f.Add(int64(4), uint8(3), 1 << 30, -(1 << 30), true, "x", "", 1, 1<<20)
+	f.Add(int64(4), uint8(3), 1<<30, -(1 << 30), true, "x", "", 1, 1<<20)
 	f.Add(int64(9), uint8(200), 0, 0, false, "", "q.", 1, 3)
 	f.Fuzz(func(t *testing.T, classIdx int64, prod uint8, i, j int, strip bool, setValue, setPrefix string, budget, priority int) {
 		base := twoRuleBase()

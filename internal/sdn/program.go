@@ -89,7 +89,7 @@ type Predicate struct {
 	// BroadcastOnly matches only broadcast network frames.
 	BroadcastOnly bool `json:"broadcast_only,omitempty"`
 	// MatchVlan, when true, matches only network frames tagged VlanID.
-	MatchVlan bool `json:"match_vlan,omitempty"`
+	MatchVlan bool   `json:"match_vlan,omitempty"`
 	VlanID    uint16 `json:"vlan_id,omitempty"`
 }
 

@@ -282,4 +282,3 @@ func (p *Pipeline) PredictAll(issues []tracker.Issue) ([]taxonomy.Label, error) 
 	}
 	return out, nil
 }
-
