@@ -69,7 +69,9 @@ type goldenRecord struct {
 }
 
 // digestOutcomes hashes every outcome's checks and tables, in order,
-// with length-prefixed fields so no two layouts collide.
+// with length-prefixed fields so no two layouts collide — the same
+// hash the perfbench study workload records per seed (perfbench is a
+// module of its own, so the few lines are repeated here).
 func digestOutcomes(outcomes []engine.Outcome[ExperimentResult]) string {
 	h := sha256.New()
 	field := func(s string) {
