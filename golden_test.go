@@ -38,10 +38,11 @@ const goldenPath = "testdata/golden.json"
 var goldenSeeds = []int64{1, 2}
 
 // goldenIDs are the experiments and ablations whose tables and checks
-// the contract hashes: the recovery coverage table, the campaigns, the
+// the contract hashes: the tracker mining runs (clean, under chaos,
+// and crash-resumed), the recovery coverage table, the campaigns, the
 // fuzzer, the repair loop, the cluster failover, and the ablations
 // that drive fault labs.
-var goldenIDs = []string{"E19", "E22", "E24", "E25", "E26", "A04", "A06", "A07"}
+var goldenIDs = []string{"E01", "E21", "E23", "E19", "E22", "E24", "E25", "E26", "A04", "A06", "A07"}
 
 // goldenCampaigns are the four E22 campaign configurations.
 var goldenCampaigns = []struct {
