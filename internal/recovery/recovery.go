@@ -57,22 +57,45 @@ var _ Strategy = RecordReplay{}
 // Name implements Strategy.
 func (RecordReplay) Name() string { return "record-replay" }
 
-// Recover implements Strategy.
+// Recover implements Strategy. A replay that reproduces the crash is
+// a failed recovery, not an error.
 func (r RecordReplay) Recover(l *faultlab.Lab) error {
 	log, err := l.Rebuild()
 	if err != nil {
 		return err
 	}
-	for _, ev := range log {
+	_, err = replay(l, log, keepAll)
+	return err
+}
+
+// replay resubmits a rebuilt lab's event log, passing each event
+// through keep first. Before each kept event it checks for a crash:
+// once the controller has crashed — the replay reproduced the failure
+// — it stops and reports crashed. Crashes from Submit itself are
+// expected and ignored.
+func replay(l *faultlab.Lab, log []sdn.Event, keep func(sdn.Event) (sdn.Event, bool)) (crashed bool, err error) {
+	for _, recorded := range log {
+		ev, ok := keep(recorded)
+		if !ok {
+			continue
+		}
 		if l.C.State == sdn.StateCrashed {
-			return nil // replay reproduced the crash: recovery failed
+			return true, nil
 		}
 		ev.Seq = 0
 		if err := l.C.Submit(ev); err != nil && !errors.Is(err, sdn.ErrCrash) {
-			return fmt.Errorf("recovery: replay: %w", err)
+			return false, fmt.Errorf("recovery: replay: %w", err)
 		}
 	}
-	return nil
+	return false, nil
+}
+
+// keepAll is the identity filter: replay every event unchanged.
+func keepAll(ev sdn.Event) (sdn.Event, bool) { return ev, true }
+
+// dropIf is the filter that drops the events pred matches.
+func dropIf(pred func(sdn.Event) bool) func(sdn.Event) (sdn.Event, bool) {
+	return func(ev sdn.Event) (sdn.Event, bool) { return ev, !pred(ev) }
 }
 
 // EventTransform models STS/delta-debugging-style recovery: find the
@@ -110,14 +133,6 @@ func transformCandidates() []transformCandidate {
 	confPoison := faultlab.PoisonSignature(taxonomy.TriggerConfiguration)
 	extPoison := faultlab.PoisonSignature(taxonomy.TriggerExternalCall)
 	rebootPoison := faultlab.PoisonSignature(taxonomy.TriggerHardwareReboot)
-	dropIf := func(pred func(sdn.Event) bool) func(sdn.Event) (sdn.Event, bool) {
-		return func(ev sdn.Event) (sdn.Event, bool) {
-			if pred(ev) {
-				return ev, false
-			}
-			return ev, true
-		}
-	}
 	return []transformCandidate{
 		{
 			// Rewrite the poison packet so a different code path
@@ -165,25 +180,11 @@ func (e *EventTransform) Recover(l *faultlab.Lab) error {
 		if _, err := l.Rebuild(); err != nil {
 			return err
 		}
-		healthy := true
-		for _, ev := range log {
-			rewritten, keep := cand.apply(ev)
-			if !keep {
-				continue
-			}
-			rewritten.Seq = 0
-			if l.C.State == sdn.StateCrashed {
-				healthy = false
-				break
-			}
-			if err := l.C.Submit(rewritten); err != nil && !errors.Is(err, sdn.ErrCrash) {
-				return fmt.Errorf("recovery: transform replay: %w", err)
-			}
+		// A replay stopped by a crash leaves the controller crashed.
+		if _, err := replay(l, log, cand.apply); err != nil {
+			return err
 		}
-		if l.C.State == sdn.StateCrashed || l.C.Stats.MaxEventCost >= 1000 {
-			healthy = false
-		}
-		if healthy {
+		if l.C.State != sdn.StateCrashed && l.C.Stats.MaxEventCost < 1000 {
 			l.Filter = cand.apply
 			return nil
 		}
@@ -214,22 +215,15 @@ var _ Strategy = Failover{}
 // Name implements Strategy.
 func (Failover) Name() string { return "replicated-failover" }
 
-// Recover implements Strategy.
+// Recover implements Strategy. A replica that hits the same
+// deterministic bug is a failed recovery, not an error.
 func (Failover) Recover(l *faultlab.Lab) error {
 	log, err := l.Rebuild() // the replica: fresh incarnation, same code
 	if err != nil {
 		return err
 	}
-	for _, ev := range log {
-		if l.C.State == sdn.StateCrashed {
-			return nil // replica hit the same deterministic bug
-		}
-		ev.Seq = 0
-		if err := l.C.Submit(ev); err != nil && !errors.Is(err, sdn.ErrCrash) {
-			return fmt.Errorf("recovery: failover replay: %w", err)
-		}
-	}
-	return nil
+	_, err = replay(l, log, keepAll)
+	return err
 }
 
 // EnvironmentFix models dependency/environment repair (the direction
@@ -269,25 +263,12 @@ func (ConfigRollback) Recover(l *faultlab.Lab) error {
 	if err != nil {
 		return err
 	}
-	poison := faultlab.PoisonSignature(taxonomy.TriggerConfiguration)
-	for _, ev := range log {
-		if poison(ev) {
-			continue // rolled back
-		}
-		if l.C.State == sdn.StateCrashed {
-			return nil
-		}
-		ev.Seq = 0
-		if err := l.C.Submit(ev); err != nil && !errors.Is(err, sdn.ErrCrash) {
-			return fmt.Errorf("recovery: rollback replay: %w", err)
-		}
+	rollback := dropIf(faultlab.PoisonSignature(taxonomy.TriggerConfiguration))
+	crashed, err := replay(l, log, rollback)
+	if err != nil || crashed {
+		return err
 	}
-	l.Filter = func(ev sdn.Event) (sdn.Event, bool) {
-		if poison(ev) {
-			return ev, false
-		}
-		return ev, true
-	}
+	l.Filter = rollback
 	return nil
 }
 
