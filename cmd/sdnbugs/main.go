@@ -62,11 +62,10 @@ import (
 	"sdnbugs/internal/corpus"
 	"sdnbugs/internal/durable"
 	"sdnbugs/internal/engine"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/mine"
 	"sdnbugs/internal/report"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 func main() {
@@ -341,12 +340,12 @@ func cmdMine(ctx context.Context, args []string) error {
 			return fmt.Errorf("mine: -gh-repo must be owner/name, got %q", *ghRepo)
 		}
 		if *jiraURL == "" {
-			srv := httptest.NewServer(jirasim.NewHandler(jiraStore))
+			srv := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
 			defer srv.Close()
 			*jiraURL = srv.URL
 		}
 		if *ghURL == "" {
-			srv := httptest.NewServer(ghsim.NewHandler(ghStore, owner, name))
+			srv := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, owner, name))
 			defer srv.Close()
 			*ghURL = srv.URL
 		}
@@ -369,9 +368,10 @@ func cmdMine(ctx context.Context, args []string) error {
 			rec.SnapshotRecords, rec.ReplayedRecords, rec.TruncatedBytes)
 	}
 	res, err := mine.Run(ctx, mine.Config{
-		JIRA:   &jirasim.Client{BaseURL: *jiraURL},
-		GitHub: &ghsim.Client{BaseURL: *ghURL, Repo: *ghRepo},
-		Store:  st,
+		JIRA:       &trackerd.Client{BaseURL: *jiraURL},
+		GitHub:     &trackerd.Client{BaseURL: *ghURL},
+		GitHubList: trackerd.GitHubList{Repo: *ghRepo},
+		Store:      st,
 	})
 	if err != nil {
 		_ = st.Close()

@@ -17,8 +17,6 @@ import (
 
 	"sdnbugs/internal/diskfault"
 	"sdnbugs/internal/durable"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/metrics"
 	"sdnbugs/internal/mine"
 	"sdnbugs/internal/resilience"
@@ -274,8 +272,9 @@ func runMiner(base string, tenant, pageSize int, inner http.RoundTripper) (res m
 	hc := &http.Client{Transport: rt}
 	prefix := fmt.Sprintf("%s/t/t%d", base, tenant)
 	cfg := mine.Config{
-		JIRA:   &jirasim.Client{BaseURL: prefix + "/bugs", HTTPClient: hc, PageSize: pageSize},
-		GitHub: &ghsim.Client{BaseURL: prefix + "/faucet", Repo: "faucetsdn/faucet", HTTPClient: hc, PerPage: pageSize},
+		JIRA:       &trackerd.Client{BaseURL: prefix + "/bugs", HTTPClient: hc, PageSize: pageSize},
+		GitHub:     &trackerd.Client{BaseURL: prefix + "/faucet", HTTPClient: hc, PageSize: pageSize},
+		GitHubList: trackerd.GitHubList{Repo: "faucetsdn/faucet"},
 	}
 
 	// Leg 1: a page-capped run that checkpoints a couple of pages and

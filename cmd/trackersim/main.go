@@ -37,9 +37,8 @@ import (
 
 	"sdnbugs/internal/chaos"
 	"sdnbugs/internal/corpus"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 func main() {
@@ -86,8 +85,8 @@ func runLegacy(args []string) error {
 		}
 	}
 
-	var jiraHandler http.Handler = jirasim.NewHandler(jiraStore)
-	var ghHandler http.Handler = ghsim.NewHandler(ghStore, "faucetsdn", "faucet")
+	var jiraHandler http.Handler = trackerd.NewJIRAHandler(jiraStore)
+	var ghHandler http.Handler = trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet")
 	if *chaosRate > 0 {
 		ccfg := chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
 		jiraHandler = chaos.Wrap(jiraHandler, ccfg)

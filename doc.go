@@ -11,7 +11,8 @@
 //
 //   - internal/taxonomy        — Table I's dimensions and labels
 //   - internal/corpus,textgen  — the calibrated synthetic bug corpus
-//   - internal/jirasim,ghsim   — JIRA/GitHub-like tracker simulators
+//   - internal/trackerd        — JIRA/GitHub-like tracker simulators
+//     and the mining client
 //   - internal/nlp/*, ml/*     — TF-IDF, NMF, Word2Vec, SVM, trees,
 //     PCA, AdaBoost from scratch
 //   - internal/study           — the RQ1–RQ5 analysis engine

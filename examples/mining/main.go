@@ -15,10 +15,9 @@ import (
 	"time"
 
 	"sdnbugs/internal/corpus"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/report"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 func main() {
@@ -61,12 +60,12 @@ func run() error {
 			return err
 		}
 	}
-	jiraURL, stopJira, err := serve(jirasim.NewHandler(jiraStore))
+	jiraURL, stopJira, err := serve(trackerd.NewJIRAHandler(jiraStore))
 	if err != nil {
 		return err
 	}
 	defer stopJira()
-	ghURL, stopGH, err := serve(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"))
+	ghURL, stopGH, err := serve(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
 	if err != nil {
 		return err
 	}
@@ -78,26 +77,26 @@ func run() error {
 	tbl := &report.Table{Title: "Mined critical bugs (§II-B)",
 		Headers: []string{"controller", "tracker", "mined", "closed", "with resolution time"}}
 
-	jc := jirasim.Client{BaseURL: jiraURL, PageSize: 100}
+	jc := trackerd.Client{BaseURL: jiraURL, PageSize: 100}
 	for _, project := range []string{"ONOS", "CORD"} {
-		results, err := jc.FetchAll(ctx, jirasim.SearchOptions{Project: project})
+		issues, err := jc.FetchAll(ctx, trackerd.JIRASearch{Project: project})
 		if err != nil {
 			return err
 		}
 		var closed, timed int
-		for _, r := range results {
-			if r.Issue.Status == tracker.StatusClosed {
+		for _, iss := range issues {
+			if iss.Status == tracker.StatusClosed {
 				closed++
 			}
-			if _, ok := r.Issue.ResolutionTime(); ok {
+			if _, ok := iss.ResolutionTime(); ok {
 				timed++
 			}
 		}
-		_ = tbl.AddRow(project, "jira", fmt.Sprint(len(results)), fmt.Sprint(closed), fmt.Sprint(timed))
+		_ = tbl.AddRow(project, "jira", fmt.Sprint(len(issues)), fmt.Sprint(closed), fmt.Sprint(timed))
 	}
 
-	gc := ghsim.Client{BaseURL: ghURL, Repo: "faucetsdn/faucet", PerPage: 100}
-	issues, err := gc.FetchAll(ctx, "")
+	gc := trackerd.Client{BaseURL: ghURL, PageSize: 100}
+	issues, err := gc.FetchAll(ctx, trackerd.GitHubList{Repo: "faucetsdn/faucet"})
 	if err != nil {
 		return err
 	}

@@ -8,12 +8,11 @@ import (
 
 	"sdnbugs/internal/corpus"
 	"sdnbugs/internal/engine"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/report"
 	"sdnbugs/internal/study"
 	"sdnbugs/internal/taxonomy"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 // registerCorpusExperiments registers the corpus-analysis experiments
@@ -48,24 +47,24 @@ func (s *Suite) E01CorpusMining() (ExperimentResult, error) {
 	if err != nil {
 		return res, err
 	}
-	jiraSrv := httptest.NewServer(jirasim.NewHandler(jiraStore))
+	jiraSrv := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
 	defer jiraSrv.Close()
-	ghSrv := httptest.NewServer(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"))
+	ghSrv := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
 	defer ghSrv.Close()
 
 	ctx := context.Background()
-	jc := jirasim.Client{BaseURL: jiraSrv.URL, PageSize: 100}
+	jc := trackerd.Client{BaseURL: jiraSrv.URL, PageSize: 100}
 	mined := map[tracker.Controller]int{}
 	for _, project := range []string{"ONOS", "CORD"} {
-		got, err := jc.FetchAll(ctx, jirasim.SearchOptions{Project: project})
+		got, err := jc.FetchAll(ctx, trackerd.JIRASearch{Project: project})
 		if err != nil {
 			return res, fmt.Errorf("sdnbugs: mine %s: %w", project, err)
 		}
 		ctl, _ := tracker.ParseController(project)
 		mined[ctl] = len(got)
 	}
-	gc := ghsim.Client{BaseURL: ghSrv.URL, Repo: "faucetsdn/faucet", PerPage: 100}
-	ghIssues, err := gc.FetchAll(ctx, "")
+	gc := trackerd.Client{BaseURL: ghSrv.URL, PageSize: 100}
+	ghIssues, err := gc.FetchAll(ctx, faucetRepo)
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: mine FAUCET: %w", err)
 	}

@@ -12,12 +12,11 @@ import (
 	"sdnbugs/internal/diskfault"
 	"sdnbugs/internal/durable"
 	"sdnbugs/internal/engine"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/mine"
 	"sdnbugs/internal/report"
 	"sdnbugs/internal/resilience"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 // registerDurabilityExperiments registers the crash-consistency
@@ -71,9 +70,9 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 
 	// Clean single-shot baseline: durable store on a fault-free
 	// in-memory disk, plain trackers, plain client.
-	cleanJira := httptest.NewServer(jirasim.NewHandler(jiraStore))
+	cleanJira := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
 	defer cleanJira.Close()
-	cleanGH := httptest.NewServer(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"))
+	cleanGH := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
 	defer cleanGH.Close()
 	cleanBytes, cleanTotal, err := e23CleanMine(ctx, cleanJira.URL, cleanGH.URL)
 	if err != nil {
@@ -89,8 +88,8 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 		RetryAfter: time.Millisecond,
 		Latency:    2 * time.Millisecond,
 	}
-	chaosJiraH := chaos.Wrap(jirasim.NewHandler(jiraStore), ccfg)
-	chaosGHH := chaos.Wrap(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"), ccfg)
+	chaosJiraH := chaos.Wrap(trackerd.NewJIRAHandler(jiraStore), ccfg)
+	chaosGHH := chaos.Wrap(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"), ccfg)
 	flakyJira := httptest.NewServer(chaosJiraH)
 	defer flakyJira.Close()
 	flakyGH := httptest.NewServer(chaosGHH)
@@ -234,9 +233,10 @@ func e23CleanMine(ctx context.Context, jiraURL, ghURL string) ([]byte, int, erro
 	defer func() { _ = st.Close() }()
 	plain := &http.Client{}
 	r, err := mine.Run(ctx, mine.Config{
-		JIRA:   &jirasim.Client{BaseURL: jiraURL, HTTPClient: plain, PageSize: 50},
-		GitHub: &ghsim.Client{BaseURL: ghURL, Repo: "faucetsdn/faucet", HTTPClient: plain, PerPage: 50},
-		Store:  st,
+		JIRA:       &trackerd.Client{BaseURL: jiraURL, HTTPClient: plain, PageSize: 50},
+		GitHub:     &trackerd.Client{BaseURL: ghURL, HTTPClient: plain, PageSize: 50},
+		GitHubList: faucetRepo,
+		Store:      st,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -278,9 +278,10 @@ func e23Round1(ctx context.Context, fsys diskfault.FS, jiraURL, ghURL string, ta
 
 	hardened := e23Client()
 	r, runErr := mine.Run(ctx, mine.Config{
-		JIRA:   &jirasim.Client{BaseURL: jiraURL, HTTPClient: hardened, PageSize: 50},
-		GitHub: &ghsim.Client{BaseURL: ghURL, Repo: "faucetsdn/faucet", HTTPClient: hardened, PerPage: 50},
-		Store:  st,
+		JIRA:       &trackerd.Client{BaseURL: jiraURL, HTTPClient: hardened, PageSize: 50},
+		GitHub:     &trackerd.Client{BaseURL: ghURL, HTTPClient: hardened, PageSize: 50},
+		GitHubList: faucetRepo,
+		Store:      st,
 	})
 	rd.fetched = r.JIRAFetched + r.GitHubFetched
 	_ = st.Close()

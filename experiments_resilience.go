@@ -11,11 +11,10 @@ import (
 	"sdnbugs/internal/chaos"
 	"sdnbugs/internal/corpus"
 	"sdnbugs/internal/engine"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/report"
 	"sdnbugs/internal/resilience"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 // registerResilienceExperiments registers the robustness experiment
@@ -24,6 +23,10 @@ func (s *Suite) registerResilienceExperiments(r *engine.Registry[ExperimentResul
 	registerSuite(r, "E21", "robust mining: byte-identical corpus under injected tracker faults",
 		engine.KindExperiment, s.E21ResilientMining)
 }
+
+// faucetRepo is the FAUCET issue listing every mining experiment pages
+// through; the GitHub simulators serve it under faucetsdn/faucet.
+var faucetRepo = trackerd.GitHubList{Repo: "faucetsdn/faucet"}
 
 // loadTrackerStores splits the corpus into the two simulators the way
 // the real trackers hold the data: ONOS/CORD in JIRA, FAUCET in
@@ -65,18 +68,18 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 	ctx := context.Background()
 
 	// Fault-free baseline through plain clients (no retry layer).
-	cleanJira := httptest.NewServer(jirasim.NewHandler(jiraStore))
+	cleanJira := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
 	defer cleanJira.Close()
-	cleanGH := httptest.NewServer(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"))
+	cleanGH := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
 	defer cleanGH.Close()
 	plain := &http.Client{}
-	baseJira, err := (&jirasim.Client{BaseURL: cleanJira.URL, HTTPClient: plain,
-		PageSize: 50}).FetchAll(ctx, jirasim.SearchOptions{})
+	baseJira, err := (&trackerd.Client{BaseURL: cleanJira.URL, HTTPClient: plain,
+		PageSize: 50}).FetchAll(ctx, trackerd.JIRASearch{})
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: baseline JIRA mining: %w", err)
 	}
-	baseGH, err := (&ghsim.Client{BaseURL: cleanGH.URL, Repo: "faucetsdn/faucet",
-		HTTPClient: plain, PerPage: 50}).FetchAll(ctx, "")
+	baseGH, err := (&trackerd.Client{BaseURL: cleanGH.URL,
+		HTTPClient: plain, PageSize: 50}).FetchAll(ctx, faucetRepo)
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: baseline GitHub mining: %w", err)
 	}
@@ -90,8 +93,8 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 		RetryAfter: time.Millisecond, // advertises "0": no forced sleeps
 		Latency:    2 * time.Millisecond,
 	}
-	chaosJiraH := chaos.Wrap(jirasim.NewHandler(jiraStore), ccfg)
-	chaosGHH := chaos.Wrap(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"), ccfg)
+	chaosJiraH := chaos.Wrap(trackerd.NewJIRAHandler(jiraStore), ccfg)
+	chaosGHH := chaos.Wrap(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"), ccfg)
 	flakyJira := httptest.NewServer(chaosJiraH)
 	defer flakyJira.Close()
 	flakyGH := httptest.NewServer(chaosGHH)
@@ -111,13 +114,13 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 		Budget:        budget,
 	}, breaker)
 	hardened := &http.Client{Transport: rt}
-	chaosJira, err := (&jirasim.Client{BaseURL: flakyJira.URL, HTTPClient: hardened,
-		PageSize: 50}).FetchAll(ctx, jirasim.SearchOptions{})
+	chaosJira, err := (&trackerd.Client{BaseURL: flakyJira.URL, HTTPClient: hardened,
+		PageSize: 50}).FetchAll(ctx, trackerd.JIRASearch{})
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: chaos JIRA mining: %w", err)
 	}
-	chaosGH, err := (&ghsim.Client{BaseURL: flakyGH.URL, Repo: "faucetsdn/faucet",
-		HTTPClient: hardened, PerPage: 50}).FetchAll(ctx, "")
+	chaosGH, err := (&trackerd.Client{BaseURL: flakyGH.URL,
+		HTTPClient: hardened, PageSize: 50}).FetchAll(ctx, faucetRepo)
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: chaos GitHub mining: %w", err)
 	}

@@ -1,7 +1,7 @@
 // Package chaos is a deterministic, seed-driven fault-injection
 // middleware for http.Handler — the SPIDER-style stateful fault and
 // latency injection of PAPERS.md applied to this repo's own tracker
-// simulators. Wrapping jirasim or ghsim in a chaos.Handler turns them
+// simulators. Wrapping a trackerd handler in a chaos.Handler turns them
 // into realistically flaky services: rate limits with Retry-After,
 // bursts of 5xx, latency spikes, truncated response bodies, and
 // dropped connections, all drawn from one seeded PRNG so a run is

@@ -14,28 +14,21 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/tracker"
-)
-
-// Cursor names in the durable store.
-const (
-	jiraCursorName   = "jira"
-	githubCursorName = "github"
+	"sdnbugs/internal/trackerd"
 )
 
 // Config drives one mining run.
 type Config struct {
 	// JIRA mines the JIRA tracker when non-nil. The client is copied;
 	// its OnPage hook is owned by the miner.
-	JIRA *jirasim.Client
-	// JIRAOpts filter the JIRA search (zero value = everything).
-	JIRAOpts jirasim.SearchOptions
+	JIRA *trackerd.Client
+	// JIRASearch filters the JIRA search (zero value = everything).
+	JIRASearch trackerd.JIRASearch
 	// GitHub mines the GitHub tracker when non-nil (copied, like JIRA).
-	GitHub *ghsim.Client
-	// GitHubState filters the GitHub listing ("open", "closed", "" = all).
-	GitHubState string
+	GitHub *trackerd.Client
+	// GitHubList names the repository and state to list.
+	GitHubList trackerd.GitHubList
 	// Store receives every mined issue and the paging cursors.
 	Store *tracker.DurableStore
 }
@@ -51,14 +44,6 @@ type Result struct {
 	Total int
 }
 
-type jiraCursorState struct {
-	StartAt int `json:"start_at"`
-}
-
-type githubCursorState struct {
-	Page int `json:"page"`
-}
-
 // Run mines all configured trackers into cfg.Store, resuming from any
 // cursors the store already holds. On error (including a disk crash
 // mid-run) everything checkpointed so far is durable; calling Run again
@@ -68,17 +53,23 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("mine: no store configured")
 	}
 	res := Result{Restored: cfg.Store.Len()}
-	if cfg.JIRA != nil {
-		n, err := mineJIRA(ctx, cfg)
-		res.JIRAFetched = n
-		if err != nil {
-			res.Total = cfg.Store.Len()
-			return res, err
+	// Each tracker's cursor is saved under its name as the one-field
+	// JSON object {"<field>":N}: {"start_at":N} for JIRA, {"page":N}
+	// for GitHub.
+	for _, t := range []struct {
+		name, field string
+		client      *trackerd.Client
+		listing     trackerd.Listing
+		fetched     *int
+	}{
+		{"jira", "start_at", cfg.JIRA, cfg.JIRASearch, &res.JIRAFetched},
+		{"github", "page", cfg.GitHub, cfg.GitHubList, &res.GitHubFetched},
+	} {
+		if t.client == nil {
+			continue
 		}
-	}
-	if cfg.GitHub != nil {
-		n, err := mineGitHub(ctx, cfg)
-		res.GitHubFetched = n
+		n, err := mineTracker(ctx, cfg.Store, t.name, t.field, *t.client, t.listing)
+		*t.fetched = n
 		if err != nil {
 			res.Total = cfg.Store.Len()
 			return res, err
@@ -88,65 +79,20 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// loadCursor decodes the saved cursor for name into state (left at its
-// zero value when no cursor is saved yet).
-func loadCursor(st *tracker.DurableStore, name string, state any) error {
-	raw, ok := st.Cursor(name)
-	if !ok {
-		return nil
+// mineTracker resumes one tracker's listing from the cursor saved
+// under name, checkpointing every page into st.
+func mineTracker(ctx context.Context, st *tracker.DurableStore, name, field string, cl trackerd.Client, l trackerd.Listing) (fetched int, err error) {
+	var state map[string]int
+	if raw, ok := st.Cursor(name); ok {
+		if err := json.Unmarshal(raw, &state); err != nil {
+			return 0, fmt.Errorf("mine: corrupt %s cursor: %w", name, err)
+		}
 	}
-	if err := json.Unmarshal(raw, state); err != nil {
-		return fmt.Errorf("mine: corrupt %s cursor: %w", name, err)
-	}
-	return nil
-}
-
-// saveCursor persists state as the cursor for name.
-func saveCursor(st *tracker.DurableStore, name string, state any) error {
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return fmt.Errorf("mine: encode %s cursor: %w", name, err)
-	}
-	return st.SaveCursor(name, raw)
-}
-
-func mineJIRA(ctx context.Context, cfg Config) (fetched int, err error) {
-	st := cfg.Store
-	var state jiraCursorState
-	if err := loadCursor(st, jiraCursorName, &state); err != nil {
-		return 0, err
-	}
-	cur := jirasim.Cursor{StartAt: state.StartAt}
+	cur := trackerd.Cursor{Next: state[field]}
 	persisted := 0
-	cl := *cfg.JIRA
-	cl.OnPage = func(c *jirasim.Cursor) error {
+	cl.OnPage = func(c *trackerd.Cursor) error {
 		// Issues first, cursor last: re-fetching a page is idempotent,
 		// skipping one is not.
-		for _, r := range c.Results[persisted:] {
-			if err := st.Put(r.Issue); err != nil {
-				return err
-			}
-		}
-		fetched += len(c.Results) - persisted
-		persisted = len(c.Results)
-		return saveCursor(st, jiraCursorName, jiraCursorState{StartAt: c.StartAt})
-	}
-	if err := cl.Resume(ctx, cfg.JIRAOpts, &cur); err != nil {
-		return fetched, fmt.Errorf("mine: jira: %w", err)
-	}
-	return fetched, nil
-}
-
-func mineGitHub(ctx context.Context, cfg Config) (fetched int, err error) {
-	st := cfg.Store
-	var state githubCursorState
-	if err := loadCursor(st, githubCursorName, &state); err != nil {
-		return 0, err
-	}
-	cur := ghsim.Cursor{Page: state.Page}
-	persisted := 0
-	cl := *cfg.GitHub
-	cl.OnPage = func(c *ghsim.Cursor) error {
 		for _, iss := range c.Issues[persisted:] {
 			if err := st.Put(iss); err != nil {
 				return err
@@ -154,10 +100,11 @@ func mineGitHub(ctx context.Context, cfg Config) (fetched int, err error) {
 		}
 		fetched += len(c.Issues) - persisted
 		persisted = len(c.Issues)
-		return saveCursor(st, githubCursorName, githubCursorState{Page: c.Page})
+		raw, _ := json.Marshal(map[string]int{field: c.Next}) // cannot fail
+		return st.SaveCursor(name, raw)
 	}
-	if err := cl.Resume(ctx, cfg.GitHubState, &cur); err != nil {
-		return fetched, fmt.Errorf("mine: github: %w", err)
+	if err := cl.Resume(ctx, l, &cur); err != nil {
+		return fetched, fmt.Errorf("mine: %s: %w", name, err)
 	}
 	return fetched, nil
 }

@@ -12,9 +12,8 @@ import (
 
 	"sdnbugs/internal/diskfault"
 	"sdnbugs/internal/durable"
-	"sdnbugs/internal/ghsim"
-	"sdnbugs/internal/jirasim"
 	"sdnbugs/internal/tracker"
+	"sdnbugs/internal/trackerd"
 )
 
 // seedServers builds JIRA and GitHub simulators holding a small
@@ -53,9 +52,9 @@ func seedServers(t *testing.T, nJira, nGH int) (jiraURL, ghURL string) {
 			t.Fatal(err)
 		}
 	}
-	js := httptest.NewServer(jirasim.NewHandler(jiraStore))
+	js := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
 	t.Cleanup(js.Close)
-	gs := httptest.NewServer(ghsim.NewHandler(ghStore, "faucetsdn", "faucet"))
+	gs := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
 	t.Cleanup(gs.Close)
 	return js.URL, gs.URL
 }
@@ -63,9 +62,10 @@ func seedServers(t *testing.T, nJira, nGH int) (jiraURL, ghURL string) {
 func miningConfig(jiraURL, ghURL string, st *tracker.DurableStore) Config {
 	plain := &http.Client{}
 	return Config{
-		JIRA:   &jirasim.Client{BaseURL: jiraURL, HTTPClient: plain, PageSize: 7},
-		GitHub: &ghsim.Client{BaseURL: ghURL, Repo: "faucetsdn/faucet", HTTPClient: plain, PerPage: 7},
-		Store:  st,
+		JIRA:       &trackerd.Client{BaseURL: jiraURL, HTTPClient: plain, PageSize: 7},
+		GitHub:     &trackerd.Client{BaseURL: ghURL, HTTPClient: plain, PageSize: 7},
+		GitHubList: trackerd.GitHubList{Repo: "faucetsdn/faucet"},
+		Store:      st,
 	}
 }
 
@@ -111,6 +111,42 @@ func TestMineRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(st2.CorpusBytes(), fingerprint) {
 		t.Error("corpus changed across reopen + idempotent re-run")
+	}
+}
+
+// TestCursorBytesOnDisk pins the persisted cursor format: existing
+// state directories resume only if the miner keeps reading and writing
+// exactly {"start_at":N} under "jira" and {"page":N} under "github".
+func TestCursorBytesOnDisk(t *testing.T) {
+	jiraURL, ghURL := seedServers(t, 23, 11)
+	mem := diskfault.NewMemFS()
+	open := func() *tracker.DurableStore {
+		d, err := durable.Open("state", durable.Options{FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := tracker.NewDurableStore(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := open()
+	if _, err := Run(context.Background(), miningConfig(jiraURL, ghURL, st)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = open()
+	defer func() { _ = st.Close() }()
+	// 23 JIRA issues end at startAt 23; 11 GitHub issues at 7 per page
+	// end after page 2, so the next page is 3.
+	for name, want := range map[string]string{"jira": `{"start_at":23}`, "github": `{"page":3}`} {
+		raw, ok := st.Cursor(name)
+		if !ok || string(raw) != want {
+			t.Errorf("cursor %q = %q (present %v), want %q", name, raw, ok, want)
+		}
 	}
 }
 

@@ -108,8 +108,8 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 
 // TestServiceMatchesCompatHandlersByteForByte is the refactor's core
 // safety net: a tenant-mounted JIRA or GitHub route must answer with
-// exactly the bytes the legacy single-store handlers produce for the
-// same corpus and query.
+// exactly the bytes the single-store handlers (NewJIRAHandler,
+// NewGitHubHandler) produce for the same corpus and query.
 func TestServiceMatchesCompatHandlersByteForByte(t *testing.T) {
 	issues := seedIssues(t)
 	svc := newService(t)
@@ -137,9 +137,9 @@ func TestServiceMatchesCompatHandlersByteForByte(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	compat := httptest.NewServer(NewJIRAHandler(StoreSource{Store: jiraStore}))
+	compat := httptest.NewServer(NewJIRAHandler(jiraStore))
 	defer compat.Close()
-	compatGH := httptest.NewServer(NewGitHubHandler(StoreSource{Store: ghStore}, "faucetsdn", "faucet", tracker.FAUCET))
+	compatGH := httptest.NewServer(NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
 	defer compatGH.Close()
 
 	cases := []struct{ compatBase, svcBase, path string }{

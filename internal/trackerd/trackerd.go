@@ -1,12 +1,14 @@
-// Package trackerd is the shared tracker-serving engine behind the
-// JIRA-like and GitHub-like simulators. One engine implements the
-// pagination, encoding, and fault-handling logic once; two wire
-// dialects (JIRA REST and GitHub REST) translate between the neutral
-// tracker.Issue model and each tracker's JSON shapes. The thin
-// compatibility handlers in internal/jirasim and internal/ghsim are
-// wrappers over this package, and the multi-tenant Service (service.go)
-// mounts the same dialects for N tenants × M projects, each backed by
-// its own crash-consistent durable shard.
+// Package trackerd is the home of the two tracker wire dialects the
+// paper mined: JIRA REST (ONOS, CORD) and GitHub Issues (FAUCET). Each
+// dialect translates between the neutral tracker.Issue model and its
+// JSON shapes once, for both sides of the wire:
+//
+//   - serving: NewJIRAHandler and NewGitHubHandler answer from a
+//     single in-memory tracker.Store, and the multi-tenant Service
+//     (service.go) mounts the same dialects for N tenants × M
+//     projects, each backed by its own crash-consistent durable shard;
+//   - mining: Client (client.go) pages a JIRASearch or GitHubList
+//     through one hardened, resumable paging loop.
 package trackerd
 
 import (
@@ -18,42 +20,42 @@ import (
 )
 
 // Source is the read surface a dialect serves from: the in-memory
-// tracker.Store (via StoreSource) for the legacy single-store
-// simulators, or a snapshot-serving tracker.Replica for the durable
-// shards of a Service, where list traffic must never block writers.
+// tracker.Store (via storeSource) for the single-store handlers, or a
+// snapshot-serving tracker.Replica for the durable shards of a
+// Service, where list traffic must never block writers.
 type Source interface {
 	List(q tracker.Query) ([]tracker.Issue, int)
 	Get(id string) (tracker.Issue, bool)
 }
 
-// StoreSource adapts a *tracker.Store to the Source interface.
-type StoreSource struct {
-	Store *tracker.Store
+// storeSource adapts a *tracker.Store to the Source interface.
+type storeSource struct {
+	store *tracker.Store
 }
 
-// List implements Source.
-func (s StoreSource) List(q tracker.Query) ([]tracker.Issue, int) { return s.Store.List(q) }
+func (s storeSource) List(q tracker.Query) ([]tracker.Issue, int) { return s.store.List(q) }
 
-// Get implements Source.
-func (s StoreSource) Get(id string) (tracker.Issue, bool) {
-	iss, err := s.Store.Get(id)
+func (s storeSource) Get(id string) (tracker.Issue, bool) {
+	iss, err := s.store.Get(id)
 	return iss, err == nil
 }
 
-// NewJIRAHandler serves the JIRA /rest/api/2 dialect from src, with the
-// exact wire behavior the jirasim package has always had.
-func NewJIRAHandler(src Source) http.Handler {
+// NewJIRAHandler serves the JIRA /rest/api/2 dialect from store.
+func NewJIRAHandler(store *tracker.Store) http.Handler {
+	api := &jiraAPI{src: storeSource{store}}
 	mux := http.NewServeMux()
-	(&jiraAPI{src: src}).register(mux, "")
+	mux.HandleFunc("GET /rest/api/2/search", api.handleSearch)
+	mux.HandleFunc("GET /rest/api/2/issue/{key}", api.handleIssue)
 	return mux
 }
 
 // NewGitHubHandler serves the GitHub issues dialect for the repository
-// path owner/name from src. Issue IDs are expected in the
-// "<controller>#<number>" form ctl implies.
-func NewGitHubHandler(src Source, owner, name string, ctl tracker.Controller) http.Handler {
+// path owner/name from store, whose issues carry "FAUCET#N" IDs.
+func NewGitHubHandler(store *tracker.Store, owner, name string) http.Handler {
+	api := &githubAPI{src: storeSource{store}, ctl: tracker.FAUCET}
 	mux := http.NewServeMux()
-	(&githubAPI{src: src, ctl: ctl}).register(mux, "", owner, name)
+	mux.HandleFunc("GET /repos/"+owner+"/"+name+"/issues", api.handleList)
+	mux.HandleFunc("GET /repos/"+owner+"/"+name+"/issues/{number}", api.handleGet)
 	return mux
 }
 

@@ -124,13 +124,6 @@ type githubAPI struct {
 	ctl tracker.Controller
 }
 
-// register mounts the dialect's routes on mux under prefix for the
-// repository path owner/name.
-func (a *githubAPI) register(mux *http.ServeMux, prefix, owner, name string) {
-	mux.HandleFunc("GET "+prefix+"/repos/"+owner+"/"+name+"/issues", a.handleList)
-	mux.HandleFunc("GET "+prefix+"/repos/"+owner+"/"+name+"/issues/{number}", a.handleGet)
-}
-
 func (a *githubAPI) handleList(w http.ResponseWriter, r *http.Request) {
 	qs := r.URL.Query()
 	q := tracker.Query{Controller: a.ctl}
@@ -183,8 +176,7 @@ func (a *githubAPI) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // atoiGH is the GitHub dialect's parameter rule: empty or malformed
 // falls back to def, but (unlike the JIRA dialect) negatives pass
-// through — the callers clamp page and per_page themselves, exactly as
-// the original ghsim handler did.
+// through — the callers clamp page and per_page themselves.
 func atoiGH(s string, def int) int {
 	if s == "" {
 		return def

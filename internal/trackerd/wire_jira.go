@@ -187,13 +187,6 @@ type jiraAPI struct {
 	src Source
 }
 
-// register mounts the dialect's routes on mux under prefix ("" for the
-// legacy root mount, "/t/<tenant>/<project>" inside a Service).
-func (a *jiraAPI) register(mux *http.ServeMux, prefix string) {
-	mux.HandleFunc("GET "+prefix+"/rest/api/2/search", a.handleSearch)
-	mux.HandleFunc("GET "+prefix+"/rest/api/2/issue/{key}", a.handleIssue)
-}
-
 func (a *jiraAPI) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := tracker.Query{}
 	qs := r.URL.Query()
