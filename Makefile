@@ -10,7 +10,7 @@ GO ?= go
 # pool turns the same setting into real speedup.
 BENCH_GOMAXPROCS ?= 4
 
-.PHONY: build fmt-check vet test race bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
+.PHONY: build fmt-check vet cross-check test race bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# cross-check vets internal/mathx for architectures without the amd64
+# assembly kernel, so the pure-Go MulVecInto fallback keeps compiling
+# (vet on amd64 already runs asmdecl over the .s frame offsets).
+cross-check:
+	GOARCH=arm64 $(GO) vet ./internal/mathx/
+	GOARCH=386 $(GO) vet ./internal/mathx/
 
 test:
 	$(GO) test ./...
@@ -65,8 +72,9 @@ bench-tracker-smoke:
 # Fuzz the parsers that face untrusted bytes, briefly: malformed
 # OpenFlow frames must produce typed errors, never panics or
 # over-allocation, the journal replayer must recover exactly the
-# longest valid prefix of an arbitrarily mangled write-ahead log, and
-# the canonical issue codec must stay a byte-stable fixed point.
+# longest valid prefix of an arbitrarily mangled write-ahead log, the
+# canonical issue codec must stay a byte-stable fixed point, and the
+# MulVecInto kernel must return Dot's bits for every shape and value.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/openflow/
 	$(GO) test -run='^$$' -fuzz=FuzzRoleCodec -fuzztime=10s ./internal/openflow/
@@ -74,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIssueCodec -fuzztime=10s ./internal/tracker/
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=10s ./internal/perfuzz/
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
+	$(GO) test -run='^$$' -fuzz=FuzzMulVecInto -fuzztime=10s ./internal/mathx/
 
 # fuzz-perf runs the feedback-guided performance fuzzer (the E24
 # workload) at a real budget and writes the JSON report — worst
@@ -102,4 +111,4 @@ cluster-smoke:
 	$(GO) run ./cmd/faultlab -cluster -seed 1 -events 400 -replicas 3 -json \
 		> /tmp/cluster_smoke.json
 
-verify: build fmt-check vet test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke
+verify: build fmt-check vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke

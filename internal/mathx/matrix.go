@@ -134,7 +134,8 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 // MulVecInto computes dst = m×v without allocating; dst must have
 // length m.Rows() and must not alias v. It is the kernel behind the
 // PCA power iteration, where the same product runs thousands of
-// times per fit.
+// times per fit. dst[i] has the bits of Dot(m.Row(i), v) on every
+// platform; on amd64 an SSE2 kernel computes two rows per pass.
 func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("%w: %dx%d × %d", ErrDimensionMismatch, m.rows, m.cols, len(v))
@@ -142,9 +143,7 @@ func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("%w: dst %d for %d rows", ErrDimensionMismatch, len(dst), m.rows)
 	}
-	for i := 0; i < m.rows; i++ {
-		dst[i] = Dot(m.Row(i), v)
-	}
+	mulVec(m, dst, v)
 	return nil
 }
 

@@ -5,6 +5,13 @@
 // NMF, Word2Vec, PCA, and the classifiers need.
 //
 // All operations are deterministic and allocate only when documented.
+// Dot and Matrix.MulVecInto return the same bits on every platform:
+// every product is rounded to float64 before it is added (the
+// float64 conversions block fused multiply-add), and the four-lane
+// accumulation order is fixed. On amd64, MulVecInto runs an SSE2
+// kernel that accumulates two rows per pass in the same lanes with
+// MULPD and ADDPD, which round each lane exactly as the scalar code
+// does; other architectures run Dot row by row.
 package mathx
 
 import (
@@ -24,7 +31,12 @@ var ErrDimensionMismatch = errors.New("mathx: dimension mismatch")
 // order, which breaks the floating-point add latency chain that
 // otherwise bounds throughput. The lane layout is part of the
 // function's contract: every call with the same inputs returns the
-// same bits, on every platform and at every call site.
+// same bits, on every platform and at every call site, and
+// Matrix.MulVecInto's SSE2 kernel reproduces it. Each product is
+// converted to float64 before it is added, so no compiler fuses a
+// lane update into one multiply-add with a single rounding. A NaN
+// result is NaN everywhere, but which operand's NaN payload
+// propagates is left to the hardware and is not part of the contract.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("mathx: Dot length mismatch %d vs %d", len(a), len(b)))
@@ -33,14 +45,21 @@ func Dot(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
+	return dotFinish(s0, s1, s2, s3, a[i:], b[i:])
+}
+
+// dotFinish adds the len%4 tail a·b, element by element, to the
+// fixed combine of Dot's four lane sums.
+func dotFinish(s0, s1, s2, s3 float64, a, b []float64) float64 {
+	b = b[:len(a)]
 	var s float64
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
+	for i := range a {
+		s += float64(a[i] * b[i])
 	}
 	return ((s0 + s1) + (s2 + s3)) + s
 }
