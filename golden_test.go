@@ -40,14 +40,15 @@ var goldenSeeds = []int64{1, 2}
 
 // goldenIDs are the experiments and ablations whose tables and checks
 // the contract hashes: the tracker mining runs (clean, under chaos,
-// and crash-resumed), the NLP validation grid, the recovery coverage
-// table, the campaigns, the fuzzer, the repair loop, the cluster
-// failover, and the ablations that drive fault labs.
-var goldenIDs = []string{"E01", "E09", "E21", "E23", "E19", "E22", "E24", "E25", "E26", "A04", "A06", "A07"}
+// and crash-resumed), the NLP validation grid, the topic and trigger
+// predictions, the recovery coverage table, the campaigns, the fuzzer,
+// the repair loop, the cluster failover, the feature-block and
+// normalization ablations, and the ablations that drive fault labs.
+var goldenIDs = []string{"E01", "E09", "E11", "E12", "E21", "E23", "E19", "E22", "E24", "E25", "E26", "A01", "A02", "A04", "A06", "A07"}
 
 // goldenRaceSkip are the goldenIDs too slow to run under -race; the
 // race pass neither runs them nor expects their recorded digests.
-var goldenRaceSkip = map[string]bool{"E09": true}
+var goldenRaceSkip = map[string]bool{"E09": true, "A01": true, "A02": true}
 
 // goldenRunIDs returns the goldenIDs this build runs.
 func goldenRunIDs() []string {
