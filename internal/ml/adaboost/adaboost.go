@@ -1,11 +1,22 @@
 // Package adaboost implements AdaBoost (SAMME multiclass variant) over
 // depth-1 decision stumps — the boosting baseline the paper compares
 // against SVM and decision trees (§II-C).
+//
+// Only the row weights change between boosting rounds, so Fit sorts
+// each feature column once and every round sweeps those orders. The
+// order comes from sort.Slice over the rows in index order with the
+// less function v[a] < v[b]. Go's pdqsort permutes by the length and
+// the comparison results alone, so the order of tied values is fixed
+// too, and it is part of the model: it sets the float summation order
+// of the per-class weights on each side of a split, and so which stump
+// wins a near-tie. A stable sort, or any other algorithm, would reorder
+// ties and can change the fitted ensemble.
 package adaboost
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sdnbugs/internal/mathx"
@@ -40,12 +51,15 @@ func (s stump) predict(features []float64) int {
 
 // Fit boosts weighted stumps on rows of x with dense 0-based labels.
 func (e *Ensemble) Fit(x *mathx.Matrix, y []int) error {
-	n := x.Rows()
+	n, d := x.Rows(), x.Cols()
 	if n == 0 {
 		return ml.ErrEmptyDataset
 	}
 	if n != len(y) {
 		return fmt.Errorf("%w: %d rows vs %d labels", ml.ErrLengthMatch, n, len(y))
+	}
+	if d == 0 {
+		return fmt.Errorf("%w: %d rows have no features", ml.ErrEmptyDataset, n)
 	}
 	e.k = 0
 	for _, v := range y {
@@ -60,26 +74,34 @@ func (e *Ensemble) Fit(x *mathx.Matrix, y []int) error {
 	if rounds <= 0 {
 		rounds = 50
 	}
-	e.stumps = e.stumps[:0]
-	e.alphas = e.alphas[:0]
+	e.stumps = slices.Grow(e.stumps[:0], rounds)
+	e.alphas = slices.Grow(e.alphas[:0], rounds)
 
-	w := make([]float64, n)
+	// constant predicts the majority class whatever the features; it
+	// stands in when no feature can be split.
+	maj := majority(y, e.k)
+	constant := stump{feature: 0, threshold: math.Inf(1), classLeft: maj, classRight: maj}
+	cols := presort(x, y)
+	buf := make([]float64, n+2*e.k)
+	w, leftW, rightW := buf[:n], buf[n:n+e.k], buf[n+e.k:]
+	miss := make([]bool, n)
 	for i := range w {
 		w[i] = 1 / float64(n)
 	}
+	// SAMME requires error < 1 - 1/K to make progress.
+	limit := 1 - 1/float64(e.k)
 	for r := 0; r < rounds; r++ {
-		st, err := bestStump(x, y, w, e.k)
-		if err != nil {
-			return err
+		st, ok := bestStump(cols, n, w, leftW, rightW)
+		if !ok {
+			st = constant
 		}
 		var werr float64
 		for i := 0; i < n; i++ {
-			if st.predict(x.Row(i)) != y[i] {
+			miss[i] = st.predict(x.Row(i)) != y[i]
+			if miss[i] {
 				werr += w[i]
 			}
 		}
-		// SAMME requires error < 1 - 1/K to make progress.
-		limit := 1 - 1/float64(e.k)
 		if werr >= limit {
 			break
 		}
@@ -93,10 +115,11 @@ func (e *Ensemble) Fit(x *mathx.Matrix, y []int) error {
 		e.stumps = append(e.stumps, st)
 		e.alphas = append(e.alphas, alpha)
 		// Reweight and renormalize.
+		boost := math.Exp(alpha)
 		var z float64
-		for i := 0; i < n; i++ {
-			if st.predict(x.Row(i)) != y[i] {
-				w[i] *= math.Exp(alpha)
+		for i := range w {
+			if miss[i] {
+				w[i] *= boost
 			}
 			z += w[i]
 		}
@@ -106,8 +129,7 @@ func (e *Ensemble) Fit(x *mathx.Matrix, y []int) error {
 	}
 	if len(e.stumps) == 0 {
 		// Degenerate data (e.g. single class): fall back to majority.
-		maj := majority(y, e.k)
-		e.stumps = append(e.stumps, stump{feature: 0, threshold: math.Inf(1), classLeft: maj, classRight: maj})
+		e.stumps = append(e.stumps, constant)
 		e.alphas = append(e.alphas, 1)
 	}
 	return nil
@@ -127,43 +149,59 @@ func majority(y []int, k int) int {
 	return best
 }
 
-// bestStump finds the weighted-error-minimizing decision stump.
-func bestStump(x *mathx.Matrix, y []int, w []float64, k int) (stump, error) {
+// sortedVal is one row's value of one feature. int32 keeps it at 16
+// bytes; a row or label index past 2^31 would need far more memory
+// than the weight buffers could get.
+type sortedVal struct {
+	v   float64
+	row int32
+	y   int32
+}
+
+// presort returns each feature's column of x in ascending order of
+// value, column f at [f*n, (f+1)*n). The sort call is part of the
+// model: see the package doc.
+func presort(x *mathx.Matrix, y []int) []sortedVal {
 	n, d := x.Rows(), x.Cols()
+	cols := make([]sortedVal, n*d)
+	for i := 0; i < n; i++ {
+		for f, v := range x.Row(i) {
+			cols[f*n+i] = sortedVal{v, int32(i), int32(y[i])}
+		}
+	}
+	for f := 0; f < d; f++ {
+		col := cols[f*n : (f+1)*n]
+		sort.Slice(col, func(a, b int) bool { return col[a].v < col[b].v })
+	}
+	return cols
+}
+
+// bestStump finds the stump with the least weighted error under
+// weights w, sweeping each presorted column of cols (see presort) in
+// order. leftW and rightW are k-long scratch. It reports false when
+// no feature has two distinct values.
+func bestStump(cols []sortedVal, n int, w, leftW, rightW []float64) (stump, bool) {
 	bestErr := math.Inf(1)
 	var best stump
-	type pv struct {
-		v float64
-		y int
-		w float64
-	}
-	pairs := make([]pv, n)
-	leftW := make([]float64, k)
-	rightW := make([]float64, k)
-
-	for f := 0; f < d; f++ {
-		for i := 0; i < n; i++ {
-			pairs[i] = pv{x.At(i, f), y[i], w[i]}
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-		for c := 0; c < k; c++ {
-			leftW[c] = 0
-			rightW[c] = 0
-		}
-		for i := 0; i < n; i++ {
-			rightW[pairs[i].y] += pairs[i].w
+	for f := 0; f*n < len(cols); f++ {
+		col := cols[f*n : (f+1)*n]
+		clear(leftW)
+		clear(rightW)
+		for _, s := range col {
+			rightW[s.y] += w[s.row]
 		}
 		for i := 0; i < n-1; i++ {
-			leftW[pairs[i].y] += pairs[i].w
-			rightW[pairs[i].y] -= pairs[i].w
-			if pairs[i].v == pairs[i+1].v {
+			s := col[i]
+			leftW[s.y] += w[s.row]
+			rightW[s.y] -= w[s.row]
+			if s.v == col[i+1].v {
 				continue
 			}
 			lc, lw := argmaxWeight(leftW)
 			rc, rw := argmaxWeight(rightW)
 			// Weighted error = total weight - correctly classified weight.
 			var total float64
-			for c := 0; c < k; c++ {
+			for c := range leftW {
 				total += leftW[c] + rightW[c]
 			}
 			errW := total - lw - rw
@@ -171,18 +209,13 @@ func bestStump(x *mathx.Matrix, y []int, w []float64, k int) (stump, error) {
 				bestErr = errW
 				best = stump{
 					feature:   f,
-					threshold: (pairs[i].v + pairs[i+1].v) / 2,
+					threshold: (s.v + col[i+1].v) / 2,
 					classLeft: lc, classRight: rc,
 				}
 			}
 		}
 	}
-	if math.IsInf(bestErr, 1) {
-		// No splittable feature (all values identical): constant stump.
-		maj := majority(y, k)
-		return stump{feature: 0, threshold: math.Inf(1), classLeft: maj, classRight: maj}, nil
-	}
-	return best, nil
+	return best, !math.IsInf(bestErr, 1)
 }
 
 func argmaxWeight(w []float64) (int, float64) {
