@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=10s ./internal/perfuzz/
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
 	$(GO) test -run='^$$' -fuzz=FuzzMulVecInto -fuzztime=10s ./internal/mathx/
+	$(GO) test -run='^$$' -fuzz=FuzzFitMatchesReference -fuzztime=10s ./internal/ml/adaboost/
 
 # fuzz-perf runs the feedback-guided performance fuzzer (the E24
 # workload) at a real budget and writes the JSON report — worst
