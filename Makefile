@@ -24,11 +24,13 @@ vet:
 	$(GO) vet ./...
 
 # cross-check vets internal/mathx for architectures without the amd64
-# assembly kernel, so the pure-Go MulVecInto fallback keeps compiling
-# (vet on amd64 already runs asmdecl over the .s frame offsets).
+# AVX2 assembly kernel, so the portable MulVecInto path keeps compiling
+# (vet on amd64 already runs asmdecl over the .s frame offsets), and
+# runs its tests under GOARCH=386, where only the portable path exists.
 cross-check:
 	GOARCH=arm64 $(GO) vet ./internal/mathx/
 	GOARCH=386 $(GO) vet ./internal/mathx/
+	GOARCH=386 $(GO) test ./internal/mathx/
 
 test:
 	$(GO) test ./...
@@ -73,8 +75,10 @@ bench-tracker-smoke:
 # OpenFlow frames must produce typed errors, never panics or
 # over-allocation, the journal replayer must recover exactly the
 # longest valid prefix of an arbitrarily mangled write-ahead log, the
-# canonical issue codec must stay a byte-stable fixed point, and the
-# MulVecInto kernel must return Dot's bits for every shape and value.
+# canonical issue codec must stay a byte-stable fixed point, the
+# MulVecInto kernel must return Dot's bits for every shape and value,
+# and the fused Pegasos step must fit the same bits as the separate
+# Scale/Axpy/average loops.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/openflow/
 	$(GO) test -run='^$$' -fuzz=FuzzRoleCodec -fuzztime=10s ./internal/openflow/
@@ -84,6 +88,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
 	$(GO) test -run='^$$' -fuzz=FuzzMulVecInto -fuzztime=10s ./internal/mathx/
 	$(GO) test -run='^$$' -fuzz=FuzzFitMatchesReference -fuzztime=10s ./internal/ml/adaboost/
+	$(GO) test -run='^$$' -fuzz=FuzzFitBinaryMatchesReference -fuzztime=10s ./internal/ml/svm/
 
 # fuzz-perf runs the feedback-guided performance fuzzer (the E24
 # workload) at a real budget and writes the JSON report — worst

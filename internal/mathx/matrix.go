@@ -135,7 +135,8 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 // length m.Rows() and must not alias v. It is the kernel behind the
 // PCA power iteration, where the same product runs thousands of
 // times per fit. dst[i] has the bits of Dot(m.Row(i), v) on every
-// platform; on amd64 an SSE2 kernel computes two rows per pass.
+// platform. On amd64 CPUs with AVX2 an assembly kernel computes four
+// rows per pass; everywhere else the portable mulVecRows runs.
 func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("%w: %dx%d × %d", ErrDimensionMismatch, m.rows, m.cols, len(v))
@@ -145,6 +146,14 @@ func (m *Matrix) MulVecInto(dst, v []float64) error {
 	}
 	mulVec(m, dst, v)
 	return nil
+}
+
+// mulVecRows sets dst[i] = Dot(row i, v) for every row of m, one row
+// at a time. It is MulVecInto's portable path.
+func mulVecRows(m *Matrix, dst, v []float64) {
+	for i := range dst {
+		dst[i] = Dot(m.Row(i), v)
+	}
 }
 
 // Apply replaces every element with f(element), in place, and returns m.

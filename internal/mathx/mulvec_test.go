@@ -25,17 +25,27 @@ func sameBits(x, y float64) bool {
 }
 
 // checkMulVecMatchesDot fails t unless every element of m×v has the
-// bits of Dot on the matching row.
+// bits of Dot on the matching row, both through MulVecInto (the AVX2
+// kernel where the CPU has it) and through the portable mulVecRows,
+// so an AVX2 host still checks the fallback.
 func checkMulVecMatchesDot(t *testing.T, m *Matrix, v []float64) {
 	t.Helper()
 	dst := make([]float64, m.Rows())
 	if err := m.MulVecInto(dst, v); err != nil {
 		t.Fatal(err)
 	}
-	for i, got := range dst {
-		if want := Dot(m.Row(i), v); !sameBits(got, want) {
-			t.Fatalf("%dx%d row %d: MulVecInto = %v (%#x), Dot = %v (%#x)",
-				m.Rows(), m.Cols(), i, got, math.Float64bits(got), want, math.Float64bits(want))
+	rows := make([]float64, m.Rows())
+	mulVecRows(m, rows, v)
+	for i := range dst {
+		want := Dot(m.Row(i), v)
+		for _, c := range []struct {
+			path string
+			got  float64
+		}{{"MulVecInto", dst[i]}, {"mulVecRows", rows[i]}} {
+			if !sameBits(c.got, want) {
+				t.Fatalf("%dx%d row %d: %s = %v (%#x), Dot = %v (%#x)",
+					m.Rows(), m.Cols(), i, c.path, c.got, math.Float64bits(c.got), want, math.Float64bits(want))
+			}
 		}
 	}
 }
@@ -64,7 +74,7 @@ func randomOperands(rng *rand.Rand, rows, cols int, special bool) (*Matrix, []fl
 
 func TestMulVecIntoMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Every len%4 tail and both row parities, plain and with specials.
+	// Every len%4 tail and every rows%4 remainder, plain and with specials.
 	for rows := 0; rows <= 9; rows++ {
 		for cols := 0; cols <= 13; cols++ {
 			for _, special := range []bool{false, true} {
@@ -96,8 +106,8 @@ func TestMulVecIntoMatchesDot(t *testing.T) {
 	}
 }
 
-// FuzzMulVecInto compares MulVecInto with row-wise Dot on a
-// fuzzer-chosen shape; the values are the raw float64 bits of data,
+// FuzzMulVecInto compares MulVecInto and mulVecRows with row-wise Dot
+// on a fuzzer-chosen shape; the values are the raw float64 bits of data,
 // cycled to fill the matrix and then the vector.
 func FuzzMulVecInto(f *testing.F) {
 	seed := make([]byte, 0, 8*len(specials))

@@ -8,10 +8,11 @@
 // Dot and Matrix.MulVecInto return the same bits on every platform:
 // every product is rounded to float64 before it is added (the
 // float64 conversions block fused multiply-add), and the four-lane
-// accumulation order is fixed. On amd64, MulVecInto runs an SSE2
-// kernel that accumulates two rows per pass in the same lanes with
-// MULPD and ADDPD, which round each lane exactly as the scalar code
-// does; other architectures run Dot row by row.
+// accumulation order is fixed. On amd64 CPUs with AVX2, MulVecInto
+// runs a kernel that accumulates four rows per pass, one YMM register
+// of the same four lanes per row, with VMULPD and VADDPD, which round
+// each lane exactly as the scalar code does. Without AVX2, and on
+// other architectures, it runs the portable Dot loop row by row.
 package mathx
 
 import (
@@ -32,7 +33,7 @@ var ErrDimensionMismatch = errors.New("mathx: dimension mismatch")
 // otherwise bounds throughput. The lane layout is part of the
 // function's contract: every call with the same inputs returns the
 // same bits, on every platform and at every call site, and
-// Matrix.MulVecInto's SSE2 kernel reproduces it. Each product is
+// Matrix.MulVecInto's AVX2 kernel reproduces it. Each product is
 // converted to float64 before it is added, so no compiler fuses a
 // lane update into one multiply-add with a single rounding. A NaN
 // result is NaN everywhere, but which operand's NaN payload

@@ -100,19 +100,18 @@ func (s *Binary) FitBinary(x *mathx.Matrix, y []int) error {
 			yi := float64(y[i])
 			margin := yi * (mathx.Dot(s.w, xi) + s.b)
 			// w <- (1 - eta*lambda) w  [+ eta*yi*xi if margin < 1]
-			mathx.Scale(s.w, 1-eta*lambda)
-			if margin < 1 {
-				mathx.Axpy(eta*yi, xi, s.w)
+			hinge := margin < 1
+			if hinge {
 				s.b += eta * yi
 			}
-			if t > avgFrom {
+			avg := t > avgFrom
+			var inv float64
+			if avg {
 				avgN++
-				inv := 1 / float64(avgN)
-				for j, wj := range s.w {
-					avgW[j] += (wj - avgW[j]) * inv
-				}
+				inv = 1 / float64(avgN)
 				avgB += (s.b - avgB) * inv
 			}
+			pegasosStep(s.w, avgW, xi, 1-eta*lambda, eta*yi, inv, hinge, avg)
 		}
 	}
 	if avgN > 0 {
@@ -120,6 +119,39 @@ func (s *Binary) FitBinary(x *mathx.Matrix, y []int) error {
 		s.b = avgB
 	}
 	return nil
+}
+
+// pegasosStep updates w in one pass: w[j] = w[j]*c, plus a*xi[j] when
+// hinge is set, then, when avg is set, moves avgW[j] toward the new
+// w[j] by inv. Per element it computes the same expressions in the
+// same order as a Scale, an Axpy and a running-average loop run one
+// after another, so every bit matches; the float64 conversions stop
+// any compiler from fusing a product and a sum into one rounding.
+func pegasosStep(w, avgW, xi []float64, c, a, inv float64, hinge, avg bool) {
+	avgW = avgW[:len(w)]
+	xi = xi[:len(w)]
+	switch {
+	case hinge && avg:
+		for j := range w {
+			wj := float64(w[j]*c) + float64(a*xi[j])
+			w[j] = wj
+			avgW[j] += float64((wj - avgW[j]) * inv)
+		}
+	case hinge:
+		for j := range w {
+			w[j] = float64(w[j]*c) + float64(a*xi[j])
+		}
+	case avg:
+		for j := range w {
+			wj := float64(w[j] * c)
+			w[j] = wj
+			avgW[j] += float64((wj - avgW[j]) * inv)
+		}
+	default:
+		for j := range w {
+			w[j] *= c
+		}
+	}
 }
 
 // Decision returns the signed margin w·x + b.
