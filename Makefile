@@ -56,11 +56,9 @@ bench-smoke:
 # bench-dataplane-smoke is the zero-alloc dataplane gate: the OpenFlow
 # codec benches fail on any steady-state allocation, and the batched
 # controller pipeline must hold >= 2x packets/sec over the per-event
-# baseline. Both the root matrix and the internal/openflow
-# micro-benches run.
+# baseline.
 bench-dataplane-smoke:
 	$(GO) test -run='^$$' -bench 'BenchmarkOpenFlow|BenchmarkControllerEvents' -benchtime 200x .
-	$(GO) test -run='^$$' -bench 'BenchmarkOpenFlow' -benchtime 200x ./internal/openflow/
 
 # bench-tracker-smoke drives the whole served-tracker stack at small
 # scale — multi-tenant service, WAL group commit, kill-and-resume

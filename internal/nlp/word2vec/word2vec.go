@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"sdnbugs/internal/mathx"
-	"sdnbugs/internal/parallel"
 )
 
 // Errors returned by Train and the model accessors.
@@ -37,18 +36,6 @@ type Config struct {
 	MinCount int
 	// Seed makes training deterministic.
 	Seed int64
-	// Workers selects the training mode. 0 or 1 (the default) runs
-	// the exact sequential SGD this package has always produced —
-	// byte-for-byte reproducible against historical models. Values
-	// > 1 train each epoch over Workers sentence shards in parallel:
-	// every shard starts from the epoch's snapshot, trains with its
-	// own deterministically-seeded RNG, and the per-shard weight
-	// deltas are merged back in shard index order. Sharded training
-	// is deterministic for a fixed Workers value — independent of
-	// GOMAXPROCS and goroutine scheduling — but its embeddings are a
-	// different (equally valid) model than the sequential ones, so
-	// Workers is part of the model's reproducibility key.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -159,30 +146,21 @@ func Train(sentences [][]string, cfg Config) (*Model, error) {
 		return nil, ErrNoCorpus
 	}
 
-	if cfg.Workers > 1 {
-		trainSharded(m, out, ids, cfg, negTable, nTokens)
-	} else {
-		trainSequential(m, out, ids, cfg, rng, negTable, nTokens)
-	}
-	return m, nil
-}
-
-// trainSequential is the historical single-threaded SGD: one RNG
-// stream (continuing from vector initialization), tokens visited in
-// corpus order. Its output is the package's byte-stability baseline.
-func trainSequential(m *Model, out []float64, ids [][]int, cfg Config, rng *rand.Rand, negTable []int, nTokens int) {
+	// Single-threaded SGD: one RNG stream (continuing from vector
+	// initialization), tokens visited in corpus order, so a fixed Seed
+	// reproduces the model byte for byte.
 	steps := cfg.Epochs * nTokens
 	step := 0
 	grad := make([]float64, cfg.Dim)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		step = trainSpan(cfg, m.in, out, ids, negTable, rng, step, steps, grad)
 	}
+	return m, nil
 }
 
 // trainSpan runs one SGD pass over sents against the given weight
 // slices, starting at global step `step` of `steps`, and returns the
-// advanced step counter. It is the shared inner loop of both the
-// sequential and the sharded training modes.
+// advanced step counter.
 func trainSpan(cfg Config, in, out []float64, sents [][]int, negTable []int, rng *rand.Rand, step, steps int, grad []float64) int {
 	for _, sent := range sents {
 		for pos, center := range sent {
@@ -226,81 +204,6 @@ func trainSpan(cfg Config, in, out []float64, sents [][]int, negTable []int, rng
 		}
 	}
 	return step
-}
-
-// trainSharded trains each epoch over Workers contiguous sentence
-// shards in parallel. Every shard copies the epoch-start snapshot of
-// both weight matrices, trains it independently with an RNG seeded
-// from (Seed, epoch, shard), and the shards' weight deltas are then
-// added back onto the snapshot in ascending shard order — an ordered
-// reduction, so the merged model depends only on the configuration,
-// never on scheduling. The learning-rate schedule positions each
-// shard at its corpus offset, matching the sequential decay curve.
-func trainSharded(m *Model, out []float64, ids [][]int, cfg Config, negTable []int, nTokens int) {
-	shards := cfg.Workers
-	if shards > len(ids) {
-		shards = len(ids)
-	}
-	bounds := shardBounds(len(ids), shards)
-	// tokOff[s] counts corpus tokens before shard s, anchoring each
-	// shard's learning-rate schedule at its sequential position.
-	tokOff := make([]int, shards+1)
-	for s := 0; s < shards; s++ {
-		n := 0
-		for _, sent := range ids[bounds[s]:bounds[s+1]] {
-			n += len(sent)
-		}
-		tokOff[s+1] = tokOff[s] + n
-	}
-	steps := cfg.Epochs * nTokens
-	type shardWeights struct{ in, out []float64 }
-	locals := make([]shardWeights, shards)
-	for s := range locals {
-		locals[s] = shardWeights{
-			in:  make([]float64, len(m.in)),
-			out: make([]float64, len(out)),
-		}
-	}
-	baseIn := make([]float64, len(m.in))
-	baseOut := make([]float64, len(out))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		copy(baseIn, m.in)
-		copy(baseOut, out)
-		parallel.ForEach(shards, shards, func(s int) {
-			local := locals[s]
-			copy(local.in, baseIn)
-			copy(local.out, baseOut)
-			rng := rand.New(rand.NewSource(shardSeed(cfg.Seed, epoch, s)))
-			grad := make([]float64, cfg.Dim)
-			trainSpan(cfg, local.in, local.out, ids[bounds[s]:bounds[s+1]],
-				negTable, rng, epoch*nTokens+tokOff[s], steps, grad)
-		})
-		// Ordered merge: model = snapshot + Σ_s (shard_s − snapshot).
-		for s := 0; s < shards; s++ {
-			for i, v := range locals[s].in {
-				m.in[i] += v - baseIn[i]
-			}
-			for i, v := range locals[s].out {
-				out[i] += v - baseOut[i]
-			}
-		}
-	}
-}
-
-// shardBounds splits n items into k near-equal contiguous ranges,
-// returning k+1 boundary indices.
-func shardBounds(n, k int) []int {
-	bounds := make([]int, k+1)
-	for s := 0; s <= k; s++ {
-		bounds[s] = s * n / k
-	}
-	return bounds
-}
-
-// shardSeed derives the deterministic RNG seed of one (epoch, shard)
-// training cell from the model seed.
-func shardSeed(seed int64, epoch, shard int) int64 {
-	return seed + int64(epoch)*1_000_003 + int64(shard)*7_919
 }
 
 func sigmoid(x float64) float64 {

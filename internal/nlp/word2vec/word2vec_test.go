@@ -202,84 +202,3 @@ func TestLargeVocabStability(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedTrainingDeterministic pins the tentpole contract of
-// Workers > 1: the sharded trainer's embeddings are a pure function
-// of (corpus, Config) — repeated runs, racing goroutines and
-// different GOMAXPROCS all produce bit-identical weights, because
-// every shard is independently seeded and the delta merge is ordered.
-func TestShardedTrainingDeterministic(t *testing.T) {
-	corpus := syntheticCorpus(60, 7)
-	cfg := Config{Dim: 16, Epochs: 3, Seed: 11, Workers: 4}
-	a, err := Train(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(corpus, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.in) != len(b.in) {
-		t.Fatalf("weight lengths differ: %d vs %d", len(a.in), len(b.in))
-	}
-	for i := range a.in {
-		if a.in[i] != b.in[i] {
-			t.Fatalf("weight %d differs across runs: %v vs %v", i, a.in[i], b.in[i])
-		}
-	}
-}
-
-// TestShardedTrainingLearns checks the parallel mode still produces a
-// useful model: within-cluster similarity beats across-cluster, the
-// same property the sequential trainer is tested for.
-func TestShardedTrainingLearns(t *testing.T) {
-	m, err := Train(syntheticCorpus(120, 3), Config{Dim: 24, Epochs: 8, Seed: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	within, err := m.Similarity("crash", "exception")
-	if err != nil {
-		t.Fatal(err)
-	}
-	across, err := m.Similarity("crash", "packet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if within <= across {
-		t.Errorf("sharded model: within-cluster sim %.3f <= across %.3f", within, across)
-	}
-}
-
-// TestSequentialModeUnchangedByWorkersZeroOrOne pins that the default
-// configurations all take the historical sequential path.
-func TestSequentialModeUnchangedByWorkersZeroOrOne(t *testing.T) {
-	corpus := syntheticCorpus(40, 2)
-	def, err := Train(corpus, Config{Dim: 8, Epochs: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Train(corpus, Config{Dim: 8, Epochs: 2, Seed: 9, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range def.in {
-		if def.in[i] != one.in[i] {
-			t.Fatalf("Workers=1 diverged from Workers=0 at weight %d", i)
-		}
-	}
-}
-
-// TestShardBounds checks the contiguous split covers [0, n) exactly.
-func TestShardBounds(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{10, 3}, {5, 5}, {7, 2}, {1, 1}} {
-		b := shardBounds(tc.n, tc.k)
-		if b[0] != 0 || b[tc.k] != tc.n {
-			t.Errorf("bounds(%d,%d) = %v", tc.n, tc.k, b)
-		}
-		for i := 0; i < tc.k; i++ {
-			if b[i] > b[i+1] {
-				t.Errorf("bounds(%d,%d) not monotone: %v", tc.n, tc.k, b)
-			}
-		}
-	}
-}

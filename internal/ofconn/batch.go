@@ -8,8 +8,8 @@ import (
 	"sdnbugs/internal/openflow"
 )
 
-// Frame pairs a decoded message with its transaction id — the unit the
-// batched reader and writer move around.
+// Frame pairs a decoded message with its transaction id — the unit
+// FrameReader.ReadBatch returns.
 type Frame struct {
 	Msg openflow.Message
 	Xid uint32
@@ -31,8 +31,8 @@ const (
 // the fixed buffer, then every complete frame in it is decoded without
 // touching the transport again. Decoding is zero-copy — returned
 // frames alias the reader's buffer and the ring's codec scratch, and
-// are valid only until the next ReadBatch (or ReadOne) call. A
-// FrameReader is not safe for concurrent use.
+// are valid only until the next ReadBatch call. A FrameReader is not
+// safe for concurrent use.
 type FrameReader struct {
 	r          io.Reader
 	buf        []byte
@@ -43,19 +43,6 @@ type FrameReader struct {
 // NewFrameReader wraps r with a fixed 128 KiB frame buffer.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r, buf: make([]byte, batchBufLen)}
-}
-
-// Buffered reports whether at least one complete frame is already
-// buffered (readable without a syscall).
-func (fr *FrameReader) Buffered() bool {
-	return fr.completeFrame() > 0
-}
-
-// Reset discards any buffered bytes and re-points the reader at r,
-// keeping the buffer and codec ring allocated.
-func (fr *FrameReader) Reset(r io.Reader) {
-	fr.r = r
-	fr.start, fr.end = 0, 0
 }
 
 // completeFrame returns the length of the next buffered frame, or 0 if
@@ -130,7 +117,7 @@ func (fr *FrameReader) decodeNext(slot int) (Frame, error) {
 // extended slice. At most ringSlots frames are returned per call;
 // surplus complete frames stay buffered for the next call, still
 // without a syscall. The returned frames are valid only until the next
-// ReadBatch or ReadOne call.
+// ReadBatch call.
 func (fr *FrameReader) ReadBatch(dst []Frame) ([]Frame, error) {
 	for fr.completeFrame() == 0 {
 		if err := fr.fill(); err != nil {
@@ -145,195 +132,4 @@ func (fr *FrameReader) ReadBatch(dst []Frame) ([]Frame, error) {
 		dst = append(dst, f)
 	}
 	return dst, nil
-}
-
-// ReadOne reads the next frame through the batch buffer, returning an
-// owned (freshly allocated, copy-mode) message that survives future
-// reads. This is what Conn.Recv uses once batch mode has buffered
-// bytes ahead of the caller.
-func (fr *FrameReader) ReadOne() (openflow.Message, uint32, error) {
-	for fr.completeFrame() == 0 {
-		if err := fr.fill(); err != nil {
-			return nil, 0, err
-		}
-	}
-	length := fr.completeFrame()
-	if length < 8 {
-		length = fr.end - fr.start
-	}
-	msg, xid, _, err := openflow.Decode(fr.buf[fr.start : fr.start+length])
-	if err != nil {
-		return nil, 0, err
-	}
-	fr.start += length
-	return msg, xid, nil
-}
-
-// FrameWriter stages encoded frames in a fixed buffer and writes them
-// with one syscall per Flush. Not safe for concurrent use.
-type FrameWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewFrameWriter wraps w with a staging buffer.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w, buf: make([]byte, 0, batchBufLen)}
-}
-
-// Append encodes one frame into the staging buffer, flushing first if
-// the frame might not fit.
-func (fw *FrameWriter) Append(msg openflow.Message, xid uint32) error {
-	if len(fw.buf) > batchBufLen-openflow.MaxFrameLen-8 {
-		if err := fw.Flush(); err != nil {
-			return err
-		}
-	}
-	b, err := openflow.AppendEncode(fw.buf, msg, xid)
-	if err != nil {
-		return err
-	}
-	fw.buf = b
-	return nil
-}
-
-// Buffered returns the number of staged, unflushed bytes.
-func (fw *FrameWriter) Buffered() int { return len(fw.buf) }
-
-// Flush writes all staged frames with a single Write.
-func (fw *FrameWriter) Flush() error {
-	if len(fw.buf) == 0 {
-		return nil
-	}
-	_, err := fw.w.Write(fw.buf)
-	fw.buf = fw.buf[:0]
-	if err != nil {
-		return fmt.Errorf("ofconn: flush: %w", err)
-	}
-	return nil
-}
-
-// frameReader lazily creates the connection's batch reader. Callers
-// hold readMu.
-func (c *Conn) frameReader() *FrameReader {
-	if c.fr == nil {
-		c.fr = NewFrameReader(c.rw)
-	}
-	return c.fr
-}
-
-// RecvBatch appends all currently available frames (at least one,
-// blocking if none are buffered) to dst. Frames are decoded zero-copy
-// and are valid only until the next RecvBatch or Recv call on this
-// connection.
-func (c *Conn) RecvBatch(dst []Frame) ([]Frame, error) {
-	c.readMu.Lock()
-	defer c.readMu.Unlock()
-	if c.closed {
-		return dst, ErrClosed
-	}
-	c.armReadDeadline()
-	out, err := c.frameReader().ReadBatch(dst)
-	return out, wrapDeadPeer(err)
-}
-
-// SendFrames stages every frame (using each frame's own xid) and
-// flushes them with a single write.
-func (c *Conn) SendFrames(frames []Frame) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	if c.fw == nil {
-		c.fw = NewFrameWriter(c.rw)
-	}
-	for _, f := range frames {
-		if err := c.fw.Append(f.Msg, f.Xid); err != nil {
-			return err
-		}
-	}
-	return c.fw.Flush()
-}
-
-// SendBatch assigns consecutive transaction ids to msgs, stages them,
-// and flushes with a single write. It returns the xid given to the
-// first message.
-func (c *Conn) SendBatch(msgs []openflow.Message) (uint32, error) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	if c.fw == nil {
-		c.fw = NewFrameWriter(c.rw)
-	}
-	first := c.nextXid
-	for _, m := range msgs {
-		if err := c.fw.Append(m, c.nextXid); err != nil {
-			return 0, err
-		}
-		c.nextXid++
-	}
-	return first, c.fw.Flush()
-}
-
-// ServeBatch reads one batch of controller messages and applies all of
-// them, staging any replies (echo replies, errors) and flushing them
-// with a single write at the end. It returns the number of messages
-// applied cleanly; the first unexpected-message error is returned
-// after the whole batch is processed and flushed.
-func (a *SwitchAgent) ServeBatch() (int, error) {
-	frames, err := a.Conn.RecvBatch(a.scratch[:0])
-	a.scratch = frames[:0]
-	if err != nil {
-		return 0, err
-	}
-	var served int
-	var firstErr error
-	replies := a.replies[:0]
-	for _, f := range frames {
-		switch m := f.Msg.(type) {
-		case *openflow.FlowMod:
-			fm := *m
-			// The flow table retains the Actions slice, but a zero-copy
-			// batch frame's actions live in codec scratch that the next
-			// batch overwrites — the table must own its copy.
-			fm.Actions = append([]openflow.Action(nil), m.Actions...)
-			if err := a.Net.ApplyFlowMod(fm); err != nil {
-				replies = append(replies, errorFrame(f.Xid, err))
-				continue
-			}
-		case *openflow.PacketOut:
-			if _, err := a.Net.ApplyPacketOut(*m); err != nil {
-				replies = append(replies, errorFrame(f.Xid, err))
-				continue
-			}
-		case *openflow.EchoRequest:
-			// The reply payload must outlive this batch's buffer.
-			data := append([]byte(nil), m.Data...)
-			replies = append(replies, Frame{Msg: &openflow.EchoReply{Data: data}, Xid: f.Xid})
-		case *openflow.RoleRequest:
-			// Role requests have no sliced payload, so the reply (or the
-			// stale-generation error) is safe to stage as-is.
-			replies = append(replies, a.roleReply(m, f.Xid))
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("ofconn: unexpected controller message %v", f.Msg.Type())
-			}
-			continue
-		}
-		served++
-	}
-	a.replies = replies[:0]
-	if len(replies) > 0 {
-		if err := a.Conn.SendFrames(replies); err != nil {
-			return served, err
-		}
-	}
-	return served, firstErr
-}
-
-func errorFrame(xid uint32, cause error) Frame {
-	return Frame{Msg: &openflow.ErrorMsg{ErrType: 1, Code: 1, Data: []byte(cause.Error())}, Xid: xid}
 }

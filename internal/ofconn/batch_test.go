@@ -147,30 +147,6 @@ func TestFrameReaderBadVersion(t *testing.T) {
 
 // More than ringSlots buffered frames must arrive over successive
 // ReadBatch calls without loss.
-// Reset must drop buffered bytes and read from the new source.
-func TestFrameReaderReset(t *testing.T) {
-	msgs := batchMessages()
-	stream := streamOf(t, msgs)
-	fr := NewFrameReader(bytes.NewReader(stream))
-	if _, err := fr.ReadBatch(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Half a frame buffered, then Reset: the partial frame must vanish.
-	fr2 := NewFrameReader(&chunkReader{data: stream[:12], chunk: 12})
-	fr2.fill()
-	fr2.Reset(bytes.NewReader(stream))
-	frames, err := fr2.ReadBatch(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != len(msgs) {
-		t.Fatalf("after reset: %d frames, want %d", len(frames), len(msgs))
-	}
-	if !reflect.DeepEqual(frames[0].Msg, msgs[0]) {
-		t.Fatalf("after reset frame 0 = %+v, want %+v", frames[0].Msg, msgs[0])
-	}
-}
-
 func TestFrameReaderRingOverflow(t *testing.T) {
 	var msgs []openflow.Message
 	for i := 0; i < ringSlots+17; i++ {
@@ -196,205 +172,44 @@ func TestFrameReaderRingOverflow(t *testing.T) {
 	}
 }
 
-func TestFrameWriterSingleWrite(t *testing.T) {
-	var writes int
-	var sink bytes.Buffer
-	fw := NewFrameWriter(writerFunc(func(p []byte) (int, error) {
-		writes++
-		return sink.Write(p)
-	}))
-	msgs := batchMessages()
-	for i, m := range msgs {
-		if err := fw.Append(m, uint32(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if writes != 1 {
-		t.Fatalf("writes = %d, want 1", writes)
-	}
-	if !bytes.Equal(sink.Bytes(), streamOf(t, msgs)) {
-		t.Fatal("flushed bytes differ from per-message encoding")
-	}
-	if err := fw.Flush(); err != nil || writes != 1 {
-		t.Fatalf("empty flush wrote (writes=%d err=%v)", writes, err)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// SendFrames/RecvBatch over a real pipe: one writer flush, frames
-// arrive intact, and a later Recv still works through the same
-// buffered reader.
-func TestConnSendFramesRecvBatch(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	src, dst := New(a), New(b)
-
-	msgs := batchMessages()
-	var frames []Frame
-	for i, m := range msgs {
-		frames = append(frames, Frame{Msg: m, Xid: uint32(100 + i)})
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := src.SendFrames(frames); err != nil {
-			errCh <- err
-			return
-		}
-		_, err := src.Send(&openflow.Hello{})
-		errCh <- err
-	}()
-
-	var got []Frame
-	for len(got) < len(msgs) {
-		var err error
-		got, err = dst.RecvBatch(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Survive the next RecvBatch: deep-copy via re-encode.
-		for i := range got {
-			b, _ := openflow.Encode(got[i].Msg, got[i].Xid)
-			m, xid, _, _ := openflow.Decode(b)
-			got[i] = Frame{Msg: m, Xid: xid}
-		}
-	}
-	for i := range msgs {
-		if got[i].Xid != uint32(100+i) || !reflect.DeepEqual(got[i].Msg, msgs[i]) {
-			t.Fatalf("frame %d = %+v xid %d", i, got[i].Msg, got[i].Xid)
-		}
-	}
-	// Recv must drain the same buffered reader, not the raw transport.
-	m, _, err := dst.Recv()
+// Recv must consume exactly one frame: a FrameReader attached to the
+// same transport afterwards must start at the next frame. The
+// controller read path relies on this when it finishes the session
+// handshake over a Conn and then reads punts with a FrameReader.
+func TestRecvDoesNotReadAhead(t *testing.T) {
+	msgs := batchMessages()[:2]
+	r := bytes.NewReader(streamOf(t, msgs))
+	c := New(struct {
+		io.Reader
+		io.Writer
+	}{r, io.Discard})
+	msg, xid, err := c.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type() != openflow.TypeHello {
-		t.Fatalf("trailing recv = %v, want hello", m.Type())
+	if xid != 1 || !reflect.DeepEqual(msg, msgs[0]) {
+		t.Fatalf("Recv = %+v xid %d, want %+v xid 1", msg, xid, msgs[0])
 	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConnSendBatchAssignsXids(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	src, dst := New(a), New(b)
-	msgs := []openflow.Message{
-		&openflow.EchoRequest{Data: []byte("1")},
-		&openflow.EchoRequest{Data: []byte("2")},
-		&openflow.EchoRequest{Data: []byte("3")},
-	}
-	var first uint32
-	errCh := make(chan error, 1)
-	go func() {
-		var err error
-		first, err = src.SendBatch(msgs)
-		errCh <- err
-	}()
-	var got []Frame
-	for len(got) < len(msgs) {
-		var err error
-		got, err = dst.RecvBatch(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range got {
-		if f.Xid != first+uint32(i) {
-			t.Fatalf("frame %d xid = %d, want %d", i, f.Xid, first+uint32(i))
-		}
-	}
-}
-
-// ServeBatch must apply a whole controller burst, and the installed
-// flow entries must own their actions (not alias codec scratch that a
-// later batch overwrites).
-func TestServeBatchAppliesAndCopiesActions(t *testing.T) {
-	agent, session, network, cleanup := pipePair(t)
-	defer cleanup()
-	setup(t, agent, session)
-
-	burst1 := []Frame{
-		{Msg: &openflow.FlowMod{DatapathID: 7, Priority: 9,
-			Match:   sdnMatchHost(0x22),
-			Actions: []openflow.Action{{Type: openflow.ActionOutput, Port: 2}}}, Xid: 1},
-		{Msg: &openflow.EchoRequest{Data: []byte("hb")}, Xid: 2},
-	}
-	burst2 := []Frame{
-		{Msg: &openflow.FlowMod{DatapathID: 7, Priority: 1,
-			Match:   sdnMatchHost(0x21),
-			Actions: []openflow.Action{{Type: openflow.ActionDrop}}}, Xid: 3},
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		if err := session.Conn.SendFrames(burst1); err != nil {
-			done <- err
-			return
-		}
-		// Read burst1's echo reply before sending burst2: the pipe is
-		// synchronous, so the agent's reply flush must be drained.
-		msg, _, err := session.Conn.Recv()
-		if err != nil {
-			done <- err
-			return
-		}
-		if msg.Type() != openflow.TypeEchoReply {
-			done <- errors.New("expected echo reply")
-			return
-		}
-		done <- session.Conn.SendFrames(burst2)
-	}()
-
-	served := 0
-	for served < 3 {
-		n, err := agent.ServeBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		served += n
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	sw, err := network.Switch(7)
+	frames, err := NewFrameReader(r).ReadBatch(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := sw.Table.Entries()
-	if len(entries) != 2 {
-		t.Fatalf("table has %d entries, want 2", len(entries))
-	}
-	// Highest priority first; its action must still be the output from
-	// burst1, not scratch overwritten by burst2's drop.
-	if entries[0].Priority != 9 || entries[0].Actions[0].Type != openflow.ActionOutput ||
-		entries[0].Actions[0].Port != 2 {
-		t.Fatalf("burst1 entry corrupted by later batch: %+v", entries[0])
+	if len(frames) != 1 || frames[0].Xid != 2 || !reflect.DeepEqual(frames[0].Msg, msgs[1]) {
+		t.Fatalf("FrameReader after Recv = %+v, want only %+v xid 2", frames, msgs[1])
 	}
 }
 
-func sdnMatchHost(mac uint64) openflow.Match {
-	return openflow.Match{EthDst: mac}
-}
-
-// Batched punt + serve must move packets end to end identically to the
-// one-at-a-time path.
+// Punts sent one Send at a time must reach a FrameReader attached to
+// the controller's transport after the session handshake, in order and
+// intact.
 func TestBatchedPuntRoundTrip(t *testing.T) {
-	agent, session, _, cleanup := pipePair(t)
-	defer cleanup()
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	defer sConn.Close()
+	network := sdn.NewNetwork()
+	network.AddSwitch(7, 4)
+	agent := &SwitchAgent{Conn: New(sConn), Net: network, DPID: 7}
+	session := &ControllerSession{Conn: New(cConn)}
 	setup(t, agent, session)
 
 	var wg sync.WaitGroup
@@ -402,21 +217,18 @@ func TestBatchedPuntRoundTrip(t *testing.T) {
 	var puntErr error
 	go func() {
 		defer wg.Done()
-		var frames []Frame
 		for i := 0; i < 8; i++ {
-			frames = append(frames, Frame{
-				Msg: &openflow.PacketIn{DatapathID: 7, InPort: 1, Data: sdn.EncodePacket(sdn.Packet{
-					EthSrc: 0x21, EthDst: 0x22, Payload: []byte{byte(i)},
-				})},
-				Xid: uint32(i + 1),
-			})
+			pkt := sdn.Packet{EthSrc: 0x21, EthDst: 0x22, Payload: []byte{byte(i)}}
+			if puntErr = agent.PuntPacket(1, pkt); puntErr != nil {
+				return
+			}
 		}
-		puntErr = agent.Conn.SendFrames(frames)
 	}()
 
+	fr := NewFrameReader(cConn)
 	var pis []*openflow.PacketIn
 	for len(pis) < 8 {
-		frames, err := session.Conn.RecvBatch(nil)
+		frames, err := fr.ReadBatch(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,8 +21,8 @@ type deadlineReader interface {
 	SetReadDeadline(time.Time) error
 }
 
-// SetReadTimeout bounds how long any single Recv/RecvBatch call may
-// block waiting for the peer. A non-positive d clears the timeout. The
+// SetReadTimeout bounds how long any single Recv call may block
+// waiting for the peer. A non-positive d clears the timeout. The
 // transport must support SetReadDeadline; plain buffers and pipes that
 // don't are rejected so callers learn at configuration time, not hang
 // time. Reads that exceed the timeout fail with an error wrapping

@@ -34,12 +34,6 @@ type Conn struct {
 	nextXid uint32
 	closed  bool
 
-	// fr/fw are the lazily created batch reader and writer (guarded by
-	// readMu and writeMu respectively). Once fr exists, Recv must drain
-	// it instead of the raw transport or buffered frames would be lost.
-	fr *FrameReader
-	fw *FrameWriter
-
 	// deadliner/readTimeout implement SetReadTimeout (keepalive.go):
 	// armed before every blocking read so a stalled peer surfaces as
 	// ErrPeerDead instead of hanging Recv forever. Guarded by readMu.
@@ -89,7 +83,9 @@ func (c *Conn) SendWithXid(msg openflow.Message, xid uint32) error {
 	return openflow.WriteMessage(c.rw, msg, xid)
 }
 
-// Recv reads the next framed message.
+// Recv reads the next framed message and never a byte past it, so a
+// FrameReader attached to the same transport afterwards starts at the
+// following frame.
 func (c *Conn) Recv() (openflow.Message, uint32, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
@@ -97,10 +93,6 @@ func (c *Conn) Recv() (openflow.Message, uint32, error) {
 		return nil, 0, ErrClosed
 	}
 	c.armReadDeadline()
-	if c.fr != nil {
-		msg, xid, err := c.fr.ReadOne()
-		return msg, xid, wrapDeadPeer(err)
-	}
 	msg, xid, err := openflow.ReadMessage(c.rw)
 	return msg, xid, wrapDeadPeer(err)
 }
@@ -146,10 +138,6 @@ type SwitchAgent struct {
 	Net *sdn.Network
 	// DPID is the switch this agent fronts.
 	DPID uint64
-
-	// scratch and replies are ServeBatch's reusable frame slices.
-	scratch []Frame
-	replies []Frame
 
 	// role/gen/hasGen are the mastership state (role.go): the granted
 	// controller role and the highest generation id accepted, used to

@@ -82,44 +82,6 @@ func TestRoleStaleGenerationFenced(t *testing.T) {
 	}
 }
 
-func TestRoleServeBatch(t *testing.T) {
-	agent, session, _, cleanup := pipePair(t)
-	defer cleanup()
-	setup(t, agent, session)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := agent.ServeBatch()
-		done <- err
-	}()
-	first, err := session.Conn.SendBatch([]openflow.Message{
-		&openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 9},
-		&openflow.RoleRequest{Role: openflow.RoleMaster, GenerationID: 3},
-	})
-	if err != nil {
-		t.Fatalf("send batch: %v", err)
-	}
-	// First reply: granted. Second: stale error.
-	msg, xid, err := session.Conn.Recv()
-	if err != nil {
-		t.Fatalf("recv grant: %v", err)
-	}
-	if r, ok := msg.(*openflow.RoleReply); !ok || r.GenerationID != 9 || xid != first {
-		t.Fatalf("grant: %T %+v xid=%d", msg, msg, xid)
-	}
-	msg, xid, err = session.Conn.Recv()
-	if err != nil {
-		t.Fatalf("recv stale: %v", err)
-	}
-	em, ok := msg.(*openflow.ErrorMsg)
-	if !ok || em.ErrType != openflow.ErrTypeRoleRequestFailed || em.Code != openflow.RoleCodeStale || xid != first+1 {
-		t.Fatalf("stale: %T %+v xid=%d", msg, msg, xid)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("serve batch: %v", err)
-	}
-}
-
 func TestKeepaliveDetectsStalledPeer(t *testing.T) {
 	// The peer drains bytes but never replies, simulating a wedged
 	// switch: without a read timeout the controller's Recv would hang

@@ -46,49 +46,22 @@ func TestCodecDecodeZeroAlloc(t *testing.T) {
 		}
 		frames = append(frames, f)
 	}
-	for _, c := range []*Codec{NewCodec(), NewZeroCopyCodec()} {
-		// Warm scratch messages and payload capacity.
+	c := NewZeroCopyCodec()
+	// Warm scratch messages and action capacity.
+	for _, f := range frames {
+		if _, _, _, err := c.Decode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
 		for _, f := range frames {
 			if _, _, _, err := c.Decode(f); err != nil {
 				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			for _, f := range frames {
-				if _, _, _, err := c.Decode(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("Codec.Decode (zeroCopy=%v) steady state allocates %.1f allocs/run, want 0", c.ZeroCopy(), allocs)
-		}
-	}
-}
-
-func TestCodecReadMessageZeroAlloc(t *testing.T) {
-	var stream bytes.Buffer
-	msgs := sampleMessages()
-	for _, m := range msgs {
-		if err := WriteMessage(&stream, m, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw := stream.Bytes()
-	c := NewCodec()
-	r := bytes.NewReader(raw)
-	readAll := func() {
-		r.Reset(raw)
-		for range msgs {
-			if _, _, err := c.ReadMessage(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	readAll() // warm readBuf + scratch
-	allocs := testing.AllocsPerRun(100, readAll)
+	})
 	if allocs != 0 {
-		t.Fatalf("Codec.ReadMessage steady state allocates %.1f allocs/run, want 0", allocs)
+		t.Fatalf("Codec.Decode steady state allocates %.1f allocs/run, want 0", allocs)
 	}
 }
 

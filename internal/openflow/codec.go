@@ -1,40 +1,26 @@
 package openflow
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// Codec decodes frames into reusable per-type scratch messages so the
-// steady-state cost of a decode is zero allocations. A Codec is not
-// safe for concurrent use, and each decoded message is only valid
-// until the Codec's next decode of the same type (zero-copy payloads
-// are additionally only valid while the input buffer is). Callers that
-// need to retain a message must copy it out — the convenience Decode
-// function does exactly that, for one allocation per message.
+// Codec decodes frames zero-copy into reusable per-type scratch
+// messages, so the steady-state cost of a decode is zero allocations.
+// Payload fields of a decoded message alias the input buffer, and its
+// other fields (actions included) live in the Codec's scratch: the
+// message is valid only until the Codec's next decode of the same type
+// and only while the input buffer is unchanged. A Codec is not safe
+// for concurrent use. Callers that need to retain a message must copy
+// it out — the convenience Decode function does exactly that, for one
+// allocation per message.
 type Codec struct {
 	// scratch holds one lazily created reusable message per wire type
 	// (sized by the highest wire type the codec speaks, the role reply).
 	scratch [TypeRoleReply + 1]Message
-	// readBuf is ReadMessage's reusable frame buffer.
-	readBuf []byte
-	// zeroCopy makes payload fields alias the input buffer instead of
-	// copying into scratch capacity.
-	zeroCopy bool
 }
 
-// NewCodec returns a Codec whose decoded payloads are copied into
-// scratch capacity (safe to hold until the next decode of that type).
-func NewCodec() *Codec { return &Codec{} }
-
-// NewZeroCopyCodec returns a Codec whose decoded payload fields alias
-// the input buffer. This is the batch-path mode: cheapest possible
-// decode, with the contract that messages die when the buffer is
-// refilled.
-func NewZeroCopyCodec() *Codec { return &Codec{zeroCopy: true} }
-
-// ZeroCopy reports whether decoded payloads alias the input buffer.
-func (c *Codec) ZeroCopy() bool { return c.zeroCopy }
+// NewZeroCopyCodec returns a Codec. The name carries the aliasing
+// contract to the call site: decoded payloads die when the input
+// buffer is refilled.
+func NewZeroCopyCodec() *Codec { return &Codec{} }
 
 // message returns the reusable scratch message for t, creating it on
 // first use.
@@ -69,41 +55,12 @@ func (c *Codec) Decode(b []byte) (Message, uint32, []byte, error) {
 		}
 		return nil, 0, nil, err
 	}
-	xid, rest, err := decodeInto(b, msg, c.zeroCopy)
+	length, xid, err := parseHeader(b)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return msg, xid, rest, nil
-}
-
-// ReadMessage reads exactly one framed message from r into the Codec's
-// reusable frame buffer and decodes it into scratch. Steady state it
-// performs no allocation. The returned message is valid until the next
-// ReadMessage or Decode of the same type.
-func (c *Codec) ReadMessage(r io.Reader) (Message, uint32, error) {
-	if cap(c.readBuf) < headerLen {
-		c.readBuf = make([]byte, 512)
+	if err := msg.decodeBody(b[headerLen:length], true); err != nil {
+		return nil, 0, nil, err
 	}
-	hdr := c.readBuf[:headerLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, fmt.Errorf("openflow: read header: %w", err)
-	}
-	if hdr[0] != Version {
-		return nil, 0, fmt.Errorf("%w: 0x%02x", ErrBadVersion, hdr[0])
-	}
-	length := int(uint16(hdr[2])<<8 | uint16(hdr[3]))
-	if length < headerLen {
-		return nil, 0, ErrTruncated
-	}
-	if cap(c.readBuf) < length {
-		buf := make([]byte, length)
-		copy(buf, hdr)
-		c.readBuf = buf
-	}
-	full := c.readBuf[:length]
-	if _, err := io.ReadFull(r, full[headerLen:]); err != nil {
-		return nil, 0, fmt.Errorf("openflow: read body: %w", err)
-	}
-	msg, xid, _, err := c.Decode(full)
-	return msg, xid, err
+	return msg, xid, b[length:], nil
 }

@@ -65,96 +65,58 @@ func TestAppendEncodeOversizedLeavesDst(t *testing.T) {
 	}
 }
 
-func TestDecodeInto(t *testing.T) {
-	for _, msg := range sampleMessages() {
-		frame, err := Encode(msg, 1234)
+// A recycled scratch message must not leak previous contents: a
+// shorter payload or action list decoded by the same Codec truncates,
+// never retains (takeActions reuses the scratch slice).
+func TestCodecDecodeReusedScratchTruncates(t *testing.T) {
+	c := NewZeroCopyCodec()
+	decode := func(msg Message, xid uint32) Message {
+		t.Helper()
+		frame, err := Encode(msg, xid)
 		if err != nil {
-			t.Fatalf("Encode(%v): %v", msg.Type(), err)
+			t.Fatal(err)
 		}
-		dst, err := newMessage(msg.Type())
+		got, _, _, err := c.Decode(frame)
 		if err != nil {
-			t.Fatalf("newMessage(%v): %v", msg.Type(), err)
+			t.Fatal(err)
 		}
-		xid, rest, err := DecodeInto(frame, dst)
-		if err != nil {
-			t.Fatalf("DecodeInto(%v): %v", msg.Type(), err)
-		}
-		if xid != 1234 || len(rest) != 0 {
-			t.Fatalf("DecodeInto(%v): xid=%d rest=%d", msg.Type(), xid, len(rest))
-		}
-		if !reflect.DeepEqual(dst, msg) {
-			t.Fatalf("DecodeInto(%v) = %+v, want %+v", msg.Type(), dst, msg)
-		}
+		return got
 	}
-}
-
-func TestDecodeIntoTypeMismatch(t *testing.T) {
-	frame, err := Encode(&Hello{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pi PacketIn
-	if _, _, err := DecodeInto(frame, &pi); !errors.Is(err, ErrTypeMatch) {
-		t.Fatalf("err = %v, want ErrTypeMatch", err)
-	}
-}
-
-// A recycled message must not leak previous contents: decoding a
-// shorter payload into reused scratch truncates, never retains.
-func TestDecodeIntoReusedScratchTruncates(t *testing.T) {
-	long, _ := Encode(&PacketIn{DatapathID: 1, Data: []byte("a-long-payload")}, 1)
-	short, _ := Encode(&PacketIn{DatapathID: 2, Data: []byte("s")}, 2)
-	var pi PacketIn
-	if _, _, err := DecodeInto(long, &pi); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodeInto(short, &pi); err != nil {
-		t.Fatal(err)
-	}
+	decode(&PacketIn{DatapathID: 1, Data: []byte("a-long-payload")}, 1)
+	pi := decode(&PacketIn{DatapathID: 2, Data: []byte("s")}, 2).(*PacketIn)
 	if string(pi.Data) != "s" || pi.DatapathID != 2 {
 		t.Fatalf("reused scratch retained stale state: %+v", pi)
 	}
-	mods, _ := Encode(&FlowMod{Actions: []Action{{Type: ActionOutput, Port: 1}, {Type: ActionDrop}}}, 3)
-	modNone, _ := Encode(&FlowMod{}, 4)
-	var fm FlowMod
-	if _, _, err := DecodeInto(mods, &fm); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodeInto(modNone, &fm); err != nil {
-		t.Fatal(err)
-	}
+	decode(&FlowMod{Actions: []Action{{Type: ActionOutput, Port: 1}, {Type: ActionDrop}}}, 3)
+	fm := decode(&FlowMod{}, 4).(*FlowMod)
 	if len(fm.Actions) != 0 {
 		t.Fatalf("reused scratch retained stale actions: %+v", fm.Actions)
 	}
 }
 
 func TestCodecDecodeAllTypes(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		codec *Codec
-	}{{"copy", NewCodec()}, {"zero-copy", NewZeroCopyCodec()}} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, msg := range sampleMessages() {
-				frame, err := Encode(msg, 55)
-				if err != nil {
-					t.Fatalf("Encode(%v): %v", msg.Type(), err)
-				}
-				got, xid, rest, err := mode.codec.Decode(frame)
-				if err != nil {
-					t.Fatalf("Codec.Decode(%v): %v", msg.Type(), err)
-				}
-				if xid != 55 || len(rest) != 0 {
-					t.Fatalf("Codec.Decode(%v): xid=%d rest=%d", msg.Type(), xid, len(rest))
-				}
-				if !reflect.DeepEqual(got, msg) {
-					t.Fatalf("Codec.Decode(%v) = %+v, want %+v", msg.Type(), got, msg)
-				}
+	t.Run("zero-copy", func(t *testing.T) {
+		c := NewZeroCopyCodec()
+		for _, msg := range sampleMessages() {
+			frame, err := Encode(msg, 55)
+			if err != nil {
+				t.Fatalf("Encode(%v): %v", msg.Type(), err)
 			}
-		})
-	}
+			got, xid, rest, err := c.Decode(frame)
+			if err != nil {
+				t.Fatalf("Codec.Decode(%v): %v", msg.Type(), err)
+			}
+			if xid != 55 || len(rest) != 0 {
+				t.Fatalf("Codec.Decode(%v): xid=%d rest=%d", msg.Type(), xid, len(rest))
+			}
+			if !reflect.DeepEqual(got, msg) {
+				t.Fatalf("Codec.Decode(%v) = %+v, want %+v", msg.Type(), got, msg)
+			}
+		}
+	})
 }
 
-// Zero-copy decodes must alias the input buffer; copy-mode decodes
+// Codec decodes must alias the input buffer; the allocating Decode
 // must not.
 func TestCodecAliasing(t *testing.T) {
 	frame, err := Encode(&PacketIn{DatapathID: 1, InPort: 2, Data: []byte("alias-me")}, 9)
@@ -174,43 +136,19 @@ func TestCodecAliasing(t *testing.T) {
 	}
 	frame[len(frame)-1] = 'e'
 
-	cp := NewCodec()
-	msg, _, _, err = cp.Decode(frame)
+	msg, _, _, err = Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pi = msg.(*PacketIn)
 	frame[len(frame)-1] = 'X'
 	if pi.Data[len(pi.Data)-1] == 'X' {
-		t.Fatal("copy-mode decode aliased the input buffer")
-	}
-}
-
-func TestCodecReadMessage(t *testing.T) {
-	var stream bytes.Buffer
-	msgs := sampleMessages()
-	for i, msg := range msgs {
-		if err := WriteMessage(&stream, msg, uint32(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := NewCodec()
-	for i, want := range msgs {
-		got, xid, err := c.ReadMessage(&stream)
-		if err != nil {
-			t.Fatalf("ReadMessage %d: %v", i, err)
-		}
-		if xid != uint32(i) {
-			t.Fatalf("ReadMessage %d: xid = %d", i, xid)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ReadMessage %d = %+v, want %+v", i, got, want)
-		}
+		t.Fatal("allocating decode aliased the input buffer")
 	}
 }
 
 func TestCodecDecodeErrors(t *testing.T) {
-	c := NewCodec()
+	c := NewZeroCopyCodec()
 	if _, _, _, err := c.Decode([]byte{Version, 0, 0}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short frame: %v", err)
 	}
@@ -221,54 +159,5 @@ func TestCodecDecodeErrors(t *testing.T) {
 	unknown := []byte{Version, 99, 0, 8, 0, 0, 0, 0}
 	if _, _, _, err := c.Decode(unknown); !errors.Is(err, ErrBadType) {
 		t.Fatalf("unknown type: %v", err)
-	}
-}
-
-func BenchmarkOpenFlowEncode(b *testing.B) {
-	msg := &PacketIn{DatapathID: 7, InPort: 3, Reason: 1, Data: make([]byte, 64)}
-	buf := make([]byte, 0, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = AppendEncode(buf[:0], msg, uint32(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(buf)))
-}
-
-func BenchmarkOpenFlowDecode(b *testing.B) {
-	frame, err := Encode(&PacketIn{DatapathID: 7, InPort: 3, Reason: 1, Data: make([]byte, 64)}, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewZeroCopyCodec()
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := c.Decode(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOpenFlowReadMessage(b *testing.B) {
-	frame, err := Encode(&PacketIn{DatapathID: 7, InPort: 3, Reason: 1, Data: make([]byte, 64)}, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewCodec()
-	r := bytes.NewReader(frame)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(frame)
-		if _, _, err := c.ReadMessage(r); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -6,14 +6,12 @@
 // structures use fixed layouts rather than full OXM TLVs, which is all
 // the simulated dataplane requires.
 //
-// The codec has two tiers. The convenience tier (Encode, Decode,
-// ReadMessage, WriteMessage) allocates a fresh frame or message per
-// call and is what casual callers use. The hot tier (AppendEncode,
-// DecodeInto, Codec) is allocation-free in steady state: AppendEncode
-// frames into a caller-provided buffer, and a Codec decodes into
-// reusable per-type message scratch with an optional zero-copy mode
-// that aliases payload bytes instead of copying them. The batched
-// dataplane path (internal/ofconn) is built on the hot tier.
+// Encode, Decode, ReadMessage and WriteMessage allocate a fresh frame
+// or message per call, and the caller owns the result. Two calls are
+// allocation-free in steady state: AppendEncode frames into a
+// caller-provided buffer, and a Codec decodes zero-copy into reusable
+// per-type message scratch whose payload fields alias the input frame.
+// The batched read path (ofconn.FrameReader) is built on the Codec.
 package openflow
 
 import (
@@ -85,7 +83,6 @@ var (
 	ErrTruncated  = errors.New("openflow: truncated message")
 	ErrBadType    = errors.New("openflow: unknown message type")
 	ErrOversized  = errors.New("openflow: message too large")
-	ErrTypeMatch  = errors.New("openflow: frame type does not match message")
 )
 
 // headerLen is the fixed OpenFlow header size.
@@ -105,7 +102,7 @@ type Message interface {
 	appendBody(dst []byte) []byte
 	// decodeBody parses the body. With zeroCopy set, payload byte
 	// slices alias b instead of being copied; the caller owns the
-	// aliasing hazard (the Codec's batch path does).
+	// aliasing hazard (Codec.Decode does).
 	decodeBody(b []byte, zeroCopy bool) error
 }
 
@@ -195,10 +192,9 @@ func decodeAction(b []byte) (Action, []byte, error) {
 	return a, b[actionLen:], nil
 }
 
-// takeBytes fills *dst with b according to the copy mode: zero-copy
-// aliases b directly, copy mode reuses *dst's backing capacity so a
-// recycled message reaches steady-state zero allocations. An empty b
-// leaves *dst nil on a fresh message, matching the historical decoder.
+// takeBytes fills *dst with b: zero-copy (the Codec) aliases b
+// directly; otherwise (the allocating Decode, always into a fresh
+// message) b is copied, and an empty b leaves *dst nil.
 func takeBytes(dst *[]byte, b []byte, zeroCopy bool) {
 	if zeroCopy {
 		*dst = b
@@ -619,8 +615,7 @@ func newMessage(t MsgType) (Message, error) {
 
 // AppendEncode frames msg with the given transaction id, appending the
 // encoded frame to dst and returning the extended slice. With enough
-// capacity in dst the call performs no allocation — this is the hot
-// encode path the batched dataplane writer uses. On error dst is
+// capacity in dst the call performs no allocation. On error dst is
 // returned truncated to its original length.
 func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	start := len(dst)
@@ -674,29 +669,6 @@ func Decode(b []byte) (Message, uint32, []byte, error) {
 	return msg, xid, b[length:], nil
 }
 
-// DecodeInto parses one framed message into the caller-provided msg,
-// whose type must match the frame's wire type, and returns the xid and
-// any trailing bytes. Payload slices and action slices reuse msg's
-// existing capacity, so decoding into a recycled message is
-// allocation-free in steady state.
-func DecodeInto(b []byte, msg Message) (uint32, []byte, error) {
-	return decodeInto(b, msg, false)
-}
-
-func decodeInto(b []byte, msg Message, zeroCopy bool) (uint32, []byte, error) {
-	length, xid, err := parseHeader(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if MsgType(b[1]) != msg.Type() {
-		return 0, nil, fmt.Errorf("%w: frame %v into %v", ErrTypeMatch, MsgType(b[1]), msg.Type())
-	}
-	if err := msg.decodeBody(b[headerLen:length], zeroCopy); err != nil {
-		return 0, nil, err
-	}
-	return xid, b[length:], nil
-}
-
 // ReadMessage reads exactly one framed message from r.
 func ReadMessage(r io.Reader) (Message, uint32, error) {
 	var hdr [headerLen]byte
@@ -710,8 +682,9 @@ func ReadMessage(r io.Reader) (Message, uint32, error) {
 	if length < headerLen {
 		return nil, 0, ErrTruncated
 	}
-	// One allocation for the whole frame (the header used to be a
-	// second); Codec.ReadMessage reuses a scratch buffer and makes none.
+	// One allocation for the whole frame. Reading exactly one frame,
+	// never ahead, lets a caller hand the transport to another reader
+	// between frames.
 	full := make([]byte, length)
 	copy(full, hdr[:])
 	if _, err := io.ReadFull(r, full[headerLen:]); err != nil {

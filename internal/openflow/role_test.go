@@ -57,7 +57,7 @@ func TestRoleTruncated(t *testing.T) {
 func TestRoleCodecScratch(t *testing.T) {
 	// The reusable Codec must index role types (24/25) without error —
 	// a regression guard for the scratch array's size.
-	c := NewCodec()
+	c := NewZeroCopyCodec()
 	frame, err := Encode(&RoleReply{Role: RoleMaster, GenerationID: 6}, 2)
 	if err != nil {
 		t.Fatal(err)
