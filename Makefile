@@ -23,14 +23,16 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# cross-check vets internal/mathx for architectures without the amd64
-# AVX2 assembly kernel, so the portable MulVecInto path keeps compiling
-# (vet on amd64 already runs asmdecl over the .s frame offsets), and
-# runs its tests under GOARCH=386, where only the portable path exists.
+# cross-check guards the no-FMA rule: Dot, MulVecInto and the PCA fit
+# round every product before adding it, so they must return the same
+# bits on every architecture. It vets internal/mathx for arm64 (which
+# has fused multiply-add) and 386, and runs the mathx tests and the
+# bit-pinned PCA fit under GOARCH=386, a second architecture.
 cross-check:
 	GOARCH=arm64 $(GO) vet ./internal/mathx/
 	GOARCH=386 $(GO) vet ./internal/mathx/
 	GOARCH=386 $(GO) test ./internal/mathx/
+	GOARCH=386 $(GO) test ./internal/ml/pca/
 
 test:
 	$(GO) test ./...
@@ -73,9 +75,8 @@ bench-tracker-smoke:
 # OpenFlow frames must produce typed errors, never panics or
 # over-allocation, the journal replayer must recover exactly the
 # longest valid prefix of an arbitrarily mangled write-ahead log, the
-# canonical issue codec must stay a byte-stable fixed point, the
-# MulVecInto kernel must return Dot's bits for every shape and value,
-# and the fused Pegasos step must fit the same bits as the separate
+# canonical issue codec must stay a byte-stable fixed point, and the
+# fused Pegasos step must fit the same bits as the separate
 # Scale/Axpy/average loops.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/openflow/
@@ -84,7 +85,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIssueCodec -fuzztime=10s ./internal/tracker/
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=10s ./internal/perfuzz/
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
-	$(GO) test -run='^$$' -fuzz=FuzzMulVecInto -fuzztime=10s ./internal/mathx/
 	$(GO) test -run='^$$' -fuzz=FuzzFitMatchesReference -fuzztime=10s ./internal/ml/adaboost/
 	$(GO) test -run='^$$' -fuzz=FuzzFitBinaryMatchesReference -fuzztime=10s ./internal/ml/svm/
 

@@ -242,19 +242,6 @@ func (r Run[T]) Err() error {
 	return nil
 }
 
-// Results unwraps the outcomes into plain results, failing with the
-// first error — the fail-fast view legacy callers expect.
-func (r Run[T]) Results() ([]T, error) {
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]T, len(r.Outcomes))
-	for i, o := range r.Outcomes {
-		out[i] = o.Result
-	}
-	return out, nil
-}
-
 // Counts tallies outcomes: ok (ran, all checks held), failed (ran,
 // some check did not hold), errored (did not produce a result).
 func (r Run[T]) Counts() (ok, failed, errored int) {

@@ -69,9 +69,6 @@ func TestRunnerCollectsPartialFailures(t *testing.T) {
 	if !errors.Is(run.Err(), boom) {
 		t.Errorf("Run.Err = %v, want boom", run.Err())
 	}
-	if _, err := run.Results(); !errors.Is(err, boom) {
-		t.Errorf("Results err = %v, want boom", err)
-	}
 	ok, failed, errored := run.Counts()
 	if ok != 2 || failed != 0 || errored != 1 {
 		t.Errorf("Counts = %d/%d/%d, want 2/0/1", ok, failed, errored)

@@ -132,11 +132,8 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 }
 
 // MulVecInto computes dst = m×v without allocating; dst must have
-// length m.Rows() and must not alias v. It is the kernel behind the
-// PCA power iteration, where the same product runs thousands of
-// times per fit. dst[i] has the bits of Dot(m.Row(i), v) on every
-// platform. On amd64 CPUs with AVX2 an assembly kernel computes four
-// rows per pass; everywhere else the portable mulVecRows runs.
+// length m.Rows() and must not alias v. dst[i] has the bits of
+// Dot(m.Row(i), v) on every platform.
 func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("%w: %dx%d × %d", ErrDimensionMismatch, m.rows, m.cols, len(v))
@@ -144,16 +141,10 @@ func (m *Matrix) MulVecInto(dst, v []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("%w: dst %d for %d rows", ErrDimensionMismatch, len(dst), m.rows)
 	}
-	mulVec(m, dst, v)
-	return nil
-}
-
-// mulVecRows sets dst[i] = Dot(row i, v) for every row of m, one row
-// at a time. It is MulVecInto's portable path.
-func mulVecRows(m *Matrix, dst, v []float64) {
 	for i := range dst {
 		dst[i] = Dot(m.Row(i), v)
 	}
+	return nil
 }
 
 // Apply replaces every element with f(element), in place, and returns m.
@@ -190,6 +181,7 @@ func Equal(a, b *Matrix, tol float64) bool {
 // CovarianceMatrix returns the (cols×cols) covariance matrix of the
 // rows of x, treating each row as an observation. Columns are centered
 // with their sample means; the normalizer is n-1 (sample covariance).
+// Each product is rounded before it is added, as in Dot.
 func CovarianceMatrix(x *Matrix) (*Matrix, error) {
 	n := x.rows
 	if n < 2 {
@@ -216,7 +208,7 @@ func CovarianceMatrix(x *Matrix) (*Matrix, error) {
 			}
 			row := cov.Row(a)
 			for b := 0; b < d; b++ {
-				row[b] += ca * centered[b]
+				row[b] += float64(ca * centered[b])
 			}
 		}
 	}

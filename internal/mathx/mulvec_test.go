@@ -1,15 +1,14 @@
 package mathx
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// specials are the values where a reordered or fused lane update
-// shows: signed zeros, subnormals, infinities, NaN, and magnitudes
-// whose products or sums overflow.
+// specials are the values where a reordered or fused update shows:
+// signed zeros, subnormals, infinities, NaN, and magnitudes whose
+// products or sums overflow.
 var specials = []float64{
 	0, math.Copysign(0, -1), 1, -1,
 	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022,
@@ -24,28 +23,18 @@ func sameBits(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
-// checkMulVecMatchesDot fails t unless every element of m×v has the
-// bits of Dot on the matching row, both through MulVecInto (the AVX2
-// kernel where the CPU has it) and through the portable mulVecRows,
-// so an AVX2 host still checks the fallback.
+// checkMulVecMatchesDot fails t unless every element of MulVecInto's
+// m×v has the bits of Dot on the matching row.
 func checkMulVecMatchesDot(t *testing.T, m *Matrix, v []float64) {
 	t.Helper()
 	dst := make([]float64, m.Rows())
 	if err := m.MulVecInto(dst, v); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]float64, m.Rows())
-	mulVecRows(m, rows, v)
-	for i := range dst {
-		want := Dot(m.Row(i), v)
-		for _, c := range []struct {
-			path string
-			got  float64
-		}{{"MulVecInto", dst[i]}, {"mulVecRows", rows[i]}} {
-			if !sameBits(c.got, want) {
-				t.Fatalf("%dx%d row %d: %s = %v (%#x), Dot = %v (%#x)",
-					m.Rows(), m.Cols(), i, c.path, c.got, math.Float64bits(c.got), want, math.Float64bits(want))
-			}
+	for i, got := range dst {
+		if want := Dot(m.Row(i), v); !sameBits(got, want) {
+			t.Fatalf("%dx%d row %d: MulVecInto = %v (%#x), Dot = %v (%#x)",
+				m.Rows(), m.Cols(), i, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
@@ -74,8 +63,8 @@ func randomOperands(rng *rand.Rand, rows, cols int, special bool) (*Matrix, []fl
 
 func TestMulVecIntoMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Every len%4 tail and every rows%4 remainder, plain and with specials.
-	for rows := 0; rows <= 9; rows++ {
+	// Every len%4 tail, plain and with specials.
+	for rows := 0; rows <= 5; rows++ {
 		for cols := 0; cols <= 13; cols++ {
 			for _, special := range []bool{false, true} {
 				for rep := 0; rep < 20; rep++ {
@@ -85,14 +74,12 @@ func TestMulVecIntoMatchesDot(t *testing.T) {
 			}
 		}
 	}
-	// E09's covariance shape, and the shape the benches have used.
-	for _, n := range []int{410, 440} {
-		for _, special := range []bool{false, true} {
-			m, v := randomOperands(rng, n, n, special)
-			checkMulVecMatchesDot(t, m, v)
-		}
+	// E09's PCA projection: 24 components of 410 features.
+	for _, special := range []bool{false, true} {
+		m, v := randomOperands(rng, 24, 410, special)
+		checkMulVecMatchesDot(t, m, v)
 	}
-	// Every entry a special, so each lane meets each pair of them.
+	// Every entry a special, so each Dot lane meets each pair of them.
 	for _, n := range []int{7, 16} {
 		m := NewMatrix(n, n)
 		v := make([]float64, n)
@@ -104,36 +91,4 @@ func TestMulVecIntoMatchesDot(t *testing.T) {
 		}
 		checkMulVecMatchesDot(t, m, v)
 	}
-}
-
-// FuzzMulVecInto compares MulVecInto and mulVecRows with row-wise Dot
-// on a fuzzer-chosen shape; the values are the raw float64 bits of data,
-// cycled to fill the matrix and then the vector.
-func FuzzMulVecInto(f *testing.F) {
-	seed := make([]byte, 0, 8*len(specials))
-	for _, x := range specials {
-		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(x))
-	}
-	f.Add(uint8(3), uint8(7), seed)
-	f.Add(uint8(2), uint8(8), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Fuzz(func(t *testing.T, rows, cols uint8, data []byte) {
-		r, c := int(rows%33), int(cols%67)
-		m := NewMatrix(r, c)
-		v := make([]float64, c)
-		if n := len(data) / 8; n > 0 {
-			k := 0
-			next := func() float64 {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(k%n):]))
-				k++
-				return x
-			}
-			for i := range m.data {
-				m.data[i] = next()
-			}
-			for i := range v {
-				v[i] = next()
-			}
-		}
-		checkMulVecMatchesDot(t, m, v)
-	})
 }

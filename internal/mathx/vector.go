@@ -8,11 +8,7 @@
 // Dot and Matrix.MulVecInto return the same bits on every platform:
 // every product is rounded to float64 before it is added (the
 // float64 conversions block fused multiply-add), and the four-lane
-// accumulation order is fixed. On amd64 CPUs with AVX2, MulVecInto
-// runs a kernel that accumulates four rows per pass, one YMM register
-// of the same four lanes per row, with VMULPD and VADDPD, which round
-// each lane exactly as the scalar code does. Without AVX2, and on
-// other architectures, it runs the portable Dot loop row by row.
+// accumulation order is fixed.
 package mathx
 
 import (
@@ -32,8 +28,7 @@ var ErrDimensionMismatch = errors.New("mathx: dimension mismatch")
 // order, which breaks the floating-point add latency chain that
 // otherwise bounds throughput. The lane layout is part of the
 // function's contract: every call with the same inputs returns the
-// same bits, on every platform and at every call site, and
-// Matrix.MulVecInto's AVX2 kernel reproduces it. Each product is
+// same bits, on every platform and at every call site. Each product is
 // converted to float64 before it is added, so no compiler fuses a
 // lane update into one multiply-add with a single rounding. A NaN
 // result is NaN everywhere, but which operand's NaN payload
@@ -51,15 +46,8 @@ func Dot(a, b []float64) float64 {
 		s2 += float64(a[i+2] * b[i+2])
 		s3 += float64(a[i+3] * b[i+3])
 	}
-	return dotFinish(s0, s1, s2, s3, a[i:], b[i:])
-}
-
-// dotFinish adds the len%4 tail a·b, element by element, to the
-// fixed combine of Dot's four lane sums.
-func dotFinish(s0, s1, s2, s3 float64, a, b []float64) float64 {
-	b = b[:len(a)]
 	var s float64
-	for i := range a {
+	for ; i < len(a); i++ {
 		s += float64(a[i] * b[i])
 	}
 	return ((s0 + s1) + (s2 + s3)) + s

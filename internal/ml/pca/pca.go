@@ -1,13 +1,18 @@
-// Package pca implements Principal Component Analysis via power
-// iteration with deflation. The paper evaluates PCA-reduced features as
-// one of its classification variants (§II-C).
+// Package pca implements exact Principal Component Analysis. The paper
+// evaluates PCA-reduced features as one of its classification variants
+// (§II-C) with scikit-learn's PCA, an exact SVD; Fit reproduces it by
+// diagonalising the smaller of the Gram and covariance matrices with
+// cyclic Jacobi rotations. Nothing in a fit is random, and every
+// product is rounded to float64 before it is added, so a fit returns
+// the same bits on every platform.
 package pca
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 
 	"sdnbugs/internal/mathx"
 	"sdnbugs/internal/ml"
@@ -17,24 +22,39 @@ import (
 var (
 	ErrBadComponents = errors.New("pca: components must be in [1, features]")
 	ErrTooFewRows    = errors.New("pca: need at least 2 rows")
+	// ErrNotConverged means the eigensolver hit its sweep cap, which
+	// finite input does not do; NaN or Inf input does.
+	ErrNotConverged = errors.New("pca: eigensolver did not converge")
 )
+
+// maxSweeps caps the Jacobi sweeps of one fit. E09's 100×100 Gram
+// matrices converge in about ten.
+const maxSweeps = 50
 
 // PCA projects data onto its top principal components.
 type PCA struct {
 	// Components is the target dimensionality.
 	Components int
-	// MaxIter bounds power iterations per component (default 200).
-	MaxIter int
-	// Seed initializes the power-iteration start vectors.
-	Seed int64
 
 	mean       []float64
 	components *mathx.Matrix // Components × features
 	eigenvals  []float64
 }
 
-// Fit learns the principal components of the rows of x.
+// Fit learns the principal components of the rows of x. It
+// diagonalises the n×n Gram matrix when x has no more rows than
+// columns and the d×d covariance matrix otherwise; both give the same
+// components. Components whose eigenvalue is at most
+// min(n, d)·2⁻⁵²·λ_max lie in the numerical null space: their row is
+// zero and their eigenvalue 0. Each component's largest-magnitude
+// entry (the lowest index on a tie) is positive.
 func (p *PCA) Fit(x *mathx.Matrix) error {
+	return p.fit(x, x.Rows() <= x.Cols())
+}
+
+// fit is Fit on the Gram side when gram is set and on the covariance
+// side otherwise.
+func (p *PCA) fit(x *mathx.Matrix, gram bool) error {
 	n, d := x.Rows(), x.Cols()
 	if n < 2 {
 		return ErrTooFewRows
@@ -42,65 +62,165 @@ func (p *PCA) Fit(x *mathx.Matrix) error {
 	if p.Components < 1 || p.Components > d {
 		return fmt.Errorf("%w: %d of %d", ErrBadComponents, p.Components, d)
 	}
-	maxIter := p.MaxIter
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	cov, err := mathx.CovarianceMatrix(x)
-	if err != nil {
-		return fmt.Errorf("pca: %w", err)
-	}
-	p.mean = make([]float64, d)
+	mean := make([]float64, d)
 	for i := 0; i < n; i++ {
-		mathx.Axpy(1, x.Row(i), p.mean)
+		mathx.Axpy(1, x.Row(i), mean)
 	}
-	mathx.Scale(p.mean, 1/float64(n))
+	mathx.Scale(mean, 1/float64(n))
 
-	rng := rand.New(rand.NewSource(p.Seed))
+	var xc *mathx.Matrix // centred x, Gram side only
+	var a []float64      // the m×m symmetric matrix to diagonalise
+	m := d
+	if gram {
+		m = n
+		xc = mathx.NewMatrix(n, d)
+		for i := 0; i < n; i++ {
+			mathx.SubInto(xc.Row(i), x.Row(i), mean)
+		}
+		a = make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				g := mathx.Dot(xc.Row(i), xc.Row(j)) / float64(n-1)
+				a[i*n+j], a[j*n+i] = g, g
+			}
+		}
+	} else {
+		cov, err := mathx.CovarianceMatrix(x)
+		if err != nil {
+			return fmt.Errorf("pca: %w", err)
+		}
+		a = make([]float64, 0, d*d)
+		for i := 0; i < d; i++ {
+			a = append(a, cov.Row(i)...)
+		}
+	}
+	vals, vecs, err := jacobi(a, m)
+	if err != nil {
+		return err
+	}
+
+	p.mean = mean
 	p.components = mathx.NewMatrix(p.Components, d)
 	p.eigenvals = make([]float64, p.Components)
-	work := cov.Clone()
-	// One scratch pair reused across all components and iterations:
-	// the power loop runs maxIter × Components times per fit, so
-	// per-iteration allocations dominate the garbage otherwise.
-	v := make([]float64, d)
-	nv := make([]float64, d)
-	diff := make([]float64, d)
-	for c := 0; c < p.Components; c++ {
-		for i := range v {
-			v[i] = rng.Float64() - 0.5
+	tol := float64(min(n, d)) * 0x1p-52 * vals[0]
+	for c := 0; c < p.Components && c < m && vals[c] > tol; c++ {
+		row := p.components.Row(c)
+		if gram {
+			// The covariance eigenvector is Xcᵀu, up to scale.
+			u := vecs.Row(c)
+			for i := 0; i < n; i++ {
+				ui, xi := u[i], xc.Row(i)
+				for j := range row {
+					row[j] += float64(ui * xi[j])
+				}
+			}
+			mathx.Normalize(row)
+		} else {
+			copy(row, vecs.Row(c))
 		}
-		mathx.Normalize(v)
-		var lambda float64
-		for it := 0; it < maxIter; it++ {
-			if err := work.MulVecInto(nv, v); err != nil {
-				return fmt.Errorf("pca: %w", err)
-			}
-			norm := mathx.Norm2(nv)
-			if norm < 1e-14 {
-				// Remaining spectrum is (numerically) zero.
-				break
-			}
-			mathx.Scale(nv, 1/norm)
-			delta := mathx.Norm2(mathx.SubInto(diff, nv, v))
-			copy(v, nv)
-			lambda = norm
-			if delta < 1e-10 {
-				break
+		orient(row)
+		p.eigenvals[c] = vals[c]
+	}
+	return nil
+}
+
+// jacobi diagonalises the symmetric m×m row-major matrix a, which it
+// overwrites, by cyclic Jacobi rotations in fixed (p, q) order. It
+// stops once the off-diagonal mass Σ_{p<q} a_pq² is at most 1e-30
+// times the diagonal mass Σ a_pp², and returns ErrNotConverged after
+// maxSweeps sweeps. The eigenvalues come back in descending order,
+// ties in index order, with the unit eigenvectors as the matching rows
+// of vecs.
+func jacobi(a []float64, m int) (vals []float64, vecs *mathx.Matrix, err error) {
+	v := mathx.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		v.Set(i, i, 1)
+	}
+	for sweep := 0; ; sweep++ {
+		var off, diag float64
+		for p := 0; p < m; p++ {
+			diag += float64(a[p*m+p] * a[p*m+p])
+			for q := p + 1; q < m; q++ {
+				off += float64(a[p*m+q] * a[p*m+q])
 			}
 		}
-		copy(p.components.Row(c), v)
-		p.eigenvals[c] = lambda
-		// Deflate: work -= lambda * v vᵀ.
-		for i := 0; i < d; i++ {
-			row := work.Row(i)
-			vi := v[i]
-			for j := 0; j < d; j++ {
-				row[j] -= lambda * vi * v[j]
+		if off <= 1e-30*diag {
+			break
+		}
+		if sweep == maxSweeps {
+			return nil, nil, ErrNotConverged
+		}
+		for p := 0; p < m-1; p++ {
+			for q := p + 1; q < m; q++ {
+				rotate(a, m, v, p, q)
 			}
 		}
 	}
-	return nil
+	order := make([]int, m)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(a[j*m+j], a[i*m+i]) })
+	vals = make([]float64, m)
+	vecs = mathx.NewMatrix(m, m)
+	for k, i := range order {
+		vals[k] = a[i*m+i]
+		copy(vecs.Row(k), v.Row(i))
+	}
+	return vals, vecs, nil
+}
+
+// rotate applies the Jacobi rotation that zeroes a_pq to a and to the
+// eigenvector rows p and q of v, in the form of Numerical Recipes'
+// jacobi.
+func rotate(a []float64, m int, v *mathx.Matrix, p, q int) {
+	apq := a[p*m+q]
+	if apq == 0 {
+		return
+	}
+	theta := (a[q*m+q] - a[p*m+p]) / (2 * apq)
+	t := 1 / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+	if theta < 0 {
+		t = -t
+	}
+	c := 1 / math.Sqrt(float64(t*t)+1)
+	s := float64(t * c)
+	tau := s / (1 + c)
+	a[p*m+p] -= float64(t * apq)
+	a[q*m+q] += float64(t * apq)
+	a[p*m+q], a[q*m+p] = 0, 0
+	for r := 0; r < m; r++ {
+		if r == p || r == q {
+			continue
+		}
+		g, h := turn(a[r*m+p], a[r*m+q], s, tau)
+		a[r*m+p], a[p*m+r] = g, g
+		a[r*m+q], a[q*m+r] = h, h
+	}
+	vp, vq := v.Row(p), v.Row(q)
+	for r := range vp {
+		vp[r], vq[r] = turn(vp[r], vq[r], s, tau)
+	}
+}
+
+// turn rotates the pair (g, h) to (c·g − s·h, s·g + c·h), written with
+// tau = s/(1+c) in place of c so that small rotations round well.
+func turn(g, h, s, tau float64) (float64, float64) {
+	return g - float64(s*(h+float64(g*tau))), h + float64(s*(g-float64(h*tau)))
+}
+
+// orient flips v so that its largest-magnitude entry, the lowest index
+// on a tie, is positive.
+func orient(v []float64) {
+	best := 0
+	for i := range v {
+		if math.Abs(v[i]) > math.Abs(v[best]) {
+			best = i
+		}
+	}
+	if v[best] < 0 {
+		mathx.Scale(v, -1)
+	}
 }
 
 // ExplainedVariance returns the eigenvalue of each kept component.
@@ -151,8 +271,6 @@ func (p *PCA) TransformMatrix(x *mathx.Matrix) (*mathx.Matrix, error) {
 type Reduced struct {
 	// Components is the projected dimensionality.
 	Components int
-	// Seed drives the PCA power iteration.
-	Seed int64
 	// Inner is the downstream classifier (required).
 	Inner ml.Classifier
 
@@ -173,7 +291,7 @@ func (r *Reduced) Fit(x *mathx.Matrix, y []int) error {
 			comps = 16
 		}
 	}
-	r.pca = &PCA{Components: comps, Seed: r.Seed}
+	r.pca = &PCA{Components: comps}
 	if err := r.pca.Fit(x); err != nil {
 		return err
 	}

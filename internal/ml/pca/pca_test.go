@@ -47,7 +47,7 @@ func TestFitErrors(t *testing.T) {
 }
 
 func TestPrincipalDirection(t *testing.T) {
-	p := PCA{Components: 1, Seed: 1}
+	p := PCA{Components: 1}
 	if err := p.Fit(anisotropic(500, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPrincipalDirection(t *testing.T) {
 }
 
 func TestExplainedVarianceOrdering(t *testing.T) {
-	p := PCA{Components: 3, Seed: 2}
+	p := PCA{Components: 3}
 	if err := p.Fit(anisotropic(500, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExplainedVarianceOrdering(t *testing.T) {
 
 func TestTransformReducesDimensions(t *testing.T) {
 	x := anisotropic(100, 3)
-	p := PCA{Components: 2, Seed: 3}
+	p := PCA{Components: 2}
 	if err := p.Fit(x); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTransformReducesDimensions(t *testing.T) {
 
 func TestReconstructionErrorSmallForDominantSubspace(t *testing.T) {
 	x := anisotropic(200, 4)
-	p := PCA{Components: 1, Seed: 4}
+	p := PCA{Components: 1}
 	if err := p.Fit(x); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReducedClassifier(t *testing.T) {
 		}
 		y[i] = c
 	}
-	r := Reduced{Components: 2, Seed: 5, Inner: &dtree.Tree{}}
+	r := Reduced{Components: 2, Inner: &dtree.Tree{}}
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}

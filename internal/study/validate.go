@@ -57,7 +57,7 @@ func modelSpecs(cfg PipelineConfig) []modelSpec {
 		{ModelDTree, false, func() ml.Classifier { return &dtree.Tree{MaxDepth: 10} }},
 		{ModelAdaBoost, false, func() ml.Classifier { return &adaboost.Ensemble{Rounds: 40} }},
 		{ModelPCASVM, true, func() ml.Classifier {
-			return &pca.Reduced{Components: 24, Seed: cfg.Seed, Inner: newSVM()}
+			return &pca.Reduced{Components: 24, Inner: newSVM()}
 		}},
 	}
 }

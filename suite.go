@@ -263,30 +263,6 @@ func (s *Suite) Run(ctx context.Context, opts RunOptions) (engine.Run[Experiment
 	return runner.Run(ctx, exps)
 }
 
-// runKind runs every experiment of one kind sequentially and
-// unwraps the outcomes fail-fast — the legacy slice-returning view.
-func (s *Suite) runKind(k engine.Kind) ([]ExperimentResult, error) {
-	runner := &engine.Runner[ExperimentResult]{Parallelism: 1, Checks: countChecks}
-	run, err := runner.Run(context.Background(), s.Registry().OfKind(k))
-	if err != nil {
-		return nil, err
-	}
-	return run.Results()
-}
-
-// Experiments runs every experiment (E01–E26) in order. It is a thin
-// sequential wrapper over Run; use Run directly for parallelism,
-// ID selection and per-experiment outcomes.
-func (s *Suite) Experiments() ([]ExperimentResult, error) {
-	return s.runKind(engine.KindExperiment)
-}
-
-// Ablations runs the design-choice studies (A01–A07) in order, as a
-// thin sequential wrapper over the engine like Experiments.
-func (s *Suite) Ablations() ([]ExperimentResult, error) {
-	return s.runKind(engine.KindAblation)
-}
-
 // within reports |got-want| <= tol.
 func within(got, want, tol float64) bool {
 	d := got - want

@@ -183,8 +183,9 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-// TestWrappersUseRegistry pins the legacy slice API to the engine:
-// the wrapper results must match a direct engine selection.
+// TestWrappersUseRegistry pins the registry's E02 entry to the Suite
+// method it wraps: running E02 through the engine must give the same
+// result as calling E02Determinism directly.
 func TestWrappersUseRegistry(t *testing.T) {
 	run, err := sharedSuite.Run(context.Background(), RunOptions{IDs: []string{"E02"}})
 	if err != nil {
