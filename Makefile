@@ -75,14 +75,16 @@ bench-tracker-smoke:
 # OpenFlow frames must produce typed errors, never panics or
 # over-allocation, the journal replayer must recover exactly the
 # longest valid prefix of an arbitrarily mangled write-ahead log, the
-# canonical issue codec must stay a byte-stable fixed point, and the
-# fused Pegasos step must fit the same bits as the separate
-# Scale/Axpy/average loops.
+# canonical issue codec must stay a byte-stable fixed point, the
+# tracker handlers' spliced pre-encoded pages must equal json.Encoder's
+# bytes, and the fused Pegasos step must fit the same bits as the
+# separate Scale/Axpy/average loops.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/openflow/
 	$(GO) test -run='^$$' -fuzz=FuzzRoleCodec -fuzztime=10s ./internal/openflow/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzIssueCodec -fuzztime=10s ./internal/tracker/
+	$(GO) test -run='^$$' -fuzz=FuzzReplicaPageMatchesEncoder -fuzztime=10s ./internal/trackerd/
 	$(GO) test -run='^$$' -fuzz=FuzzMutate -fuzztime=10s ./internal/perfuzz/
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
 	$(GO) test -run='^$$' -fuzz=FuzzFitMatchesReference -fuzztime=10s ./internal/ml/adaboost/

@@ -68,11 +68,16 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 	}
 	ctx := context.Background()
 
+	// One handler per store serves both the clean and the chaos
+	// server, so each corpus is encoded into one replica.
+	jiraH := trackerd.NewJIRAHandler(jiraStore)
+	ghH := trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet")
+
 	// Clean single-shot baseline: durable store on a fault-free
 	// in-memory disk, plain trackers, plain client.
-	cleanJira := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
+	cleanJira := httptest.NewServer(jiraH)
 	defer cleanJira.Close()
-	cleanGH := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
+	cleanGH := httptest.NewServer(ghH)
 	defer cleanGH.Close()
 	cleanBytes, cleanTotal, err := e23CleanMine(ctx, cleanJira.URL, cleanGH.URL)
 	if err != nil {
@@ -88,8 +93,8 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 		RetryAfter: time.Millisecond,
 		Latency:    2 * time.Millisecond,
 	}
-	chaosJiraH := chaos.Wrap(trackerd.NewJIRAHandler(jiraStore), ccfg)
-	chaosGHH := chaos.Wrap(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"), ccfg)
+	chaosJiraH := chaos.Wrap(jiraH, ccfg)
+	chaosGHH := chaos.Wrap(ghH, ccfg)
 	flakyJira := httptest.NewServer(chaosJiraH)
 	defer flakyJira.Close()
 	flakyGH := httptest.NewServer(chaosGHH)

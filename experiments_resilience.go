@@ -67,10 +67,15 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 	}
 	ctx := context.Background()
 
+	// One handler per store serves both the clean and the chaos
+	// server, so each corpus is encoded into one replica.
+	jiraH := trackerd.NewJIRAHandler(jiraStore)
+	ghH := trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet")
+
 	// Fault-free baseline through plain clients (no retry layer).
-	cleanJira := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
+	cleanJira := httptest.NewServer(jiraH)
 	defer cleanJira.Close()
-	cleanGH := httptest.NewServer(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"))
+	cleanGH := httptest.NewServer(ghH)
 	defer cleanGH.Close()
 	plain := &http.Client{}
 	baseJira, err := (&trackerd.Client{BaseURL: cleanJira.URL, HTTPClient: plain,
@@ -93,8 +98,8 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 		RetryAfter: time.Millisecond, // advertises "0": no forced sleeps
 		Latency:    2 * time.Millisecond,
 	}
-	chaosJiraH := chaos.Wrap(trackerd.NewJIRAHandler(jiraStore), ccfg)
-	chaosGHH := chaos.Wrap(trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet"), ccfg)
+	chaosJiraH := chaos.Wrap(jiraH, ccfg)
+	chaosGHH := chaos.Wrap(ghH, ccfg)
 	flakyJira := httptest.NewServer(chaosJiraH)
 	defer flakyJira.Close()
 	flakyGH := httptest.NewServer(chaosGHH)

@@ -1,8 +1,10 @@
 package tracker
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,32 +24,78 @@ func replicaSeed(t *testing.T, s *Store, n int) {
 	}
 }
 
+// encodeCanonical is the test replicas' encoder: the persistence
+// encoding, which renders every field.
+func encodeCanonical(iss *Issue) ([]byte, error) { return EncodeIssue(*iss) }
+
+// issuesOf copies the issues of a replica page, for comparison with
+// Store.List.
+func issuesOf(page []Encoded) []Issue {
+	out := make([]Issue, len(page))
+	for i, e := range page {
+		out[i] = *e.Issue
+	}
+	return out
+}
+
+// checkWire fails unless every entry's bytes are its issue's encoding.
+func checkWire(t *testing.T, page []Encoded) {
+	t.Helper()
+	for _, e := range page {
+		want, _ := encodeCanonical(e.Issue)
+		if e.Err != nil || string(e.Wire) != string(want) {
+			t.Errorf("%s: wire %q (err %v), want %q", e.Issue.ID, e.Wire, e.Err, want)
+		}
+	}
+}
+
 func TestReplicaMatchesStoreList(t *testing.T) {
 	s := NewStore()
 	replicaSeed(t, s, 57)
-	r := NewReplica(s)
+	r := NewReplica(s, encodeCanonical)
 	queries := []Query{
 		{},
 		{Controller: ONOS},
 		{Controller: FAUCET},
 		{Status: StatusClosed, Offset: 10, Limit: 20},
 		{MinSeverity: SeverityMajor, Offset: 50, Limit: 20},
+		{Offset: 57},
 		{Offset: 100},
+		{Offset: -5, Limit: 3},
+		{Limit: -1},
 	}
 	for _, q := range queries {
 		wantIss, wantTotal := s.List(q)
-		gotIss, gotTotal := r.List(q)
-		if gotTotal != wantTotal || !reflect.DeepEqual(gotIss, wantIss) {
+		page, gotTotal := r.List(q)
+		if gotTotal != wantTotal || !reflect.DeepEqual(issuesOf(page), wantIss) {
 			t.Errorf("query %+v: replica diverged from store (%d vs %d issues)",
-				q, len(gotIss), len(wantIss))
+				q, len(page), len(wantIss))
 		}
+		checkWire(t, page)
+	}
+}
+
+func TestReplicaGetServesFromIndex(t *testing.T) {
+	s := NewStore()
+	replicaSeed(t, s, 20)
+	r := NewReplica(s, encodeCanonical)
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("ONOS-%03d", i)
+		e, ok := r.Get(id)
+		if !ok || e.Issue.ID != id {
+			t.Fatalf("Get(%s) = %v, %v", id, e.Issue, ok)
+		}
+		checkWire(t, []Encoded{e})
+	}
+	if _, ok := r.Get("ONOS-999"); ok {
+		t.Error("Get found an issue the store never held")
 	}
 }
 
 func TestReplicaSeesWritesAfterRefresh(t *testing.T) {
 	s := NewStore()
 	replicaSeed(t, s, 3)
-	r := NewReplica(s)
+	r := NewReplica(s, encodeCanonical)
 	if n := r.Len(); n != 3 {
 		t.Fatalf("initial len = %d", n)
 	}
@@ -63,27 +111,146 @@ func TestReplicaSeesWritesAfterRefresh(t *testing.T) {
 	}
 }
 
-func TestReplicaSnapshotDoesNotAliasStore(t *testing.T) {
+// TestReplicaOldViewSurvivesEdit: views alias the store's issues, which
+// is safe only because Store.Put installs a fresh *Issue instead of
+// mutating the installed one. A page taken before an edit must keep
+// both the old issue and its old bytes.
+func TestReplicaOldViewSurvivesEdit(t *testing.T) {
 	s := NewStore()
-	replicaSeed(t, s, 1)
-	r := NewReplica(s)
-	got, _ := r.List(Query{})
-	// Overwrite the issue in the store; the previously returned slice
-	// must keep the old value.
-	mod := got[0]
+	replicaSeed(t, s, 4)
+	r := NewReplica(s, encodeCanonical)
+	old, _ := r.List(Query{})
+	oldWire := make([]string, len(old))
+	for i, e := range old {
+		oldWire[i] = string(e.Wire)
+	}
+	mod := *old[1].Issue
 	mod.Title = "rewritten"
+	mod.Labels = []string{"edited"}
 	if err := s.Put(mod); err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Title != "t" {
-		t.Fatalf("replica result mutated by a later store write: %q", got[0].Title)
+	for i, e := range old {
+		if e.Issue.Title != "t" || e.Issue.Labels != nil || string(e.Wire) != oldWire[i] {
+			t.Fatalf("old page entry %d changed after a store write: %+v %s", i, *e.Issue, e.Wire)
+		}
+	}
+	cur, ok := r.Get(mod.ID)
+	if !ok || cur.Issue.Title != "rewritten" || !strings.Contains(string(cur.Wire), "rewritten") {
+		t.Fatalf("replica missed the edit: %+v %s", cur.Issue, cur.Wire)
+	}
+	checkWire(t, []Encoded{cur})
+}
+
+// TestReplicaRefreshReencodesOnlyReplacedIssues: the order-preserving
+// fast path swaps in only the replaced issues; a creation-time change
+// or a new ID falls back to a full rebuild that still reuses the bytes
+// of every unchanged issue.
+func TestReplicaRefreshReencodesOnlyReplacedIssues(t *testing.T) {
+	s := NewStore()
+	replicaSeed(t, s, 10)
+	r := NewReplica(s, encodeCanonical)
+	want := func(refreshes, encodes uint64) {
+		t.Helper()
+		if got := r.Stats(); got != (ReplicaStats{Refreshes: refreshes, Encodes: encodes}) {
+			t.Fatalf("stats = %+v, want %d refreshes, %d encodes", got, refreshes, encodes)
+		}
+		page, total := r.List(Query{})
+		wantIss, wantTotal := s.List(Query{})
+		if total != wantTotal || !reflect.DeepEqual(issuesOf(page), wantIss) {
+			t.Fatal("replica order diverged from store")
+		}
+		checkWire(t, page)
+	}
+	r.Len()
+	want(1, 10)
+	r.Len() // no write, no refresh
+	want(1, 10)
+
+	edit := func(id string, change func(*Issue)) {
+		t.Helper()
+		iss, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(&iss)
+		if err := s.Put(iss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := r.view.Load()
+	edit("ONOS-004", func(iss *Issue) { iss.Title = "edited" })
+	edit("ONOS-007", func(iss *Issue) { iss.Status = StatusOpen })
+	r.Len()
+	want(2, 12)
+	if after := r.view.Load(); reflect.ValueOf(after.index).Pointer() != reflect.ValueOf(before.index).Pointer() {
+		t.Error("fast path rebuilt the ID index")
+	}
+
+	// Moving an issue in time reorders the view: full rebuild, one encode.
+	edit("ONOS-002", func(iss *Issue) { iss.Created = iss.Created.Add(time.Hour) })
+	r.Len()
+	want(3, 13)
+
+	// A new ID: full rebuild, one encode.
+	if err := s.Put(Issue{ID: "ONOS-000a", Controller: ONOS, Title: "n",
+		Created: time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)}); err != nil {
+		t.Fatal(err)
+	}
+	r.Len()
+	want(4, 14)
+}
+
+// TestReplicaKeepsEncodeErrors: an issue the encoder rejects stays in
+// the view with its error, and the others keep their bytes.
+func TestReplicaKeepsEncodeErrors(t *testing.T) {
+	s := NewStore()
+	replicaSeed(t, s, 3)
+	bad := errors.New("no wire form")
+	r := NewReplica(s, func(iss *Issue) ([]byte, error) {
+		if iss.ID == "ONOS-001" {
+			return nil, bad
+		}
+		return encodeCanonical(iss)
+	})
+	page, total := r.List(Query{})
+	if total != 3 || len(page) != 3 {
+		t.Fatalf("page of %d, total %d", len(page), total)
+	}
+	for _, e := range page {
+		if (e.Err != nil) != (e.Issue.ID == "ONOS-001") || (e.Err != nil && !errors.Is(e.Err, bad)) {
+			t.Errorf("%s: err %v", e.Issue.ID, e.Err)
+		}
 	}
 }
 
+// TestReplicaPublishNeverRegresses: a refresh that finishes after a
+// newer view was published leaves the newer view in place.
+func TestReplicaPublishNeverRegresses(t *testing.T) {
+	s := NewStore()
+	replicaSeed(t, s, 2)
+	r := NewReplica(s, encodeCanonical)
+	base := r.refresh()
+	stale := r.build(base) // a slow refresh, still at base's version
+	if err := s.Put(Issue{ID: "ONOS-new", Controller: ONOS, Title: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	newer := r.refresh()
+	if got := r.publish(base, stale); got != newer || r.view.Load() != newer {
+		t.Fatalf("stale view (version %d) replaced the newer one (version %d)", stale.version, newer.version)
+	}
+	if newer.version != s.Version() {
+		t.Fatalf("view version %d, store %d", newer.version, s.Version())
+	}
+}
+
+// TestReplicaConcurrentReadersAndWriters runs ingest of new and edited
+// issues beside concurrent list and get traffic; under -race it
+// checks that views never share mutable state with the store.
 func TestReplicaConcurrentReadersAndWriters(t *testing.T) {
 	s := NewStore()
 	replicaSeed(t, s, 10)
-	r := NewReplica(s)
+	r := NewReplica(s, encodeCanonical)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -98,6 +265,8 @@ func TestReplicaConcurrentReadersAndWriters(t *testing.T) {
 			}
 			_ = s.Put(Issue{ID: fmt.Sprintf("W-%d", i), Controller: CORD,
 				Title: "w", Created: base.Add(time.Duration(i) * time.Second)})
+			_ = s.Put(Issue{ID: fmt.Sprintf("ONOS-%03d", i%10), Controller: ONOS,
+				Title: fmt.Sprintf("edit %d", i), Created: time.Date(2019, 1, 1, 0, i%10, 0, 0, time.UTC)})
 		}
 	}()
 	for g := 0; g < 4; g++ {
@@ -105,10 +274,18 @@ func TestReplicaConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				iss, total := r.List(Query{Limit: 25})
-				if len(iss) > 25 || total < 10 {
-					t.Errorf("inconsistent page: %d issues, total %d", len(iss), total)
+				page, total := r.List(Query{Limit: 25})
+				if len(page) > 25 || total < 10 {
+					t.Errorf("inconsistent page: %d issues, total %d", len(page), total)
 					return
+				}
+				e, ok := r.Get(fmt.Sprintf("ONOS-%03d", i%10))
+				if !ok {
+					t.Errorf("Get lost ONOS-%03d", i%10)
+					return
+				}
+				if i%50 == 0 {
+					checkWire(t, append(page, e))
 				}
 			}
 		}()

@@ -257,7 +257,9 @@ func NewStore() *Store {
 	return &Store{issues: make(map[string]*Issue)}
 }
 
-// Put inserts or replaces an issue (copied).
+// Put inserts or replaces an issue (copied). It always installs a
+// fresh *Issue and never mutates one it has installed, so an installed
+// issue is immutable: Replica views alias them instead of copying.
 func (s *Store) Put(issue Issue) error {
 	if issue.ID == "" {
 		return errors.New("tracker: issue ID required")
@@ -313,7 +315,8 @@ type Query struct {
 	Status Status
 	// CreatedAfter / CreatedBefore bound the creation time when non-zero.
 	CreatedAfter, CreatedBefore time.Time
-	// Offset and Limit paginate (Limit 0 = no limit).
+	// Offset and Limit paginate (Limit ≤ 0 = no limit; a negative
+	// Offset counts as 0).
 	Offset, Limit int
 }
 
@@ -343,7 +346,7 @@ func (q Query) paginate(matched []*Issue) []*Issue {
 	if q.Offset > len(matched) {
 		return nil
 	}
-	matched = matched[q.Offset:]
+	matched = matched[max(q.Offset, 0):]
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}

@@ -139,19 +139,15 @@ func (s *Service) mountProject(cfg Config, tc TenantConfig, pc ProjectConfig, li
 		_ = d.Close()
 		return fmt.Errorf("trackerd: load shard %s: %w", key, err)
 	}
-	shard := &Shard{
-		Tenant:  tc.Name,
-		Project: pc.Name,
-		DS:      ds,
-		Replica: tracker.NewReplica(ds.Store()),
-	}
+	shard := &Shard{Tenant: tc.Name, Project: pc.Name, DS: ds}
 	s.shards[key] = shard
 	s.order = append(s.order, key)
 
 	prefix := "/t/" + key
 	switch pc.Dialect {
 	case DialectJIRA:
-		api := &jiraAPI{src: shard.Replica}
+		api := newJIRAAPI(ds.Store())
+		shard.Replica = api.src
 		s.mux.HandleFunc("GET "+prefix+"/rest/api/2/search", limiter.wrap(api.handleSearch))
 		s.mux.HandleFunc("GET "+prefix+"/rest/api/2/issue/{key}", limiter.wrap(api.handleIssue))
 	case DialectGitHub:
@@ -163,7 +159,8 @@ func (s *Service) mountProject(cfg Config, tc TenantConfig, pc ProjectConfig, li
 		if !ok || owner == "" || name == "" {
 			return fmt.Errorf("trackerd: project %s: bad repo path %q", key, pc.Repo)
 		}
-		api := &githubAPI{src: shard.Replica, ctl: ctl}
+		api := newGitHubAPI(ds.Store(), ctl)
+		shard.Replica = api.src
 		s.mux.HandleFunc("GET "+prefix+"/repos/"+owner+"/"+name+"/issues", limiter.wrap(api.handleList))
 		s.mux.HandleFunc("GET "+prefix+"/repos/"+owner+"/"+name+"/issues/{number}", limiter.wrap(api.handleGet))
 	default:
@@ -173,9 +170,10 @@ func (s *Service) mountProject(cfg Config, tc TenantConfig, pc ProjectConfig, li
 	return nil
 }
 
-// registerGauges exposes shard sizes and aggregate WAL commit stats at
-// scrape time — the observability seam between the serving layer and
-// the durability layer, without durable importing metrics.
+// registerGauges exposes shard sizes, aggregate WAL commit stats and
+// aggregate replica refresh and encode counts at scrape time — the
+// observability seam between the serving layer and the durability and
+// replica layers, without either importing metrics.
 func (s *Service) registerGauges() {
 	for _, key := range s.order {
 		shard := s.shards[key]
@@ -183,18 +181,20 @@ func (s *Service) registerGauges() {
 			return float64(shard.DS.Len())
 		})
 	}
-	stat := func(pick func(durable.CommitStats) uint64) func() float64 {
+	sum := func(pick func(*Shard) uint64) func() float64 {
 		return func() float64 {
 			var total uint64
 			for _, shard := range s.shards {
-				total += pick(shard.DS.Durable().CommitStats())
+				total += pick(shard)
 			}
 			return float64(total)
 		}
 	}
-	s.reg.GaugeFunc("durable.records", stat(func(c durable.CommitStats) uint64 { return c.Records }))
-	s.reg.GaugeFunc("durable.syncs", stat(func(c durable.CommitStats) uint64 { return c.Syncs }))
-	s.reg.GaugeFunc("durable.batches", stat(func(c durable.CommitStats) uint64 { return c.Batches }))
+	s.reg.GaugeFunc("durable.records", sum(func(sh *Shard) uint64 { return sh.DS.Durable().CommitStats().Records }))
+	s.reg.GaugeFunc("durable.syncs", sum(func(sh *Shard) uint64 { return sh.DS.Durable().CommitStats().Syncs }))
+	s.reg.GaugeFunc("durable.batches", sum(func(sh *Shard) uint64 { return sh.DS.Durable().CommitStats().Batches }))
+	s.reg.GaugeFunc("replica.refreshes", sum(func(sh *Shard) uint64 { return sh.Replica.Stats().Refreshes }))
+	s.reg.GaugeFunc("replica.encodes", sum(func(sh *Shard) uint64 { return sh.Replica.Stats().Encodes }))
 }
 
 // ServeHTTP implements http.Handler.

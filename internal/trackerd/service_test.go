@@ -380,6 +380,41 @@ func TestIngestRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestIngestThenReadReencodesOneIssue: after the first read encodes a
+// shard, one ingest of an edit followed by one read re-encodes exactly
+// the edited issue, as the replica.* gauges report.
+func TestIngestThenReadReencodesOneIssue(t *testing.T) {
+	svc := newService(t)
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	var jira []tracker.Issue
+	for _, iss := range seedIssues(t) {
+		if iss.Controller != tracker.FAUCET {
+			jira = append(jira, iss)
+		}
+	}
+	ingest(t, srv.URL, "alpha", "bugs", jira)
+	gauges := func() (refreshes, encodes float64) {
+		g := svc.Metrics().Snapshot().Gauges
+		return g["replica.refreshes"], g["replica.encodes"]
+	}
+	search := srv.URL + "/t/alpha/bugs/rest/api/2/search"
+	get(t, search)
+	r0, e0 := gauges()
+	if r0 != 1 || e0 != float64(len(jira)) {
+		t.Fatalf("first read: %v refreshes, %v encodes; want 1, %d", r0, e0, len(jira))
+	}
+	edit := jira[0]
+	edit.Title = "edited title"
+	ingest(t, srv.URL, "alpha", "bugs", []tracker.Issue{edit})
+	if _, _, body := get(t, search); !strings.Contains(string(body), "edited title") {
+		t.Fatalf("read after ingest misses the edit: %s", body)
+	}
+	if r1, e1 := gauges(); r1 != r0+1 || e1 != e0+1 {
+		t.Errorf("ingest + read: %v refreshes, %v encodes; want %v, %v", r1, e1, r0+1, e0+1)
+	}
+}
+
 // TestReplicaServesWhileWriterBlocks: list reads come from the replica
 // snapshot and must not be serialized behind a slow ingest.
 func TestReplicaServesWhileWriterBlocks(t *testing.T) {

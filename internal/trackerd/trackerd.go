@@ -6,7 +6,9 @@
 //   - serving: NewJIRAHandler and NewGitHubHandler answer from a
 //     single in-memory tracker.Store, and the multi-tenant Service
 //     (service.go) mounts the same dialects for N tenants × M
-//     projects, each backed by its own crash-consistent durable shard;
+//     projects, each backed by its own crash-consistent durable shard.
+//     Both read through a tracker.Replica that keeps every issue's
+//     wire encoding, and splice those bytes into the response;
 //   - mining: Client (client.go) pages a JIRASearch or GitHubList
 //     through one hardened, resumable paging loop.
 package trackerd
@@ -19,30 +21,9 @@ import (
 	"sdnbugs/internal/tracker"
 )
 
-// Source is the read surface a dialect serves from: the in-memory
-// tracker.Store (via storeSource) for the single-store handlers, or a
-// snapshot-serving tracker.Replica for the durable shards of a
-// Service, where list traffic must never block writers.
-type Source interface {
-	List(q tracker.Query) ([]tracker.Issue, int)
-	Get(id string) (tracker.Issue, bool)
-}
-
-// storeSource adapts a *tracker.Store to the Source interface.
-type storeSource struct {
-	store *tracker.Store
-}
-
-func (s storeSource) List(q tracker.Query) ([]tracker.Issue, int) { return s.store.List(q) }
-
-func (s storeSource) Get(id string) (tracker.Issue, bool) {
-	iss, err := s.store.Get(id)
-	return iss, err == nil
-}
-
 // NewJIRAHandler serves the JIRA /rest/api/2 dialect from store.
 func NewJIRAHandler(store *tracker.Store) http.Handler {
-	api := &jiraAPI{src: storeSource{store}}
+	api := newJIRAAPI(store)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /rest/api/2/search", api.handleSearch)
 	mux.HandleFunc("GET /rest/api/2/issue/{key}", api.handleIssue)
@@ -52,7 +33,7 @@ func NewJIRAHandler(store *tracker.Store) http.Handler {
 // NewGitHubHandler serves the GitHub issues dialect for the repository
 // path owner/name from store, whose issues carry "FAUCET#N" IDs.
 func NewGitHubHandler(store *tracker.Store, owner, name string) http.Handler {
-	api := &githubAPI{src: storeSource{store}, ctl: tracker.FAUCET}
+	api := newGitHubAPI(store, tracker.FAUCET)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /repos/"+owner+"/"+name+"/issues", api.handleList)
 	mux.HandleFunc("GET /repos/"+owner+"/"+name+"/issues/{number}", api.handleGet)
@@ -80,4 +61,47 @@ func writeJSON(w http.ResponseWriter, v any) {
 		// Headers are already written; nothing more we can do.
 		return
 	}
+}
+
+// comma separates the elements of a spliced JSON array; newline ends
+// a single spliced issue, as json.Encoder ends every value.
+var comma, newline = []byte{','}, []byte{'\n'}
+
+// writePage answers with head, then page's pre-encoded issues as a JSON
+// array (or empty when page is), then tail — the bytes json.Encoder
+// writes for the same values. The pieces go straight to w, which
+// buffers them, so no response is assembled in memory. An encoding
+// error answers 500 before anything is written.
+func writePage(w http.ResponseWriter, head []byte, page []tracker.Encoded, empty, tail string) {
+	for _, e := range page {
+		if e.Err != nil {
+			http.Error(w, e.Err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if len(page) == 0 {
+		_, _ = w.Write(append(append(head, empty...), tail...))
+		return
+	}
+	_, _ = w.Write(append(head, '['))
+	for i, e := range page {
+		if i > 0 {
+			_, _ = w.Write(comma)
+		}
+		_, _ = w.Write(e.Wire)
+	}
+	_, _ = w.Write(append(append(head[:0], ']'), tail...))
+}
+
+// writeIssue answers with one pre-encoded issue and json.Encoder's
+// trailing newline, or 500 when it could not be encoded.
+func writeIssue(w http.ResponseWriter, e tracker.Encoded) {
+	if e.Err != nil {
+		http.Error(w, e.Err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(e.Wire)
+	_, _ = w.Write(newline)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -120,13 +121,31 @@ func IssueNumber(id string) (int, error) {
 // githubAPI is the GitHub dialect of the serving engine, answering for
 // a single repository whose issues carry "<ctl>#N" IDs.
 type githubAPI struct {
-	src Source
+	src *tracker.Replica
 	ctl tracker.Controller
 }
 
-func (a *githubAPI) handleList(w http.ResponseWriter, r *http.Request) {
-	qs := r.URL.Query()
-	q := tracker.Query{Controller: a.ctl}
+// newGitHubAPI serves store's ctl issues through a replica of GitHub
+// wire encodings.
+func newGitHubAPI(store *tracker.Store, ctl tracker.Controller) *githubAPI {
+	return &githubAPI{src: tracker.NewReplica(store, encodeGitHub), ctl: ctl}
+}
+
+// encodeGitHub is the GitHub dialect's replica encoder: the bytes
+// json.Encoder writes for ToGHWire(*iss), minus its newline, or
+// ToGHWire's error for an ID without a number.
+func encodeGitHub(iss *tracker.Issue) ([]byte, error) {
+	wi, err := ToGHWire(*iss)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(wi)
+}
+
+// githubQuery parses the GitHub list parameters for ctl's issues:
+// state, page (from 1) and per_page (default 30, at most 100).
+func githubQuery(qs url.Values, ctl tracker.Controller) tracker.Query {
+	q := tracker.Query{Controller: ctl}
 	switch qs.Get("state") {
 	case "closed":
 		q.Status = tracker.StatusClosed
@@ -143,35 +162,21 @@ func (a *githubAPI) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	q.Offset = (page - 1) * perPage
 	q.Limit = perPage
+	return q
+}
 
-	issues, _ := a.src.List(q)
-	out := make([]GHIssue, 0, len(issues))
-	for _, iss := range issues {
-		wi, err := ToGHWire(iss)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		out = append(out, wi)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+func (a *githubAPI) handleList(w http.ResponseWriter, r *http.Request) {
+	page, _ := a.src.List(githubQuery(r.URL.Query(), a.ctl))
+	writePage(w, nil, page, "[]", "\n")
 }
 
 func (a *githubAPI) handleGet(w http.ResponseWriter, r *http.Request) {
-	num := r.PathValue("number")
-	iss, ok := a.src.Get(a.ctl.String() + "#" + num)
+	e, ok := a.src.Get(a.ctl.String() + "#" + r.PathValue("number"))
 	if !ok {
 		http.Error(w, "not found", http.StatusNotFound)
 		return
 	}
-	wi, err := ToGHWire(iss)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(wi)
+	writeIssue(w, e)
 }
 
 // atoiGH is the GitHub dialect's parameter rule: empty or malformed

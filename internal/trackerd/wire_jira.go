@@ -1,8 +1,11 @@
 package trackerd
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -184,25 +187,35 @@ func ParseStatusName(name string) tracker.Status {
 
 // jiraAPI is the JIRA dialect of the serving engine.
 type jiraAPI struct {
-	src Source
+	src *tracker.Replica
 }
 
-func (a *jiraAPI) handleSearch(w http.ResponseWriter, r *http.Request) {
+// newJIRAAPI serves store through a replica of JIRA wire encodings.
+func newJIRAAPI(store *tracker.Store) *jiraAPI {
+	return &jiraAPI{src: tracker.NewReplica(store, encodeJIRA)}
+}
+
+// encodeJIRA is the JIRA dialect's replica encoder: the bytes
+// json.Encoder writes for ToJIRAWire(*iss), minus its newline.
+func encodeJIRA(iss *tracker.Issue) ([]byte, error) {
+	return json.Marshal(ToJIRAWire(*iss))
+}
+
+// jiraQuery parses the JIRA search parameters: project, severity,
+// status, startAt and maxResults (default 50, at most 200).
+func jiraQuery(qs url.Values) (tracker.Query, error) {
 	q := tracker.Query{}
-	qs := r.URL.Query()
 	if p := qs.Get("project"); p != "" {
 		ctl, err := tracker.ParseController(p)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return q, err
 		}
 		q.Controller = ctl
 	}
 	if sev := qs.Get("severity"); sev != "" {
 		s, err := tracker.ParseSeverity(strings.ToLower(sev))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return q, err
 		}
 		q.MinSeverity = s
 	}
@@ -214,25 +227,33 @@ func (a *jiraAPI) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if q.Limit > 200 {
 		q.Limit = 200
 	}
+	return q, nil
+}
 
-	issues, total := a.src.List(q)
-	resp := JIRASearchResponse{
-		StartAt:    q.Offset,
-		MaxResults: q.Limit,
-		Total:      total,
+func (a *jiraAPI) handleSearch(w http.ResponseWriter, r *http.Request) {
+	q, err := jiraQuery(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	for _, iss := range issues {
-		resp.Issues = append(resp.Issues, ToJIRAWire(iss))
-	}
-	writeJSON(w, resp)
+	page, total := a.src.List(q)
+	// The JIRASearchResponse envelope, field by field.
+	head := make([]byte, 0, 96)
+	head = append(head, `{"startAt":`...)
+	head = strconv.AppendInt(head, int64(q.Offset), 10)
+	head = append(head, `,"maxResults":`...)
+	head = strconv.AppendInt(head, int64(q.Limit), 10)
+	head = append(head, `,"total":`...)
+	head = strconv.AppendInt(head, int64(total), 10)
+	head = append(head, `,"issues":`...)
+	writePage(w, head, page, "null", "}\n")
 }
 
 func (a *jiraAPI) handleIssue(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	iss, ok := a.src.Get(key)
+	e, ok := a.src.Get(r.PathValue("key"))
 	if !ok {
 		http.Error(w, "issue not found", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, ToJIRAWire(iss))
+	writeIssue(w, e)
 }
