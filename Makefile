@@ -55,12 +55,13 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench 'BenchmarkE09|BenchmarkSuite' -benchtime 1x .
 
-# bench-dataplane-smoke is the zero-alloc dataplane gate: the OpenFlow
-# codec benches fail on any steady-state allocation, and the batched
+# bench-dataplane-smoke is the dataplane allocation gate: the OpenFlow
+# codec benches fail on any steady-state allocation, the batched
 # controller pipeline must hold >= 2x packets/sec over the per-event
-# baseline.
+# baseline, and the 3-replica ensemble slot (Submit, re-punt pump and
+# EndSlot) fails above its measured heap objects per punt.
 bench-dataplane-smoke:
-	$(GO) test -run='^$$' -bench 'BenchmarkOpenFlow|BenchmarkControllerEvents' -benchtime 200x .
+	$(GO) test -run='^$$' -bench 'BenchmarkOpenFlow|BenchmarkControllerEvents|BenchmarkEnsembleSlot' -benchtime 200x .
 
 # bench-tracker-smoke drives the whole served-tracker stack at small
 # scale — multi-tenant service, WAL group commit, kill-and-resume
@@ -77,8 +78,9 @@ bench-tracker-smoke:
 # longest valid prefix of an arbitrarily mangled write-ahead log, the
 # canonical issue codec must stay a byte-stable fixed point, the
 # tracker handlers' spliced pre-encoded pages must equal json.Encoder's
-# bytes, and the fused Pegasos step must fit the same bits as the
-# separate Scale/Axpy/average loops.
+# bytes, the fused Pegasos step must fit the same bits as the
+# separate Scale/Axpy/average loops, and the EthDst-indexed flow table
+# must return the same entry as the linear reference table.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/openflow/
 	$(GO) test -run='^$$' -fuzz=FuzzRoleCodec -fuzztime=10s ./internal/openflow/
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
 	$(GO) test -run='^$$' -fuzz=FuzzFitMatchesReference -fuzztime=10s ./internal/ml/adaboost/
 	$(GO) test -run='^$$' -fuzz=FuzzFitBinaryMatchesReference -fuzztime=10s ./internal/ml/svm/
+	$(GO) test -run='^$$' -fuzz=FuzzFlowTableMatchesReference -fuzztime=10s ./internal/sdn/
 
 # fuzz-perf runs the feedback-guided performance fuzzer (the E24
 # workload) at a real budget and writes the JSON report — worst

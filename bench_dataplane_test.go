@@ -1,22 +1,27 @@
 // The dataplane half of the bench matrix: zero-alloc OpenFlow codec
-// micro-benches plus the end-to-end controller pipeline pair —
-// per-event ReadMessage+Submit against FrameReader.ReadBatch +
-// ProcessBatch — reporting packets/sec. The encode/decode benches
-// double as the CI allocs/op gate: any steady-state allocation fails
-// the bench (`make bench-dataplane-smoke`). This file sorts before
+// micro-benches, the end-to-end controller pipeline pair — per-event
+// ReadMessage+Submit against FrameReader.ReadBatch + ProcessBatch —
+// reporting packets/sec, and the 3-replica ensemble slot. The
+// encode/decode benches and the ensemble bench double as the CI
+// allocation gate (`make bench-dataplane-smoke`): any steady-state
+// codec allocation fails, and so does an ensemble slot above its
+// measured heap objects per punt. This file sorts before
 // bench_test.go, so the rows recorded here are present when the suite
 // benchmarks persist BENCH_JSON.
 package sdnbugs
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
+	"sdnbugs/internal/cluster"
 	"sdnbugs/internal/ofconn"
 	"sdnbugs/internal/openflow"
 	"sdnbugs/internal/sdn"
+	"sdnbugs/internal/supervise"
 )
 
 // pipelinePackets is how many punted packets each pipeline iteration
@@ -249,5 +254,126 @@ func BenchmarkControllerEventsBatched(b *testing.B) {
 			b.Fatalf("batched pipeline %.0f packets/sec is only %.2fx serial (%.0f), want >= 2x",
 				pps, speedup, serial)
 		}
+	}
+}
+
+// The ensemble bench's topology and slot size mirror perfbench
+// flowsetup: a line of 4 switches with 16 hosts each (ports 1..16,
+// port 17 towards the lower dpid, port 18 towards the higher), 10 %
+// broadcast punts, and one EndSlot per 64-punt read batch.
+const (
+	ensembleSwitches  = 4
+	ensembleHosts     = 16
+	ensembleSlotPunts = 64
+	ensembleMaxPump   = 32
+	// ensembleAllocsPerPunt gates BenchmarkEnsembleSlot: heap objects
+	// per punt across Submit, the re-punt pump and EndSlot on all
+	// three replicas, measured with the prepared punts owned up front.
+	ensembleAllocsPerPunt = 1.7
+)
+
+func ensembleHostMAC(d, p int) uint64 { return uint64(d)<<8 | uint64(p) }
+
+// ensembleNetwork builds one replica's copy of the line topology.
+func ensembleNetwork() (*sdn.Network, error) {
+	n := sdn.NewNetwork()
+	for d := 1; d <= ensembleSwitches; d++ {
+		n.AddSwitch(uint64(d), ensembleHosts+2)
+		for p := 1; p <= ensembleHosts; p++ {
+			if err := n.AddHost(ensembleHostMAC(d, p), sdn.PortRef{DPID: uint64(d), Port: uint32(p)}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for d := 1; d < ensembleSwitches; d++ {
+		if err := n.AddLink(sdn.PortRef{DPID: uint64(d), Port: ensembleHosts + 2},
+			sdn.PortRef{DPID: uint64(d + 1), Port: ensembleHosts + 1}); err != nil {
+			return nil, err
+		}
+	}
+	return n, nil
+}
+
+// ensemblePunts draws n owned table-miss punts from a fixed seed: a
+// random source host and, for 90 % of them, a random other host as
+// destination.
+func ensemblePunts(n int) []sdn.Event {
+	rng := rand.New(rand.NewSource(1))
+	events := make([]sdn.Event, n)
+	for i := range events {
+		d, p := 1+rng.Intn(ensembleSwitches), 1+rng.Intn(ensembleHosts)
+		pkt := sdn.Packet{EthSrc: ensembleHostMAC(d, p), EthDst: sdn.BroadcastMAC, EthType: 0x0806}
+		if rng.Float64() >= 0.10 {
+			for pkt.EthDst == sdn.BroadcastMAC || pkt.EthDst == pkt.EthSrc {
+				pkt.EthDst = ensembleHostMAC(1+rng.Intn(ensembleSwitches), 1+rng.Intn(ensembleHosts))
+			}
+			pkt.EthType = 0x0800
+		}
+		events[i] = sdn.Event{Kind: sdn.EventNetwork, Msg: &openflow.PacketIn{
+			DatapathID: uint64(d), InPort: uint32(p), Data: sdn.EncodePacket(pkt)}}
+	}
+	return events
+}
+
+// BenchmarkEnsembleSlot is the replicated controller path perfbench
+// flowsetup runs, without the wire: each 64-punt slot submits every
+// punt to a 3-replica cluster.Ensemble of L2Switch, pumps the
+// primary's re-punts, drains its deliveries and calls EndSlot, which
+// replays the slot on both standbys. It reports ns and heap objects
+// per punt and fails above ensembleAllocsPerPunt.
+func BenchmarkEnsembleSlot(b *testing.B) {
+	ens, err := cluster.New(cluster.Config{Factory: func() (*sdn.Controller, error) {
+		n, err := ensembleNetwork()
+		if err != nil {
+			return nil, err
+		}
+		return sdn.NewController(n, sdn.NewEnvironment(), sdn.NewL2Switch(nil)), nil
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	punts := ensemblePunts(pipelinePackets)
+	submit := func(ev sdn.Event) {
+		if out := ens.Submit(ev); out != supervise.OutcomeProcessed {
+			b.Fatalf("ensemble submit: %v", out)
+		}
+	}
+	run := func() {
+		for s := 0; s < len(punts); s += ensembleSlotPunts {
+			for _, ev := range punts[s : s+ensembleSlotPunts] {
+				submit(ev)
+				net := ens.Primary().C.Net
+				for round := 0; round < ensembleMaxPump; round++ {
+					pis := net.DrainPacketIns()
+					if len(pis) == 0 {
+						break
+					}
+					for j := range pis {
+						submit(sdn.Event{Kind: sdn.EventNetwork, Msg: &pis[j]})
+					}
+				}
+			}
+			ens.Primary().C.Net.DrainDeliveries()
+			ens.EndSlot()
+		}
+	}
+	run() // learn every MAC and install the flows before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	if !ens.Converged() {
+		b.Fatal("standbys did not converge")
+	}
+	nsPerPunt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(punts))
+	// A fixed run count keeps the gated figure independent of b.N.
+	allocs := testing.AllocsPerRun(20, run) / float64(len(punts))
+	b.ReportMetric(nsPerPunt, "ns/punt")
+	b.ReportMetric(allocs, "allocs/punt")
+	recordDataplane(benchDataplane{Name: "ensemble_slot", NsPerOp: nsPerPunt, AllocsPerOp: allocs})
+	if allocs > ensembleAllocsPerPunt {
+		b.Fatalf("ensemble slot: %.2f allocs/punt, want <= %.2f", allocs, ensembleAllocsPerPunt)
 	}
 }

@@ -37,6 +37,11 @@ const (
 	// LeaseTickCost is how many ticks of downtime one slot of expired
 	// lease costs while standbys wait out the primary's lease.
 	LeaseTickCost = 4
+	// DefaultInboxCapacity is the default per-standby replication
+	// ring: the most log events one slot ships to a standby. A longer
+	// suffix is deferred to later slots and counted in
+	// cluster_inbox_deferred_total.
+	DefaultInboxCapacity = 4096
 )
 
 // Config tunes an Ensemble.
@@ -47,7 +52,7 @@ type Config struct {
 	// standby waits before starting an election (default 3).
 	LeaseSlots int
 	// InboxCapacity bounds the replication batch ring per standby
-	// (default 4096 events per slot).
+	// (default DefaultInboxCapacity events per slot).
 	InboxCapacity int
 	// Factory builds one replica's controller. Every replica must be
 	// built identically — replication assumes replaying the same log
@@ -69,7 +74,7 @@ func (c Config) withDefaults() Config {
 		c.LeaseSlots = 3
 	}
 	if c.InboxCapacity <= 0 {
-		c.InboxCapacity = 4096
+		c.InboxCapacity = DefaultInboxCapacity
 	}
 	return c
 }
@@ -536,8 +541,7 @@ func (e *Ensemble) recoverDurableLog(oldID, winner int, retry **sdn.Event) int {
 	suffix := old.C.Log[len(win.C.Log):]
 	before := win.C.Stats.TotalCost
 	win.C.ProcessBatch(suffix)
-	win.C.Net.DrainPacketIns()
-	win.C.Net.DrainDeliveries()
+	win.C.Net.ClearQueues()
 	if *retry != nil && sameEvent(suffix[len(suffix)-1], **retry) {
 		*retry = nil
 	}
@@ -594,7 +598,8 @@ func (e *Ensemble) EndSlot() {
 
 // catchUp ships the primary's log suffix to one standby and applies
 // it. The inbox ring bounds one slot's shipment; a lagging standby
-// finishes catching up over subsequent slots.
+// finishes catching up over subsequent slots, and the events left for
+// them are counted in cluster_inbox_deferred_total.
 func (e *Ensemble) catchUp(rep *Replica) int {
 	p := e.Primary()
 	if rep.C.State == sdn.StateCrashed || len(rep.C.Log) >= len(p.C.Log) {
@@ -602,6 +607,9 @@ func (e *Ensemble) catchUp(rep *Replica) int {
 	}
 	suffix := p.C.Log[len(rep.C.Log):]
 	n := rep.inbox.EnqueueAll(suffix)
+	if n < len(suffix) && e.cfg.Metrics != nil {
+		e.cfg.Metrics.Counter("cluster_inbox_deferred_total").Add(uint64(len(suffix) - n))
+	}
 	if n == 0 {
 		return 0
 	}
@@ -611,9 +619,9 @@ func (e *Ensemble) catchUp(rep *Replica) int {
 	// The standby's dataplane echoes (punts, deliveries) from
 	// replaying traffic events are shadows of work the primary
 	// already served; a promoted standby must start with clean
-	// queues.
-	rep.C.Net.DrainPacketIns()
-	rep.C.Net.DrainDeliveries()
+	// queues. Emptying them in place keeps their capacity for the
+	// next slot.
+	rep.C.Net.ClearQueues()
 	return len(batch)
 }
 

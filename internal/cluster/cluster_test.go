@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sdnbugs/internal/metrics"
 	"sdnbugs/internal/openflow"
 	"sdnbugs/internal/sdn"
 	"sdnbugs/internal/supervise"
@@ -387,5 +388,47 @@ func trafficPacketIn(dpid uint64, inPort uint32, src, dst uint64) *openflow.Pack
 		DatapathID: dpid,
 		InPort:     inPort,
 		Data:       sdn.EncodePacket(sdn.Packet{EthSrc: src, EthDst: dst}),
+	}
+}
+
+// A slot whose log suffix overruns a standby's inbox ring ships what
+// fits, counts the rest as deferred, and the standby converges over
+// the following slots.
+func TestInboxOverrunDefersToLaterSlots(t *testing.T) {
+	const inbox, events = 8, 20
+	reg := metrics.NewRegistry()
+	e, err := New(Config{Replicas: 3, InboxCapacity: inbox, Factory: testFactory, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range workload(events) {
+		if out := e.Submit(ev); out != supervise.OutcomeProcessed {
+			t.Fatalf("event %d: outcome %v", i, out)
+		}
+	}
+	deferred := reg.Counter("cluster_inbox_deferred_total")
+	e.EndSlot()
+	if got, want := deferred.Value(), uint64(2*(events-inbox)); got != want {
+		t.Fatalf("after one slot: deferred %d, want %d", got, want)
+	}
+	for _, rep := range e.Reps[1:] {
+		if len(rep.C.Log) != inbox {
+			t.Fatalf("replica %d shipped %d events in one slot, want %d", rep.ID, len(rep.C.Log), inbox)
+		}
+	}
+	for slot := 0; slot < 2; slot++ {
+		e.EndSlot()
+	}
+	if !e.Converged() {
+		t.Fatal("standbys did not converge over the following slots")
+	}
+	if got, want := deferred.Value(), uint64(2*(events-inbox+events-2*inbox)); got != want {
+		t.Fatalf("deferred %d after convergence, want %d", got, want)
+	}
+	want := StateFingerprint(e.Primary().C)
+	for _, rep := range e.Reps {
+		if got := StateFingerprint(rep.C); got != want {
+			t.Fatalf("replica %d fingerprint %s != primary %s", rep.ID, got, want)
+		}
 	}
 }

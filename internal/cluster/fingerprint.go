@@ -45,6 +45,7 @@ func StateFingerprint(c *sdn.Controller) string {
 
 	// The event log, by value. Network messages hash as their encoded
 	// frames, so two logs are equal only if they replay identically.
+	var frame []byte
 	u64(uint64(len(c.Log)))
 	for _, ev := range c.Log {
 		u64(uint64(ev.Seq))
@@ -54,7 +55,8 @@ func StateFingerprint(c *sdn.Controller) string {
 		str(ev.Service)
 		u64(ev.DPID)
 		if ev.Msg != nil {
-			frame, err := openflow.Encode(ev.Msg, 0)
+			var err error
+			frame, err = openflow.AppendEncode(frame[:0], ev.Msg, 0)
 			if err != nil {
 				str(fmt.Sprintf("unencodable:%v", err))
 			} else {

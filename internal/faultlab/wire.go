@@ -161,7 +161,7 @@ func WireEpisode(kind WireFaultKind, rng *rand.Rand) (faultErr error, err error)
 
 // mustEncodeProbe frames the canonical probe packet-in.
 func mustEncodeProbe() []byte {
-	frame, err := openflow.Encode(&openflow.PacketIn{
+	frame, err := openflow.AppendEncode(nil, &openflow.PacketIn{
 		DatapathID: 1, InPort: 2,
 		Data: sdn.EncodePacket(sdn.Packet{EthDst: sdn.BroadcastMAC, EthType: 0x0806}),
 	}, 99)

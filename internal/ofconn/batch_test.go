@@ -96,7 +96,7 @@ func TestFrameReaderReassemblesSplitFrames(t *testing.T) {
 			frames, err := fr.ReadBatch(nil)
 			for _, f := range frames {
 				// Frames die on the next ReadBatch; keep a re-encoded copy.
-				b, encErr := openflow.Encode(f.Msg, f.Xid)
+				b, encErr := openflow.AppendEncode(nil, f.Msg, f.Xid)
 				if encErr != nil {
 					t.Fatal(encErr)
 				}

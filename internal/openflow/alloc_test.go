@@ -40,7 +40,7 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 func TestCodecDecodeZeroAlloc(t *testing.T) {
 	var frames [][]byte
 	for _, m := range sampleMessages() {
-		f, err := Encode(m, 1)
+		f, err := AppendEncode(nil, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestCodecDecodeZeroAlloc(t *testing.T) {
 // The convenience ReadMessage should be down to one allocation per
 // frame (the frame buffer); it used to make two.
 func TestReadMessageSingleAlloc(t *testing.T) {
-	frame, err := Encode(&EchoRequest{Data: []byte("x")}, 1)
+	frame, err := AppendEncode(nil, &EchoRequest{Data: []byte("x")}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,20 +27,13 @@ func sampleMessages() []Message {
 	}
 }
 
-// AppendEncode must produce byte-identical frames to the historical
-// Encode path, including when appending after existing bytes.
-func TestAppendEncodeMatchesEncode(t *testing.T) {
+// AppendEncode appends the same frame after existing bytes as into an
+// empty buffer, and leaves those bytes intact.
+func TestAppendEncodeAfterPrefix(t *testing.T) {
 	for _, msg := range sampleMessages() {
-		want, err := Encode(msg, 77)
-		if err != nil {
-			t.Fatalf("Encode(%v): %v", msg.Type(), err)
-		}
-		got, err := AppendEncode(nil, msg, 77)
+		want, err := AppendEncode(nil, msg, 77)
 		if err != nil {
 			t.Fatalf("AppendEncode(%v): %v", msg.Type(), err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("AppendEncode(%v) = %x, want %x", msg.Type(), got, want)
 		}
 		prefix := []byte("prefix")
 		appended, err := AppendEncode(append([]byte(nil), prefix...), msg, 77)
@@ -72,7 +65,7 @@ func TestCodecDecodeReusedScratchTruncates(t *testing.T) {
 	c := NewZeroCopyCodec()
 	decode := func(msg Message, xid uint32) Message {
 		t.Helper()
-		frame, err := Encode(msg, xid)
+		frame, err := AppendEncode(nil, msg, xid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,9 +91,9 @@ func TestCodecDecodeAllTypes(t *testing.T) {
 	t.Run("zero-copy", func(t *testing.T) {
 		c := NewZeroCopyCodec()
 		for _, msg := range sampleMessages() {
-			frame, err := Encode(msg, 55)
+			frame, err := AppendEncode(nil, msg, 55)
 			if err != nil {
-				t.Fatalf("Encode(%v): %v", msg.Type(), err)
+				t.Fatalf("AppendEncode(%v): %v", msg.Type(), err)
 			}
 			got, xid, rest, err := c.Decode(frame)
 			if err != nil {
@@ -119,7 +112,7 @@ func TestCodecDecodeAllTypes(t *testing.T) {
 // Codec decodes must alias the input buffer; the allocating Decode
 // must not.
 func TestCodecAliasing(t *testing.T) {
-	frame, err := Encode(&PacketIn{DatapathID: 1, InPort: 2, Data: []byte("alias-me")}, 9)
+	frame, err := AppendEncode(nil, &PacketIn{DatapathID: 1, InPort: 2, Data: []byte("alias-me")}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func seedFrames(t interface{ Fatalf(string, ...any) }) [][]byte {
 	}
 	var frames [][]byte
 	for _, m := range msgs {
-		frame, err := Encode(m, 77)
+		frame, err := AppendEncode(nil, m, 77)
 		if err != nil {
 			t.Fatalf("encode %v: %v", m.Type(), err)
 		}
@@ -72,7 +72,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// A cleanly decoded message must re-encode, and the re-encoded
 		// frame must decode to the same type and xid (byte identity is
 		// not required: encoding canonicalizes lengths).
-		frame, err := Encode(msg, xid)
+		frame, err := AppendEncode(nil, msg, xid)
 		if err != nil {
 			t.Fatalf("re-encode %v: %v", msg.Type(), err)
 		}
@@ -126,7 +126,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		out, err := Encode(msg, xid)
+		out, err := AppendEncode(nil, msg, xid)
 		if err != nil {
 			t.Fatalf("re-encode %v: %v", msg.Type(), err)
 		}

@@ -6,11 +6,12 @@
 // structures use fixed layouts rather than full OXM TLVs, which is all
 // the simulated dataplane requires.
 //
-// Encode, Decode, ReadMessage and WriteMessage allocate a fresh frame
-// or message per call, and the caller owns the result. Two calls are
+// Decode, ReadMessage and WriteMessage allocate a fresh frame or
+// message per call, and the caller owns the result. Two calls are
 // allocation-free in steady state: AppendEncode frames into a
-// caller-provided buffer, and a Codec decodes zero-copy into reusable
-// per-type message scratch whose payload fields alias the input frame.
+// caller-provided buffer (a nil one gives a fresh frame), and a Codec
+// decodes zero-copy into reusable per-type message scratch whose
+// payload fields alias the input frame.
 // The batched read path (ofconn.FrameReader) is built on the Codec.
 package openflow
 
@@ -630,11 +631,6 @@ func AppendEncode(dst []byte, msg Message, xid uint32) ([]byte, error) {
 	return dst, nil
 }
 
-// Encode frames msg with the given transaction id into a fresh buffer.
-func Encode(msg Message, xid uint32) ([]byte, error) {
-	return AppendEncode(nil, msg, xid)
-}
-
 // parseHeader validates a frame header and returns the framed length
 // and xid.
 func parseHeader(b []byte) (length int, xid uint32, err error) {
@@ -696,7 +692,7 @@ func ReadMessage(r io.Reader) (Message, uint32, error) {
 
 // WriteMessage frames and writes one message to w.
 func WriteMessage(w io.Writer, msg Message, xid uint32) error {
-	b, err := Encode(msg, xid)
+	b, err := AppendEncode(nil, msg, xid)
 	if err != nil {
 		return err
 	}

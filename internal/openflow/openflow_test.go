@@ -10,7 +10,7 @@ import (
 
 func roundTrip(t *testing.T, msg Message, xid uint32) Message {
 	t.Helper()
-	b, err := Encode(msg, xid)
+	b, err := AppendEncode(nil, msg, xid)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -57,26 +57,26 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, _, err := Decode([]byte{1, 2, 3}); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short buffer: %v", err)
 	}
-	b, _ := Encode(&Hello{}, 1)
+	b, _ := AppendEncode(nil, &Hello{}, 1)
 	b[0] = 0x01 // wrong version
 	if _, _, _, err := Decode(b); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
-	b, _ = Encode(&Hello{}, 1)
+	b, _ = AppendEncode(nil, &Hello{}, 1)
 	b[1] = 200 // unknown type
 	if _, _, _, err := Decode(b); !errors.Is(err, ErrBadType) {
 		t.Errorf("bad type: %v", err)
 	}
 	// Truncated body: claim a length longer than the buffer.
-	b, _ = Encode(&EchoRequest{Data: []byte("xyz")}, 1)
+	b, _ = AppendEncode(nil, &EchoRequest{Data: []byte("xyz")}, 1)
 	if _, _, _, err := Decode(b[:9]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated body: %v", err)
 	}
 }
 
 func TestDecodeTrailingBytes(t *testing.T) {
-	b1, _ := Encode(&Hello{}, 1)
-	b2, _ := Encode(&EchoRequest{Data: []byte("x")}, 2)
+	b1, _ := AppendEncode(nil, &Hello{}, 1)
+	b2, _ := AppendEncode(nil, &EchoRequest{Data: []byte("x")}, 2)
 	stream := append(append([]byte{}, b1...), b2...)
 	msg, xid, rest, err := Decode(stream)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestFlowModRoundTripProperty(t *testing.T) {
 				EthType: ethType, VlanID: vlan},
 			Actions: []Action{{Type: ActionOutput, Port: outPort}},
 		}
-		b, err := Encode(fm, xid)
+		b, err := AppendEncode(nil, fm, xid)
 		if err != nil {
 			return false
 		}
@@ -154,7 +154,7 @@ func TestPacketInRoundTripProperty(t *testing.T) {
 			data = data[:60000]
 		}
 		pi := &PacketIn{DatapathID: dp, InPort: inPort, Reason: reason, Data: data}
-		b, err := Encode(pi, xid)
+		b, err := AppendEncode(nil, pi, xid)
 		if err != nil {
 			return false
 		}
@@ -175,7 +175,7 @@ func TestPacketInRoundTripProperty(t *testing.T) {
 }
 
 func TestEncodeTooLarge(t *testing.T) {
-	if _, err := Encode(&EchoRequest{Data: make([]byte, 70000)}, 1); err == nil {
+	if _, err := AppendEncode(nil, &EchoRequest{Data: make([]byte, 70000)}, 1); err == nil {
 		t.Error("want error for oversized message")
 	}
 }

@@ -14,7 +14,7 @@ func TestRoleRoundTrip(t *testing.T) {
 		&RoleReply{Role: RoleMaster, GenerationID: 9},
 	}
 	for _, want := range cases {
-		frame, err := Encode(want, 31)
+		frame, err := AppendEncode(nil, want, 31)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
@@ -41,7 +41,7 @@ func TestRoleRoundTrip(t *testing.T) {
 }
 
 func TestRoleTruncated(t *testing.T) {
-	frame, err := Encode(&RoleRequest{Role: RoleMaster, GenerationID: 5}, 1)
+	frame, err := AppendEncode(nil, &RoleRequest{Role: RoleMaster, GenerationID: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRoleCodecScratch(t *testing.T) {
 	// The reusable Codec must index role types (24/25) without error —
 	// a regression guard for the scratch array's size.
 	c := NewZeroCopyCodec()
-	frame, err := Encode(&RoleReply{Role: RoleMaster, GenerationID: 6}, 2)
+	frame, err := AppendEncode(nil, &RoleReply{Role: RoleMaster, GenerationID: 6}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func FuzzRoleCodec(f *testing.F) {
 		&RoleRequest{Role: RoleNoChange},
 		&RoleReply{Role: RoleSlave, GenerationID: 1 << 40},
 	} {
-		frame, err := Encode(m, 5)
+		frame, err := AppendEncode(nil, m, 5)
 		if err != nil {
 			f.Fatalf("encode: %v", err)
 		}
@@ -114,7 +114,7 @@ func FuzzRoleCodec(f *testing.F) {
 		default:
 			return
 		}
-		frame, err := Encode(msg, xid)
+		frame, err := AppendEncode(nil, msg, xid)
 		if err != nil {
 			t.Fatalf("re-encode %v: %v", msg.Type(), err)
 		}

@@ -102,7 +102,10 @@ func (q *EventQueue) Drain(dst []Event) []Event {
 	return q.ring.PopAll(dst)
 }
 
-// Dropped returns how many events were rejected by a full ring.
+// Dropped returns how many events were rejected by a full ring. The
+// queue keeps no copy of them: a caller that can resend, as the
+// cluster's replication does on the next slot, defers them rather
+// than losing them.
 func (q *EventQueue) Dropped() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -10,6 +10,7 @@ package sdn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sdnbugs/internal/openflow"
@@ -59,71 +60,135 @@ func (e FlowEntry) matches(p Packet, inPort uint32) bool {
 	return true
 }
 
-// FlowTable holds prioritized flow entries.
+// FlowTable holds prioritized flow entries in table order: highest
+// priority first, ties in insertion order. It is indexed by exact
+// EthDst, with a separate list for entries that wildcard EthDst, so
+// Lookup and Add visit only one destination's entries and the
+// wildcard ones. Each list is kept in table order; an insertion stamp
+// orders entries across the lists.
 type FlowTable struct {
-	entries []FlowEntry
+	byDst map[uint64][]flowSlot
+	wild  []flowSlot
+	n     int
+	// seq stamps the next new entry.
+	seq uint64
 }
 
-// Add inserts an entry, replacing an identical-match same-priority one.
+// flowSlot is one stored entry with its insertion stamp.
+type flowSlot struct {
+	FlowEntry
+	seq uint64
+}
+
+// before reports whether s precedes o in table order.
+func (s *flowSlot) before(o *flowSlot) bool {
+	return s.Priority > o.Priority || s.Priority == o.Priority && s.seq < o.seq
+}
+
+// list returns the entries whose match has EthDst dst (0: wildcard).
+func (t *FlowTable) list(dst uint64) []flowSlot {
+	if dst == 0 {
+		return t.wild
+	}
+	return t.byDst[dst]
+}
+
+// setList stores the entries for EthDst dst, dropping an empty list.
+func (t *FlowTable) setList(dst uint64, l []flowSlot) {
+	switch {
+	case dst == 0:
+		t.wild = l
+	case len(l) == 0:
+		delete(t.byDst, dst)
+	default:
+		if t.byDst == nil {
+			t.byDst = make(map[uint64][]flowSlot)
+		}
+		t.byDst[dst] = l
+	}
+}
+
+// Add inserts an entry, replacing an identical-match same-priority one
+// in place. The table copies the actions into storage it owns.
 func (t *FlowTable) Add(e FlowEntry) {
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match == e.Match {
-			t.entries[i] = e
+	l := t.list(e.Match.EthDst)
+	i := 0
+	for ; i < len(l) && l[i].Priority >= e.Priority; i++ {
+		if l[i].Priority == e.Priority && l[i].Match == e.Match {
+			l[i].Actions = append(l[i].Actions[:0], e.Actions...)
 			return
 		}
 	}
-	t.entries = append(t.entries, e)
-	// Highest priority first; stable order by insertion otherwise.
-	sort.SliceStable(t.entries, func(a, b int) bool {
-		return t.entries[a].Priority > t.entries[b].Priority
-	})
+	owned := FlowEntry{Priority: e.Priority, Match: e.Match, Actions: slices.Clone(e.Actions)}
+	t.setList(e.Match.EthDst, slices.Insert(l, i, flowSlot{FlowEntry: owned, seq: t.seq}))
+	t.seq++
+	t.n++
 }
 
 // Delete removes entries with the given match (any priority) and
 // returns how many were removed.
 func (t *FlowTable) Delete(m openflow.Match) int {
-	kept := t.entries[:0]
-	removed := 0
-	for _, e := range t.entries {
-		if e.Match == m {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
+	l := t.list(m.EthDst)
+	kept := slices.DeleteFunc(l, func(s flowSlot) bool { return s.Match == m })
+	removed := len(l) - len(kept)
+	if removed > 0 {
+		t.setList(m.EthDst, kept)
+		t.n -= removed
 	}
-	t.entries = kept
 	return removed
 }
 
 // Clear removes every entry.
-func (t *FlowTable) Clear() { t.entries = nil }
+func (t *FlowTable) Clear() { *t = FlowTable{} }
 
-// Entries returns a deep copy of the table in priority order, for
+// Entries returns a deep copy of the table in table order, for
 // checkpoint-based recovery: mutating the copy (or its actions) never
 // aliases live dataplane state.
 func (t *FlowTable) Entries() []FlowEntry {
-	if len(t.entries) == 0 {
+	if t.n == 0 {
 		return nil
 	}
-	out := make([]FlowEntry, len(t.entries))
-	for i, e := range t.entries {
-		e.Actions = append([]openflow.Action(nil), e.Actions...)
-		out[i] = e
+	all := make([]flowSlot, 0, t.n)
+	all = append(all, t.wild...)
+	for _, l := range t.byDst {
+		all = append(all, l...)
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].before(&all[b]) })
+	out := make([]FlowEntry, len(all))
+	for i, s := range all {
+		s.Actions = append([]openflow.Action(nil), s.Actions...)
+		out[i] = s.FlowEntry
 	}
 	return out
 }
 
 // Len returns the number of entries.
-func (t *FlowTable) Len() int { return len(t.entries) }
+func (t *FlowTable) Len() int { return t.n }
 
-// Lookup returns the highest-priority matching entry, or nil.
+// Lookup returns the first matching entry in table order, or nil.
 func (t *FlowTable) Lookup(p Packet, inPort uint32) *FlowEntry {
-	for i := range t.entries {
-		if t.entries[i].matches(p, inPort) {
-			return &t.entries[i]
+	var hit *flowSlot
+	l := t.byDst[p.EthDst]
+	for i := range l {
+		if l[i].matches(p, inPort) {
+			hit = &l[i]
+			break
 		}
 	}
-	return nil
+	for i := range t.wild {
+		w := &t.wild[i]
+		if hit != nil && !w.before(hit) {
+			break
+		}
+		if w.matches(p, inPort) {
+			hit = w
+			break
+		}
+	}
+	if hit == nil {
+		return nil
+	}
+	return &hit.FlowEntry
 }
 
 // Switch is one simulated datapath.
@@ -131,30 +196,44 @@ type Switch struct {
 	DPID     uint64
 	NumPorts uint32
 	Table    FlowTable
-	portUp   []bool
+	// ports is indexed by port number; index 0 is unused.
+	ports []portState
+}
+
+// portState is one switch port's link state and wiring: a link peer, an
+// attached host, or neither. A port with both delivers to the host.
+type portState struct {
+	up       bool
+	peer     *Switch // nil when no link
+	peerPort uint32
+	hasHost  bool
+	host     uint64 // the attached host's MAC
 }
 
 // NewSwitch builds a switch with all ports up. Port numbers are
 // 1-based, as in OpenFlow.
 func NewSwitch(dpid uint64, numPorts uint32) *Switch {
-	up := make([]bool, numPorts+1)
-	for i := range up {
-		up[i] = true
+	sw := &Switch{DPID: dpid, NumPorts: numPorts, ports: make([]portState, numPorts+1)}
+	for i := range sw.ports {
+		sw.ports[i].up = true
 	}
-	return &Switch{DPID: dpid, NumPorts: numPorts, portUp: up}
+	return sw
 }
+
+// hasPort reports whether port exists on the switch.
+func (s *Switch) hasPort(port uint32) bool { return port >= 1 && port <= s.NumPorts }
 
 // PortUp reports whether the port is administratively up.
 func (s *Switch) PortUp(port uint32) bool {
-	return port >= 1 && port <= s.NumPorts && s.portUp[port]
+	return s.hasPort(port) && s.ports[port].up
 }
 
 // SetPort sets a port's link state.
 func (s *Switch) SetPort(port uint32, up bool) error {
-	if port < 1 || port > s.NumPorts {
+	if !s.hasPort(port) {
 		return fmt.Errorf("sdn: switch %d has no port %d", s.DPID, port)
 	}
-	s.portUp[port] = up
+	s.ports[port].up = up
 	return nil
 }
 
@@ -162,8 +241,8 @@ func (s *Switch) SetPort(port uint32, up bool) error {
 // cycle would.
 func (s *Switch) Reboot() {
 	s.Table.Clear()
-	for i := range s.portUp {
-		s.portUp[i] = true
+	for i := range s.ports {
+		s.ports[i].up = true
 	}
 }
 
@@ -180,13 +259,10 @@ type Host struct {
 }
 
 // Network is the dataplane: switches, inter-switch links, and hosts.
+// Links and host attachments live on the switches' ports.
 type Network struct {
 	switches map[uint64]*Switch
-	// links maps a port to its peer port (bidirectional).
-	links map[PortRef]PortRef
-	hosts map[uint64]Host // by MAC
-	// hostAt maps a port to the attached host's MAC.
-	hostAt map[PortRef]uint64
+	hosts    map[uint64]Host // by MAC
 
 	// PacketIns collects punts to the controller generated during
 	// injection; the controller drains this.
@@ -206,16 +282,32 @@ var (
 func NewNetwork() *Network {
 	return &Network{
 		switches: make(map[uint64]*Switch),
-		links:    make(map[PortRef]PortRef),
 		hosts:    make(map[uint64]Host),
-		hostAt:   make(map[PortRef]uint64),
 	}
 }
 
-// AddSwitch registers a switch.
+// AddSwitch registers a switch. Registering a datapath id again
+// replaces its switch with a fresh one that keeps the old one's links
+// and hosts on the ports both have.
 func (n *Network) AddSwitch(dpid uint64, numPorts uint32) *Switch {
 	sw := NewSwitch(dpid, numPorts)
+	old := n.switches[dpid]
 	n.switches[dpid] = sw
+	if old == nil {
+		return sw
+	}
+	for p := 1; p < min(len(old.ports), len(sw.ports)); p++ {
+		w := old.ports[p]
+		w.up = true
+		sw.ports[p] = w
+	}
+	for _, s := range n.switches {
+		for p := range s.ports {
+			if s.ports[p].peer == old {
+				s.ports[p].peer = sw
+			}
+		}
+	}
 	return sw
 }
 
@@ -240,27 +332,33 @@ func (n *Network) Switches() []uint64 {
 
 // AddLink connects two switch ports bidirectionally.
 func (n *Network) AddLink(a, b PortRef) error {
-	for _, ref := range []PortRef{a, b} {
+	var ends [2]*Switch
+	for i, ref := range []PortRef{a, b} {
 		sw, ok := n.switches[ref.DPID]
 		if !ok {
 			return fmt.Errorf("%w: switch %d", ErrBadLink, ref.DPID)
 		}
-		if ref.Port < 1 || ref.Port > sw.NumPorts {
+		if !sw.hasPort(ref.Port) {
 			return fmt.Errorf("%w: switch %d has no port %d", ErrBadLink, ref.DPID, ref.Port)
 		}
+		ends[i] = sw
 	}
-	n.links[a] = b
-	n.links[b] = a
+	ends[0].ports[a.Port].peer, ends[0].ports[a.Port].peerPort = ends[1], b.Port
+	ends[1].ports[b.Port].peer, ends[1].ports[b.Port].peerPort = ends[0], a.Port
 	return nil
 }
 
 // AddHost attaches a host to a switch port.
 func (n *Network) AddHost(mac uint64, at PortRef) error {
-	if _, ok := n.switches[at.DPID]; !ok {
+	sw, ok := n.switches[at.DPID]
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSwitch, at.DPID)
 	}
+	if !sw.hasPort(at.Port) {
+		return fmt.Errorf("sdn: switch %d has no port %d", at.DPID, at.Port)
+	}
 	n.hosts[mac] = Host{MAC: mac, Attach: at}
-	n.hostAt[at] = mac
+	sw.ports[at.Port].hasHost, sw.ports[at.Port].host = true, mac
 	return nil
 }
 
@@ -293,25 +391,23 @@ func (n *Network) InjectFromHost(srcMAC uint64, p Packet) ([]Delivery, error) {
 	}
 	p.EthSrc = srcMAC
 	mark := len(n.Deliveries)
-	n.forward(h.Attach, p, 0)
+	if sw, ok := n.switches[h.Attach.DPID]; ok {
+		n.forward(sw, h.Attach.Port, p, 0)
+	}
 	return n.Deliveries[mark:], nil
 }
 
-// forward processes a packet arriving at a switch port.
-func (n *Network) forward(at PortRef, p Packet, hops int) {
-	if hops > maxHops {
+// forward processes a packet arriving at port inPort of sw.
+func (n *Network) forward(sw *Switch, inPort uint32, p Packet, hops int) {
+	if hops > maxHops || !sw.PortUp(inPort) {
 		return
 	}
-	sw, ok := n.switches[at.DPID]
-	if !ok || !sw.PortUp(at.Port) {
-		return
-	}
-	entry := sw.Table.Lookup(p, at.Port)
+	entry := sw.Table.Lookup(p, inPort)
 	if entry == nil {
 		// Table miss: punt to controller.
 		n.PacketIns = append(n.PacketIns, openflow.PacketIn{
 			DatapathID: sw.DPID,
-			InPort:     at.Port,
+			InPort:     inPort,
 			Reason:     0,
 			Data:       encodePacket(p),
 		})
@@ -328,39 +424,40 @@ func (n *Network) forward(at PortRef, p Packet, hops int) {
 			switch a.Port {
 			case openflow.PortFlood:
 				for port := uint32(1); port <= sw.NumPorts; port++ {
-					if port == at.Port || !sw.PortUp(port) {
+					if port == inPort || !sw.PortUp(port) {
 						continue
 					}
-					n.emit(PortRef{sw.DPID, port}, cur, hops)
+					n.emit(sw, port, cur, hops)
 				}
 			case openflow.PortController:
 				n.PacketIns = append(n.PacketIns, openflow.PacketIn{
-					DatapathID: sw.DPID, InPort: at.Port, Reason: 1,
+					DatapathID: sw.DPID, InPort: inPort, Reason: 1,
 					Data: encodePacket(cur),
 				})
 			default:
 				// OpenFlow semantics: a packet is never sent back out
 				// of its ingress port unless explicitly requested
 				// (OFPP_IN_PORT, which this subset does not model).
-				if a.Port != at.Port && sw.PortUp(a.Port) {
-					n.emit(PortRef{sw.DPID, a.Port}, cur, hops)
+				if a.Port != inPort && sw.PortUp(a.Port) {
+					n.emit(sw, a.Port, cur, hops)
 				}
 			}
 		}
 	}
 }
 
-// emit sends a packet out of a switch port: to an attached host, over
-// a link, or into the void.
-func (n *Network) emit(from PortRef, p Packet, hops int) {
-	if mac, ok := n.hostAt[from]; ok {
-		if p.IsBroadcast() || p.EthDst == mac {
-			n.Deliveries = append(n.Deliveries, Delivery{MAC: mac, Packet: p})
+// emit sends a packet out of an up port of sw: to an attached host,
+// over a link, or into the void.
+func (n *Network) emit(sw *Switch, port uint32, p Packet, hops int) {
+	w := &sw.ports[port]
+	if w.hasHost {
+		if p.IsBroadcast() || p.EthDst == w.host {
+			n.Deliveries = append(n.Deliveries, Delivery{MAC: w.host, Packet: p})
 		}
 		return
 	}
-	if peer, ok := n.links[from]; ok {
-		n.forward(peer, p, hops+1)
+	if w.peer != nil {
+		n.forward(w.peer, w.peerPort, p, hops+1)
 	}
 }
 
@@ -390,11 +487,11 @@ func (n *Network) ApplyPacketOut(po openflow.PacketOut) ([]Delivery, error) {
 					if port == po.InPort || !sw.PortUp(port) {
 						continue
 					}
-					n.emit(PortRef{sw.DPID, port}, cur, 0)
+					n.emit(sw, port, cur, 0)
 				}
 			} else if a.Port != po.InPort && sw.PortUp(a.Port) {
 				// Never reflect out of the declared ingress port.
-				n.emit(PortRef{sw.DPID, a.Port}, cur, 0)
+				n.emit(sw, a.Port, cur, 0)
 			}
 		}
 	}
@@ -413,6 +510,19 @@ func (n *Network) DrainDeliveries() []Delivery {
 	out := n.Deliveries
 	n.Deliveries = nil
 	return out
+}
+
+// ClearQueues empties PacketIns and Deliveries in place, keeping
+// their capacity for the next round. Unlike the Drain methods it hands
+// nothing to the caller, and later punts and deliveries overwrite the
+// cleared slots, including those a slice returned by InjectFromHost or
+// ApplyPacketOut still shows: it suits a caller that never reads the
+// queues, such as a standby replaying the primary's log.
+func (n *Network) ClearQueues() {
+	clear(n.PacketIns)
+	n.PacketIns = n.PacketIns[:0]
+	clear(n.Deliveries)
+	n.Deliveries = n.Deliveries[:0]
 }
 
 // ApplyFlowMod executes a controller flow-mod against the dataplane.

@@ -2,6 +2,7 @@ package sdn
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -511,5 +512,82 @@ func TestNoReflectionOutIngressPort(t *testing.T) {
 	// returns to switch 1 and no host sees it.
 	if len(net.Deliveries) != 0 {
 		t.Errorf("unexpected deliveries: %+v", net.Deliveries)
+	}
+}
+
+func TestAddHostRejectsBadPort(t *testing.T) {
+	net := NewNetwork()
+	net.AddSwitch(1, 2)
+	for _, port := range []uint32{0, 3} {
+		if err := net.AddHost(0x61, PortRef{1, port}); err == nil {
+			t.Errorf("AddHost on port %d of a 2-port switch: want error", port)
+		}
+	}
+	if hosts := net.Hosts(); len(hosts) != 0 {
+		t.Errorf("rejected hosts were registered: %v", hosts)
+	}
+	if err := net.AddHost(0x61, PortRef{1, 2}); err != nil {
+		t.Fatalf("AddHost on port 2: %v", err)
+	}
+}
+
+// Registering a datapath id again keeps the links and hosts wired to
+// its ports, on both ends of each link.
+func TestAddSwitchAgainKeepsWiring(t *testing.T) {
+	net, err := LinearTopology(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AddSwitch(2, 3)
+	got, err := (&Driver{C: NewController(net, NewEnvironment(), NewL2Switch(nil))}).FullConnectivity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Reachable != got.Pairs || !got.BroadcastOK {
+		t.Fatalf("after re-registering switch 2: %+v, want full reachability", got)
+	}
+}
+
+// ClearQueues empties both queues in place, while the Drain methods
+// still hand their slices over: later punts never overwrite a drained
+// slice.
+func TestClearQueuesKeepsCapacityAndDrainOwnership(t *testing.T) {
+	net, err := LinearTopology(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	punt := func() {
+		t.Helper()
+		if _, err := net.InjectFromHost(0x11, Packet{EthDst: BroadcastMAC}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	punt()
+	sw, _ := net.Switch(2)
+	sw.Table.Add(FlowEntry{Priority: 1, Match: openflow.Match{EthDst: 0x12},
+		Actions: []openflow.Action{{Type: openflow.ActionOutput, Port: 1}}})
+	if _, err := net.ApplyPacketOut(openflow.PacketOut{DatapathID: 2, InPort: 2,
+		Actions: []openflow.Action{{Type: openflow.ActionOutput, Port: 1}},
+		Data:    EncodePacket(Packet{EthSrc: 0x11, EthDst: 0x12})}); err != nil {
+		t.Fatal(err)
+	}
+	if len(net.PacketIns) == 0 || len(net.Deliveries) == 0 {
+		t.Fatalf("setup: %d punts, %d deliveries", len(net.PacketIns), len(net.Deliveries))
+	}
+	piCap, delCap := cap(net.PacketIns), cap(net.Deliveries)
+	net.ClearQueues()
+	if len(net.PacketIns) != 0 || len(net.Deliveries) != 0 {
+		t.Fatalf("after ClearQueues: %d punts, %d deliveries", len(net.PacketIns), len(net.Deliveries))
+	}
+	if cap(net.PacketIns) != piCap || cap(net.Deliveries) != delCap {
+		t.Fatalf("ClearQueues dropped capacity: punts %d->%d, deliveries %d->%d",
+			piCap, cap(net.PacketIns), delCap, cap(net.Deliveries))
+	}
+	punt()
+	drained := net.DrainPacketIns()
+	want := append([]openflow.PacketIn(nil), drained...)
+	punt()
+	if !reflect.DeepEqual(drained, want) {
+		t.Fatal("a later punt overwrote a drained slice")
 	}
 }

@@ -328,10 +328,13 @@ func (s *Supervisor) Submit(ev sdn.Event) Outcome {
 	// must go through Submit (which logs) rather than Reprocess —
 	// otherwise the healed event would be missing from the log and
 	// replication downstream of it would silently diverge.
+	// The copy is made on this branch only, so a healthy Submit never
+	// moves its event to the heap.
 	var retry *sdn.Event
 	retryLogged := true
 	if h.Symptom == taxonomy.SymptomFailStop {
-		retry = &ev
+		failed := ev
+		retry = &failed
 		retryLogged = len(s.C.Log) > logLen
 	}
 	if s.heal(class, retry, retryLogged, nil) {
@@ -559,10 +562,12 @@ func (s *Supervisor) noteSymptom(sym taxonomy.Symptom) {
 }
 
 func (s *Supervisor) pushCost(cost int) {
-	s.window = append(s.window, cost)
-	if len(s.window) > s.cfg.PerfWindow {
-		s.window = s.window[len(s.window)-s.cfg.PerfWindow:]
+	if len(s.window) == s.cfg.PerfWindow {
+		// Slide in place: the window never outgrows its first array.
+		copy(s.window, s.window[1:])
+		s.window = s.window[:len(s.window)-1]
 	}
+	s.window = append(s.window, cost)
 }
 
 // sortStrings is a dependency-free insertion sort (the slices here are
