@@ -56,7 +56,8 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	return c
 }
 
-// ErrPipelineNotFitted is returned by Predict before Fit.
+// ErrPipelineNotFitted is returned by Predict on a Pipeline that did
+// not come from (*Validator).Pipeline.
 var ErrPipelineNotFitted = errors.New("study: pipeline not fitted")
 
 // Pipeline maps bug-report text to predicted taxonomy labels: TF-IDF
@@ -70,24 +71,6 @@ type Pipeline struct {
 	clfs map[taxonomy.Dimension]ml.Classifier
 
 	extClf ml.Classifier
-}
-
-// NewPipeline builds an unfitted pipeline.
-func NewPipeline(cfg PipelineConfig) *Pipeline {
-	return &Pipeline{
-		cfg:  cfg.withDefaults(),
-		clfs: make(map[taxonomy.Dimension]ml.Classifier),
-	}
-}
-
-// featurize builds the feature matrix for the given token lists.
-// "Normalization" in the paper's sense is unit-L2 feature vectors, the
-// standard conditioning for linear SVMs on text features.
-func (p *Pipeline) featurize(docs [][]string) (*mathx.Matrix, error) {
-	if p.vec == nil && p.w2v == nil {
-		return nil, ErrPipelineNotFitted
-	}
-	return buildFeatures(p.vec, p.w2v, docs, !p.cfg.DisableScaling)
 }
 
 // tokenizeAll preprocesses every bug's text.
@@ -109,19 +92,29 @@ func labelIndex(d taxonomy.Dimension, tag string) (int, error) {
 	return 0, fmt.Errorf("study: tag %q not in dimension %v", tag, d)
 }
 
-// Fit learns features on all texts and trains one classifier per
-// taxonomy dimension from the bugs' labels.
-func (p *Pipeline) Fit(bugs []LabeledBug) error {
-	if len(bugs) == 0 {
-		return ErrNoBugs
+// Pipeline fits the classification pipeline on the validator's labeled
+// set: one classifier per taxonomy dimension plus the external-kind
+// model. It draws the tokens, label indices, TF-IDF vocabulary and
+// Word2Vec model from the same cache as Validate, so validating and
+// then fitting with one config trains the features once. The
+// classifiers train on unit-L2 rows ("normalization" in the paper's
+// sense) unless cfg.DisableScaling is set.
+func (v *Validator) Pipeline(cfg PipelineConfig) (*Pipeline, error) {
+	cfg = cfg.withDefaults()
+	if len(v.bugs) == 0 {
+		return nil, ErrNoBugs
 	}
-	docs := tokenizeAll(bugs)
-	if err := p.fitFeatures(docs); err != nil {
-		return err
-	}
-	x, err := p.featurize(docs)
+	labels, err := v.labelIndices()
 	if err != nil {
-		return err
+		return nil, err
+	}
+	vec, w2v, err := v.features(cfg)
+	if err != nil {
+		return nil, err
+	}
+	x, err := buildFeatures(vec, w2v, v.tokenized(), !cfg.DisableScaling)
+	if err != nil {
+		return nil, err
 	}
 	// Per-dimension classifiers are independent (each seeds its own
 	// RNG from Seed+dimension), so they train on the worker pool; each
@@ -129,59 +122,33 @@ func (p *Pipeline) Fit(bugs []LabeledBug) error {
 	// sequential loop would have hit first.
 	dims := taxonomy.Dimensions()
 	clfs := make([]ml.Classifier, len(dims))
-	err = parallel.MapErr(p.cfg.Workers, len(dims), func(di int) error {
+	err = parallel.MapErr(cfg.Workers, len(dims), func(di int) error {
 		d := dims[di]
-		y := make([]int, len(bugs))
-		for i, b := range bugs {
-			idx, err := labelIndex(d, b.Label.Tag(d))
-			if err != nil {
-				return fmt.Errorf("study: bug %s: %w", b.Issue.ID, err)
-			}
-			y[i] = idx
-		}
-		clf := &svm.Multiclass{Epochs: 80, Lambda: 1e-4, Balanced: true, Seed: p.cfg.Seed + int64(d)}
-		if err := clf.Fit(x, y); err != nil {
+		clf := &svm.Multiclass{Epochs: 80, Lambda: 1e-4, Balanced: true, Seed: cfg.Seed + int64(d)}
+		if err := clf.Fit(x, labels[d]); err != nil {
 			return fmt.Errorf("study: fit %v classifier: %w", d, err)
 		}
 		clfs[di] = clf
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	p := &Pipeline{cfg: cfg, vec: vec, w2v: w2v, clfs: make(map[taxonomy.Dimension]ml.Classifier, len(dims))}
 	for di, d := range dims {
 		p.clfs[d] = clfs[di]
 	}
-	return p.fitExternalKind(bugs, docs, x)
-}
-
-func (p *Pipeline) fitFeatures(docs [][]string) error {
-	if !p.cfg.DisableTFIDF {
-		p.vec = &tfidf.Vectorizer{MaxVocab: p.cfg.MaxVocab, MinDF: 2}
-		if err := p.vec.Fit(docs); err != nil {
-			return fmt.Errorf("study: fit tfidf: %w", err)
-		}
+	if p.extClf, err = fitExternalKind(v.bugs, x, cfg.Seed); err != nil {
+		return nil, err
 	}
-	if !p.cfg.DisableW2V {
-		m, err := word2vec.Train(docs, word2vec.Config{
-			Dim:    p.cfg.W2VDim,
-			Epochs: p.cfg.W2VEpochs,
-			Seed:   p.cfg.Seed,
-		})
-		if err != nil {
-			return fmt.Errorf("study: train word2vec: %w", err)
-		}
-		p.w2v = m
-	}
-	if p.vec == nil && p.w2v == nil {
-		return errors.New("study: pipeline needs at least one feature block")
-	}
-	return nil
+	return p, nil
 }
 
 // fitExternalKind trains the refinement model distinguishing system /
-// third-party / application calls among external-call bugs.
-func (p *Pipeline) fitExternalKind(bugs []LabeledBug, docs [][]string, x *mathx.Matrix) error {
+// third-party / application calls among external-call bugs. With too
+// few external-call bugs it returns nil and Predict falls back to the
+// majority kind.
+func fitExternalKind(bugs []LabeledBug, x *mathx.Matrix, seed int64) (ml.Classifier, error) {
 	var rows []int
 	var y []int
 	for i, b := range bugs {
@@ -192,20 +159,17 @@ func (p *Pipeline) fitExternalKind(bugs []LabeledBug, docs [][]string, x *mathx.
 		y = append(y, int(b.Label.ExternalKind)-1)
 	}
 	if len(rows) < 10 {
-		// Too few external-call bugs: fall back to the majority kind.
-		p.extClf = nil
-		return nil
+		return nil, nil
 	}
 	sub := mathx.NewMatrix(len(rows), x.Cols())
 	for k, i := range rows {
 		copy(sub.Row(k), x.Row(i))
 	}
-	clf := &svm.Multiclass{Epochs: 80, Lambda: 1e-4, Balanced: true, Seed: p.cfg.Seed + 97}
+	clf := &svm.Multiclass{Epochs: 80, Lambda: 1e-4, Balanced: true, Seed: seed + 97}
 	if err := clf.Fit(sub, y); err != nil {
-		return fmt.Errorf("study: fit external-kind classifier: %w", err)
+		return nil, fmt.Errorf("study: fit external-kind classifier: %w", err)
 	}
-	p.extClf = clf
-	return nil
+	return clf, nil
 }
 
 // Predict classifies one issue's text into a full (validated) label.
@@ -216,7 +180,7 @@ func (p *Pipeline) Predict(issue tracker.Issue) (taxonomy.Label, error) {
 		return taxonomy.Label{}, ErrPipelineNotFitted
 	}
 	doc := nlp.Preprocess(issue.Text())
-	x, err := p.featurize([][]string{doc})
+	x, err := buildFeatures(p.vec, p.w2v, [][]string{doc}, !p.cfg.DisableScaling)
 	if err != nil {
 		return taxonomy.Label{}, err
 	}

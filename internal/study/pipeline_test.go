@@ -10,8 +10,8 @@ import (
 
 func TestPipelineFitPredict(t *testing.T) {
 	s := manualStudy(t)
-	p := NewPipeline(PipelineConfig{Seed: 1})
-	if err := p.Fit(s.Bugs()); err != nil {
+	p, err := NewValidator(s.Bugs()).Pipeline(PipelineConfig{Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Predictions must be valid, complete labels.
@@ -33,8 +33,8 @@ func TestPipelineTrainingAccuracy(t *testing.T) {
 	// On its own training set the pipeline should recover bug type and
 	// trigger well — the text carries those signals.
 	s := manualStudy(t)
-	p := NewPipeline(PipelineConfig{Seed: 2})
-	if err := p.Fit(s.Bugs()); err != nil {
+	p, err := NewValidator(s.Bugs()).Pipeline(PipelineConfig{Seed: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var typeHits, trigHits int
@@ -60,7 +60,7 @@ func TestPipelineTrainingAccuracy(t *testing.T) {
 }
 
 func TestPredictBeforeFit(t *testing.T) {
-	p := NewPipeline(PipelineConfig{})
+	var p Pipeline
 	if _, err := p.Predict(tracker.Issue{Description: "x"}); !errors.Is(err, ErrPipelineNotFitted) {
 		t.Errorf("want ErrPipelineNotFitted, got %v", err)
 	}
@@ -68,8 +68,7 @@ func TestPredictBeforeFit(t *testing.T) {
 
 func TestPipelineNeedsFeatures(t *testing.T) {
 	s := manualStudy(t)
-	p := NewPipeline(PipelineConfig{DisableTFIDF: true, DisableW2V: true})
-	if err := p.Fit(s.Bugs()); err == nil {
+	if _, err := NewValidator(s.Bugs()).Pipeline(PipelineConfig{DisableTFIDF: true, DisableW2V: true}); err == nil {
 		t.Error("want error when both feature blocks disabled")
 	}
 }
@@ -78,7 +77,7 @@ func TestValidateProtocol(t *testing.T) {
 	// E9: the paper's 2/3–1/3 validation. Bug type should validate at
 	// ≈96 %, symptoms ≈86 %, and fixes poorly.
 	s := manualStudy(t)
-	results, err := Validate(s.Bugs(), PipelineConfig{Seed: 3})
+	results, err := NewValidator(s.Bugs()).Validate(PipelineConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestValidateProtocol(t *testing.T) {
 
 func TestValidateTooFewBugs(t *testing.T) {
 	s := manualStudy(t)
-	if _, err := Validate(s.Bugs()[:5], PipelineConfig{}); err == nil {
+	if _, err := NewValidator(s.Bugs()[:5]).Validate(PipelineConfig{}); err == nil {
 		t.Error("want error for tiny training set")
 	}
 }
@@ -130,8 +129,8 @@ func TestPredictAllOnFullCorpus(t *testing.T) {
 	// trigger and network events a small share.
 	manual := manualStudy(t)
 	full := fullStudy(t)
-	p := NewPipeline(PipelineConfig{Seed: 4})
-	if err := p.Fit(manual.Bugs()); err != nil {
+	p, err := NewValidator(manual.Bugs()).Pipeline(PipelineConfig{Seed: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	issues := make([]tracker.Issue, 0, 200)

@@ -109,9 +109,11 @@ func buildFeatures(vec *tfidf.Vectorizer, w2v *word2vec.Model, docs [][]string, 
 // corpus and per-dimension label indices (split-independent), fitted
 // TF-IDF vocabularies (seed-independent), trained Word2Vec models
 // (keyed by their full config, including seed), and whole Validate
-// results (keyed by the normalized config). A Validator therefore
+// results (keyed by the normalized config). Pipeline fits its
+// classifiers on the same cached features. A Validator therefore
 // does each distinct piece of work exactly once no matter how many
-// repeats, ablation variants, or concurrent experiments ask for it.
+// repeats, ablation variants, pipelines, or concurrent experiments
+// ask for it.
 //
 // All methods are safe for concurrent use; duplicate concurrent
 // requests for the same artifact are single-flighted through
@@ -231,6 +233,29 @@ func (v *Validator) trainedW2V(wcfg word2vec.Config) (*word2vec.Model, error) {
 	return e.m, e.err
 }
 
+// features returns the feature blocks cfg selects (cfg carries its
+// defaults), fitting each on first use.
+func (v *Validator) features(cfg PipelineConfig) (*tfidf.Vectorizer, *word2vec.Model, error) {
+	var vec *tfidf.Vectorizer
+	var w2v *word2vec.Model
+	var err error
+	if !cfg.DisableTFIDF {
+		if vec, err = v.fittedVectorizer(cfg.MaxVocab); err != nil {
+			return nil, nil, err
+		}
+	}
+	if !cfg.DisableW2V {
+		wcfg := word2vec.Config{Dim: cfg.W2VDim, Epochs: cfg.W2VEpochs, Seed: cfg.Seed}
+		if w2v, err = v.trainedW2V(wcfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	if vec == nil && w2v == nil {
+		return nil, nil, errors.New("study: pipeline needs at least one feature block")
+	}
+	return vec, w2v, nil
+}
+
 func (v *Validator) run(key PipelineConfig) *runEntry {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -275,21 +300,9 @@ func (v *Validator) validate(cfg PipelineConfig) ([]ValidationResult, error) {
 		return nil, err
 	}
 
-	var vec *tfidf.Vectorizer
-	if !cfg.DisableTFIDF {
-		if vec, err = v.fittedVectorizer(cfg.MaxVocab); err != nil {
-			return nil, err
-		}
-	}
-	var w2v *word2vec.Model
-	if !cfg.DisableW2V {
-		wcfg := word2vec.Config{Dim: cfg.W2VDim, Epochs: cfg.W2VEpochs, Seed: cfg.Seed}
-		if w2v, err = v.trainedW2V(wcfg); err != nil {
-			return nil, err
-		}
-	}
-	if vec == nil && w2v == nil {
-		return nil, errors.New("study: pipeline needs at least one feature block")
+	vec, w2v, err := v.features(cfg)
+	if err != nil {
+		return nil, err
 	}
 	xRaw, err := buildFeatures(vec, w2v, docs, false)
 	if err != nil {
@@ -425,17 +438,4 @@ func cloneResults(in []ValidationResult) []ValidationResult {
 		out[i] = ValidationResult{Dimension: r.Dimension, Accuracies: m, Best: r.Best}
 	}
 	return out
-}
-
-// Validate is the single-shot form: it builds a throwaway Validator.
-// Callers running many configurations over one labeled set should hold
-// a Validator so repeated work is shared.
-func Validate(bugs []LabeledBug, cfg PipelineConfig) ([]ValidationResult, error) {
-	return NewValidator(bugs).Validate(cfg)
-}
-
-// ValidateRepeated is the single-shot form of
-// (*Validator).ValidateRepeated; see Validate.
-func ValidateRepeated(bugs []LabeledBug, cfg PipelineConfig, repeats int) ([]ValidationResult, error) {
-	return NewValidator(bugs).ValidateRepeated(cfg, repeats)
 }

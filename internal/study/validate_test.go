@@ -34,20 +34,24 @@ func TestValidatorWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestValidatorMatchesSingleShot pins the refactor: a cached Validator
-// must agree exactly with the package-level single-shot entry points.
+// TestValidatorMatchesSingleShot pins the cache: a Validator primed
+// by other runs must agree exactly with a single-shot Validate on a
+// fresh one.
 func TestValidatorMatchesSingleShot(t *testing.T) {
 	bugs := manualStudy(t).Bugs()
 	cfg := fastCfg(1)
-	want, err := Validate(bugs, cfg)
+	want, err := NewValidator(bugs).Validate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := NewValidator(bugs)
-	// Prime the caches with a repeated run first; repeat 0 shares
-	// cfg.Seed, so the subsequent Validate must be a cache hit that
-	// still equals the fresh computation.
+	// Prime the caches with a repeated run and a pipeline first; repeat
+	// 0 shares cfg.Seed, so the subsequent Validate must be a cache hit
+	// that still equals the fresh computation.
 	if _, err := v.ValidateRepeated(cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Pipeline(cfg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := v.Validate(cfg)
@@ -55,7 +59,35 @@ func TestValidatorMatchesSingleShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("validator result differs from single-shot:\n%+v\nvs\n%+v", got, want)
+		t.Fatalf("primed validator result differs from a fresh one:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// TestPipelineSharesValidatorFeatures pins the single fitting path: a
+// Pipeline built after Validate(cfg) holds the validator's own TF-IDF
+// vectorizer and Word2Vec model, so each is fitted exactly once.
+func TestPipelineSharesValidatorFeatures(t *testing.T) {
+	v := NewValidator(manualStudy(t).Bugs())
+	cfg := fastCfg(1)
+	if _, err := v.Validate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	p, err := v.Pipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.vecs) != 1 || len(v.w2vs) != 1 {
+		t.Fatalf("validator fitted %d vectorizers and %d Word2Vec models, want 1 each", len(v.vecs), len(v.w2vs))
+	}
+	vec, w2v, err := v.features(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.vec != vec {
+		t.Error("pipeline fitted its own TF-IDF vectorizer instead of the validator's")
+	}
+	if p.w2v != w2v {
+		t.Error("pipeline trained its own Word2Vec model instead of the validator's")
 	}
 }
 
@@ -105,8 +137,8 @@ func TestPipelineWorkersDeterministic(t *testing.T) {
 	bugs := manualStudy(t).Bugs()
 	var base []string
 	for _, workers := range []int{1, 4} {
-		p := NewPipeline(PipelineConfig{Seed: 1, MaxVocab: 150, W2VDim: 16, W2VEpochs: 2, Workers: workers})
-		if err := p.Fit(bugs); err != nil {
+		p, err := NewValidator(bugs).Pipeline(fastCfg(workers))
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var labels []string

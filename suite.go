@@ -136,16 +136,18 @@ func (s *Suite) Full() (*study.Study, error) {
 	return s.full, nil
 }
 
-// Pipeline returns the NLP pipeline fitted on the manual set.
+// Pipeline returns the NLP pipeline fitted on the manual set. It is
+// built from the suite's Validator, so it shares E09's tokens, TF-IDF
+// vocabulary and seed-s.Seed Word2Vec model instead of fitting its own.
 func (s *Suite) Pipeline() (*study.Pipeline, error) {
 	s.pipeOnce.Do(func() {
-		manual, err := s.Manual()
+		val, err := s.Validator()
 		if err != nil {
 			s.pipeErr = err
 			return
 		}
-		p := study.NewPipeline(study.PipelineConfig{Seed: s.Seed, Workers: s.Workers})
-		if err := p.Fit(manual.Bugs()); err != nil {
+		p, err := val.Pipeline(study.PipelineConfig{Seed: s.Seed, Workers: s.Workers})
+		if err != nil {
 			s.pipeErr = fmt.Errorf("%w: pipeline: %v", ErrSuite, err)
 			return
 		}
@@ -155,10 +157,11 @@ func (s *Suite) Pipeline() (*study.Pipeline, error) {
 }
 
 // Validator returns the shared §II-C validator over the manual set.
-// E09 and the NLP ablations all validate through it, so split-invariant
-// work (tokenization, TF-IDF vocabularies, Word2Vec models) happens
-// once per suite and identical validation runs — the scaling ablation
-// repeats E09's protocol verbatim — are answered from cache.
+// E09, E12's pipeline and the NLP ablations all draw from it, so
+// split-invariant work (tokenization, TF-IDF vocabularies, Word2Vec
+// models) happens once per suite and identical validation runs — the
+// scaling ablation repeats E09's protocol verbatim — are answered from
+// cache.
 func (s *Suite) Validator() (*study.Validator, error) {
 	s.valOnce.Do(func() {
 		manual, err := s.Manual()

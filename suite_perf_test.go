@@ -46,29 +46,29 @@ func TestSuiteWorkersDeterministic(t *testing.T) {
 }
 
 // TestSuiteValidationCacheConsistent checks the suite-level validation
-// cache: A02 repeats E09's exact protocol, so within one suite run the
-// second request is answered from cache — and must carry the same
-// accuracies E09 reported. The renderRun comparison against a
-// cache-cold suite run of A02 alone pins that.
+// cache: A02 repeats E09's exact protocol, and E12's pipeline reuses
+// E09's TF-IDF vocabulary and Word2Vec model, so within one suite run
+// both are answered from cache — and must render exactly as they do
+// in a cache-cold suite that runs each one alone and fits its own.
 func TestSuiteValidationCacheConsistent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full E09 workloads are too slow under -race; internal/study covers the validator cache")
 	}
 	ctx := context.Background()
-	warm := NewSuite(1)
-	// E09 first primes the validator; A02 then hits its cache.
-	warmRun, err := warm.Run(ctx, RunOptions{IDs: []string{"E09", "A02"}, Parallelism: 1})
+	// E09 runs first (registration order) and primes the validator.
+	warmRun, err := NewSuite(1).Run(ctx, RunOptions{IDs: []string{"E09", "E12", "A02"}, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := NewSuite(1)
-	coldRun, err := cold.Run(ctx, RunOptions{IDs: []string{"A02"}, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmA02 := engine.Run[ExperimentResult]{Outcomes: warmRun.Outcomes[1:]}
-	if got, want := renderRun(warmA02), renderRun(coldRun); got != want {
-		t.Errorf("cached A02 differs from cold A02:\n--- cached ---\n%s\n--- cold ---\n%s", got, want)
+	for i, id := range []string{"E12", "A02"} {
+		coldRun, err := NewSuite(1).Run(ctx, RunOptions{IDs: []string{id}, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := engine.Run[ExperimentResult]{Outcomes: warmRun.Outcomes[i+1 : i+2]}
+		if got, want := renderRun(warm), renderRun(coldRun); got != want {
+			t.Errorf("cached %s differs from cold %s:\n--- cached ---\n%s\n--- cold ---\n%s", id, id, got, want)
+		}
 	}
 }
 
