@@ -21,27 +21,24 @@ type TopicUniqueness struct {
 	Support   int
 }
 
+// topicMaxVocab caps the NMF analysis's TF-IDF vocabulary, and
+// topicMinSupport skips categories with fewer bugs.
+const (
+	topicMaxVocab   = 400
+	topicMinSupport = 5
+)
+
 // TopicConfig controls the Figure 14 analysis.
 type TopicConfig struct {
-	// Rank is the NMF topic count (default 12).
+	// Rank is the topic count (default 12).
 	Rank int
-	// Seed drives NMF initialization.
+	// Seed drives the topic model's initialization.
 	Seed int64
-	// MinSupport skips categories with fewer bugs (default 5).
-	MinSupport int
-	// MaxVocab caps the TF-IDF vocabulary (default 400).
-	MaxVocab int
 }
 
 func (c TopicConfig) withDefaults() TopicConfig {
 	if c.Rank <= 0 {
 		c.Rank = 12
-	}
-	if c.MinSupport <= 0 {
-		c.MinSupport = 5
-	}
-	if c.MaxVocab <= 0 {
-		c.MaxVocab = 400
 	}
 	return c
 }
@@ -53,68 +50,17 @@ func (c TopicConfig) withDefaults() TopicConfig {
 func (s *Study) TopicUniquenessAnalysis(cfg TopicConfig) ([]TopicUniqueness, error) {
 	cfg = cfg.withDefaults()
 	docs := tokenizeAll(s.bugs)
-	vec := &tfidf.Vectorizer{MaxVocab: cfg.MaxVocab, MinDF: 2}
+	vec := &tfidf.Vectorizer{MaxVocab: topicMaxVocab, MinDF: 2}
 	x, err := vec.FitTransform(docs)
 	if err != nil {
 		return nil, fmt.Errorf("study: topics tfidf: %w", err)
 	}
-	rank := cfg.Rank
-	if rank > vec.VocabSize() {
-		rank = vec.VocabSize()
-	}
+	rank := min(cfg.Rank, vec.VocabSize())
 	model, err := nmf.Factorize(x, nmf.Config{Rank: rank, Seed: cfg.Seed, MaxIter: 150})
 	if err != nil {
 		return nil, fmt.Errorf("study: nmf: %w", err)
 	}
-	dom := make([]int, len(s.bugs))
-	topicTotal := make([]int, rank)
-	for i := range s.bugs {
-		t, err := model.DominantTopic(i)
-		if err != nil {
-			return nil, err
-		}
-		dom[i] = t
-		topicTotal[t]++
-	}
-
-	var out []TopicUniqueness
-	for _, d := range taxonomy.Dimensions() {
-		for _, tag := range d.Categories() {
-			// Per-topic counts for this category.
-			counts := make([]int, rank)
-			support := 0
-			for i, b := range s.bugs {
-				if b.Label.Tag(d) == tag {
-					counts[dom[i]]++
-					support++
-				}
-			}
-			if support < cfg.MinSupport {
-				continue
-			}
-			// Score = Σ_t P(t|c) · exclusivity(t,c), where exclusivity
-			// is the category's share of all bugs on that topic.
-			var score float64
-			for t := 0; t < rank; t++ {
-				if counts[t] == 0 {
-					continue
-				}
-				pTC := float64(counts[t]) / float64(support)
-				excl := float64(counts[t]) / float64(topicTotal[t])
-				score += pTC * excl
-			}
-			out = append(out, TopicUniqueness{
-				Dimension: d, Tag: tag, Score: score, Support: support,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out, nil
+	return scoreUniqueness(s.bugs, model, rank)
 }
 
 // TopicUniquenessAnalysisLDA is the Figure 14 analysis computed with
@@ -128,9 +74,17 @@ func (s *Study) TopicUniquenessAnalysisLDA(cfg TopicConfig) ([]TopicUniqueness, 
 	if err != nil {
 		return nil, fmt.Errorf("study: lda: %w", err)
 	}
-	dom := make([]int, len(s.bugs))
-	topicTotal := make([]int, cfg.Rank)
-	for i := range s.bugs {
+	return scoreUniqueness(s.bugs, model, cfg.Rank)
+}
+
+// scoreUniqueness assigns every bug its dominant topic among rank and
+// computes the exclusivity-weighted uniqueness of every category with
+// at least topicMinSupport bugs: Σ_t P(t|c) · exclusivity(t,c), where
+// exclusivity is the category's share of all bugs on that topic.
+func scoreUniqueness(bugs []LabeledBug, model interface{ DominantTopic(int) (int, error) }, rank int) ([]TopicUniqueness, error) {
+	dom := make([]int, len(bugs))
+	topicTotal := make([]int, rank)
+	for i := range bugs {
 		t, err := model.DominantTopic(i)
 		if err != nil {
 			return nil, err
@@ -138,16 +92,10 @@ func (s *Study) TopicUniquenessAnalysisLDA(cfg TopicConfig) ([]TopicUniqueness, 
 		dom[i] = t
 		topicTotal[t]++
 	}
-	return scoreUniqueness(s.bugs, dom, topicTotal, cfg.MinSupport), nil
-}
-
-// scoreUniqueness computes the exclusivity-weighted uniqueness of every
-// category given per-document dominant topics.
-func scoreUniqueness(bugs []LabeledBug, dom []int, topicTotal []int, minSupport int) []TopicUniqueness {
 	var out []TopicUniqueness
 	for _, d := range taxonomy.Dimensions() {
 		for _, tag := range d.Categories() {
-			counts := make([]int, len(topicTotal))
+			counts := make([]int, rank)
 			support := 0
 			for i, b := range bugs {
 				if b.Label.Tag(d) == tag {
@@ -155,7 +103,7 @@ func scoreUniqueness(bugs []LabeledBug, dom []int, topicTotal []int, minSupport 
 					support++
 				}
 			}
-			if support < minSupport {
+			if support < topicMinSupport {
 				continue
 			}
 			var score float64
@@ -176,5 +124,5 @@ func scoreUniqueness(bugs []LabeledBug, dom []int, topicTotal []int, minSupport 
 		}
 		return out[i].Tag < out[j].Tag
 	})
-	return out
+	return out, nil
 }
