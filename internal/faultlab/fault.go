@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"sdnbugs/internal/openflow"
 	"sdnbugs/internal/sdn"
 	"sdnbugs/internal/taxonomy"
 )
@@ -148,12 +147,8 @@ func (f *Fault) signatureMatch(ev sdn.Event) bool {
 // mirror VLAN — the poison input of deterministic network faults
 // (FAUCET-1623's mirrored-broadcast edge case).
 func isMirrorBroadcast(ev sdn.Event) bool {
-	pi, ok := ev.Msg.(*openflow.PacketIn)
-	if !ok {
-		return false
-	}
-	pkt, err := sdn.DecodePacket(pi.Data)
-	return err == nil && pkt.IsBroadcast() && pkt.VlanID == PoisonVLAN
+	pkt, ok := sdn.PacketOf(ev)
+	return ok && pkt.IsBroadcast() && pkt.VlanID == PoisonVLAN
 }
 
 // isMulticastConfig reports whether ev pushes a multicast/host-handler

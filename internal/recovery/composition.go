@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"sdnbugs/internal/faultlab"
 	"sdnbugs/internal/openflow"
 	"sdnbugs/internal/sdn"
+	"sdnbugs/internal/taxonomy"
 )
 
 // FlowGraphMonitor models SPHINX's core mechanism: it observes every
@@ -116,19 +118,9 @@ func RunCompositionExperiment() (CompositionResult, error) {
 		monitor := NewFlowGraphMonitor()
 		mws := []sdn.Middleware{monitor.Middleware()}
 		if filtered {
-			drop := func(ev sdn.Event) bool {
-				if ev.Kind != sdn.EventNetwork {
-					return false
-				}
-				pi, ok := ev.Msg.(*openflow.PacketIn)
-				if !ok {
-					return false
-				}
-				pkt, err := sdn.DecodePacket(pi.Data)
-				return err == nil && pkt.IsBroadcast() && pkt.VlanID == 13
-			}
 			// The filter sits OUTSIDE the monitor: Bouncer discards
 			// input before SPHINX models it.
+			drop := faultlab.PoisonSignature(taxonomy.TriggerNetworkEvent)
 			mws = append([]sdn.Middleware{InputFilter(drop)}, mws...)
 		}
 		app := sdn.NewL2Switch(nil)
@@ -138,7 +130,7 @@ func RunCompositionExperiment() (CompositionResult, error) {
 		// silent host this is the only packet revealing its location.
 		for _, mac := range net.Hosts() {
 			if _, err := d.SendPacket(mac, sdn.Packet{
-				EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: 13,
+				EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: faultlab.PoisonVLAN,
 			}); err != nil {
 				return nil, err
 			}

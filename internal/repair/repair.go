@@ -603,19 +603,6 @@ func packetEvent(p sdn.Packet) sdn.Event {
 		Msg: &openflow.PacketIn{Data: sdn.EncodePacket(p)}}
 }
 
-// packetOf decodes the frame carried by a network event.
-func packetOf(ev sdn.Event) (sdn.Packet, bool) {
-	pi, ok := ev.Msg.(*openflow.PacketIn)
-	if !ok {
-		return sdn.Packet{}, false
-	}
-	pkt, err := sdn.DecodePacket(pi.Data)
-	if err != nil {
-		return sdn.Packet{}, false
-	}
-	return pkt, true
-}
-
 // eventOp classifies a (possibly rewritten) event back onto the
 // genome op vocabulary.
 func eventOp(ev sdn.Event, fallback perfuzz.Op) perfuzz.Op {
@@ -630,7 +617,7 @@ func eventOp(ev sdn.Event, fallback perfuzz.Op) perfuzz.Op {
 	case sdn.EventHardwareReboot:
 		return perfuzz.OpReboot
 	case sdn.EventNetwork:
-		if pkt, ok := packetOf(ev); ok {
+		if pkt, ok := sdn.PacketOf(ev); ok {
 			switch {
 			case pkt.IsBroadcast() && pkt.VlanID == faultlab.PoisonVLAN:
 				return perfuzz.OpMirrorBroadcast

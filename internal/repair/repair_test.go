@@ -60,7 +60,7 @@ func TestPatchApplyGrammar(t *testing.T) {
 				if verdict != sdn.VerdictRewritten {
 					t.Fatalf("verdict = %v, want rewritten", verdict)
 				}
-				pkt, ok := packetOf(out)
+				pkt, ok := sdn.PacketOf(out)
 				if !ok || pkt.VlanID != 0 || !pkt.IsBroadcast() {
 					t.Fatalf("rewritten frame = %+v (ok=%v)", pkt, ok)
 				}

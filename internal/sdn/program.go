@@ -93,8 +93,9 @@ type Predicate struct {
 	VlanID    uint16 `json:"vlan_id,omitempty"`
 }
 
-// packetOf decodes the frame carried by a network event.
-func packetOf(ev Event) (Packet, bool) {
+// PacketOf decodes the frame carried by a packet-in event; it reports
+// false for any other event and for an undecodable frame.
+func PacketOf(ev Event) (Packet, bool) {
 	pi, ok := ev.Msg.(*openflow.PacketIn)
 	if !ok {
 		return Packet{}, false
@@ -118,7 +119,7 @@ func (p Predicate) Matches(ev Event) bool {
 		return false
 	}
 	if p.BroadcastOnly || p.MatchVlan {
-		pkt, ok := packetOf(ev)
+		pkt, ok := PacketOf(ev)
 		if !ok {
 			return false
 		}
