@@ -207,24 +207,16 @@ func (e *EventTransform) kindInScope(k sdn.EventKind) bool {
 
 // Failover models Ravana/SCL-style replicated controllers with
 // exactly-once event replay: promote a replica and replay the event
-// log to it. The replica runs the same code — and the same bugs.
-type Failover struct{}
+// log to it. The replica (the rebuilt lab: fresh incarnation, same
+// code) runs the same bugs, so its recovery is RecordReplay's; a
+// replica that hits the same deterministic bug is a failed recovery,
+// not an error.
+type Failover struct{ RecordReplay }
 
 var _ Strategy = Failover{}
 
 // Name implements Strategy.
 func (Failover) Name() string { return "replicated-failover" }
-
-// Recover implements Strategy. A replica that hits the same
-// deterministic bug is a failed recovery, not an error.
-func (Failover) Recover(l *faultlab.Lab) error {
-	log, err := l.Rebuild() // the replica: fresh incarnation, same code
-	if err != nil {
-		return err
-	}
-	_, err = replay(l, log, keepAll)
-	return err
-}
 
 // EnvironmentFix models dependency/environment repair (the direction
 // the paper says SDN tooling lacks; cf. Lock-in-Pop outside SDN):
