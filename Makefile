@@ -10,7 +10,7 @@ GO ?= go
 # pool turns the same setting into real speedup.
 BENCH_GOMAXPROCS ?= 4
 
-.PHONY: build fmt-check vet cross-check test race bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
+.PHONY: build fmt-check vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,16 @@ test:
 # Suite's documented safe-for-concurrent-use contract.
 race:
 	$(GO) test -race ./...
+
+# loc prints each package's size as non-test Go lines, with blank
+# lines and whole-line // comments excluded, then the total — the
+# figure CHANGES.md quotes when a change deletes code.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d  %s\n' $$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) $$pkg; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
 # The full bench slate also refreshes BENCH_suite.json, the
 # machine-readable perf record (suite walls, speedup, per-experiment
