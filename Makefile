@@ -10,7 +10,7 @@ GO ?= go
 # pool turns the same setting into real speedup.
 BENCH_GOMAXPROCS ?= 4
 
-.PHONY: build fmt-check vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke verify
+.PHONY: build fmt-check vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke verify
 
 build:
 	$(GO) build ./...
@@ -130,4 +130,12 @@ cluster-smoke:
 	$(GO) run ./cmd/faultlab -cluster -seed 1 -events 400 -replicas 3 -json \
 		> /tmp/cluster_smoke.json
 
-verify: build fmt-check vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke
+# examples-smoke runs the examples that drive controllers through
+# sdn.Pump outside the golden contract — the supervised self-healing
+# walk and the Table VII recovery evaluation — and fails if either
+# exits non-zero.
+examples-smoke:
+	$(GO) run ./examples/selfheal > /dev/null
+	$(GO) run ./examples/recovery-eval > /dev/null
+
+verify: build fmt-check vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke

@@ -36,10 +36,10 @@ func run() error {
 	// Two faults armed at once: a slow memory leak that eventually
 	// fail-stops (transient — a restart clears it) and the
 	// deterministic multicast-config poison crash.
-	lab, err := faultlab.NewMultiLab([]*faultlab.Fault{
+	lab, err := faultlab.NewLab(
 		pick(1, "ONOS-4859-memory-leak"),
 		pick(1, "CORD-2470-misconfig-crash"),
-	})
+	)
 	if err != nil {
 		return err
 	}
@@ -68,27 +68,23 @@ func run() error {
 	fmt.Println("2. Traffic leaks memory until the controller fail-stops; the")
 	fmt.Println("   supervisor restarts from the checkpoint and retries the event:")
 	hosts := lab.C.Net.Hosts()
+	var pump sdn.Pump
 	for i := 0; i < 20; i++ {
 		src, dst := hosts[i%len(hosts)], hosts[(i+1)%len(hosts)]
-		lab.C.Net.DrainDeliveries()
-		if _, err := lab.C.Net.InjectFromHost(src, sdn.Packet{EthDst: dst, EthType: 0x0800}); err != nil {
-			return err
-		}
-		for {
-			pis := lab.C.Net.DrainPacketIns()
-			if len(pis) == 0 {
-				break
-			}
-			for j := range pis {
-				pi := pis[j]
+		_, err := pump.Send(lab.C.Net, src, sdn.Packet{EthDst: dst, EthType: 0x0800}, func(events []sdn.Event) bool {
+			for _, ev := range events {
 				healedBefore := sup.Metrics.EventsHealed
-				out := sup.Submit(sdn.Event{Kind: sdn.EventNetwork, Msg: &pi})
+				out := sup.Submit(ev)
 				if sup.Metrics.EventsHealed > healedBefore {
 					fmt.Printf("  packet-in %-23s -> %-9s (restarts=%d, from checkpoint=%d)\n",
 						fmt.Sprintf("(crash on #%d)", i), out,
 						sup.Metrics.Restarts, sup.Metrics.CheckpointRestores)
 				}
 			}
+			return true
+		})
+		if err != nil {
+			return err
 		}
 	}
 	fmt.Printf("  healed: %d of %d offered (lost: %d)\n\n",

@@ -34,8 +34,18 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 
 const goldenPath = "testdata/golden.json"
 
-// goldenSeeds are the seeds the contract pins.
-var goldenSeeds = []int64{1, 2}
+// goldenSeeds are the seeds the contract pins, each run at its own
+// engine settings: seed 1 fully serial, seed 2 with eight workers
+// inside each experiment and four experiments at once. Both must
+// reproduce the recorded digests, so the contract also pins that
+// Workers and Parallelism never change an output.
+var goldenSeeds = []struct {
+	seed                 int64
+	workers, parallelism int
+}{
+	{seed: 1, workers: 1, parallelism: 1},
+	{seed: 2, workers: 8, parallelism: 4},
+}
 
 // goldenIDs are the experiments and ablations whose tables and checks
 // the contract hashes: the whole registry, E01–E26 and A01–A07.
@@ -129,11 +139,14 @@ func sha256Hex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenRun regenerates the record for one seed.
-func goldenRun(t *testing.T, seed int64) goldenRecord {
+// goldenRun regenerates the record for one seed, running the suite
+// with the given Workers and Parallelism.
+func goldenRun(t *testing.T, seed int64, workers, parallelism int) goldenRecord {
 	t.Helper()
 	rec := goldenRecord{Digests: map[string]string{}, Campaigns: map[string]string{}}
-	run, err := NewSuite(seed).Run(context.Background(), RunOptions{IDs: goldenRunIDs(), Parallelism: 1})
+	suite := NewSuite(seed)
+	suite.Workers = workers
+	run, err := suite.Run(context.Background(), RunOptions{IDs: goldenRunIDs(), Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +195,8 @@ func TestGoldenContract(t *testing.T) {
 		t.Fatal("-update would drop the digests -race skips; regenerate without -race")
 	}
 	got := map[string]goldenRecord{}
-	for _, seed := range goldenSeeds {
-		got[fmt.Sprintf("seed%d", seed)] = goldenRun(t, seed)
+	for _, g := range goldenSeeds {
+		got[fmt.Sprintf("seed%d", g.seed)] = goldenRun(t, g.seed, g.workers, g.parallelism)
 	}
 	if *updateGolden {
 		js, err := json.MarshalIndent(got, "", "  ")

@@ -1,7 +1,7 @@
 // Package engine turns the study's experiments into data: a Registry
 // of runnable experiment descriptors, a concurrent Runner with a
 // bounded worker pool, and a RunReport that accounts for where the
-// wall-clock time went. The root package registers E01–E20 and
+// wall-clock time went. The root package registers E01–E26 and
 // A01–A07 here and every consumer — CLI, examples, benchmarks, tests
 // — selects and executes them through the same engine.
 //

@@ -280,7 +280,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		}
 		return sess.PlayEpoch()
 	}
-	lab, err := NewMultiLab(CampaignSuite(cfg.Seed))
+	lab, err := NewLab(CampaignSuite(cfg.Seed)...)
 	if err != nil {
 		return CampaignResult{}, err
 	}

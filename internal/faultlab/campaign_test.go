@@ -112,8 +112,8 @@ func TestCampaignSupervisedBeatsBaseline(t *testing.T) {
 	}
 }
 
-func TestNewMultiLabArmsAllFaults(t *testing.T) {
-	lab, err := NewMultiLab(CampaignSuite(9))
+func TestNewLabArmsAllFaults(t *testing.T) {
+	lab, err := NewLab(CampaignSuite(9)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,11 @@ import (
 // a controller whose code carries the injected fault, and a canonical
 // workload with symptom detectors.
 type Lab struct {
-	pumper
-	Fault *Fault
-	C     *sdn.Controller
+	pump sdn.Pump
+	C    *sdn.Controller
 
-	// Faults lists every armed fault when the lab runs a multi-fault
-	// campaign (see NewMultiLab); single-fault labs leave it nil and
-	// use Fault alone.
+	// Faults lists every armed fault: one for a fault study, the whole
+	// suite for a sustained campaign.
 	Faults []*Fault
 
 	// baselineMeanCost is the healthy mean event cost, measured with
@@ -44,25 +42,20 @@ const topologySize = 3
 // services are the external services in the lab environment.
 var services = []string{"influxdb", "atomix"}
 
-// NewLab builds a lab around the fault.
-func NewLab(f *Fault) (*Lab, error) { return newLab(&Lab{Fault: f}) }
-
-// NewMultiLab builds a lab with every fault of the slice armed at
-// once — the sustained-campaign substrate, where the taxonomy's fault
-// classes interleave instead of being studied one at a time.
-func NewMultiLab(faults []*Fault) (*Lab, error) {
+// NewLab builds a lab with every given fault armed at once. One fault
+// is a fault study; the whole suite is the sustained-campaign
+// substrate, where the taxonomy's fault classes interleave.
+//
+// NewLab measures the healthy baseline with every fault switched off
+// (before building, so environment tampering is not applied either),
+// then rebuilds with the faults armed; the first faulty run is still
+// incarnation 0.
+func NewLab(faults ...*Fault) (*Lab, error) {
 	if len(faults) == 0 {
-		return nil, errors.New("faultlab: multi lab needs at least one fault")
+		return nil, errors.New("faultlab: lab needs at least one fault")
 	}
-	return newLab(&Lab{Fault: faults[0], Faults: faults})
-}
-
-// newLab measures the healthy baseline with every armed fault switched
-// off (before building, so environment tampering is not applied
-// either), then rebuilds with the faults armed; the first faulty run
-// is still incarnation 0.
-func newLab(lab *Lab) (*Lab, error) {
-	for _, f := range lab.armed() {
+	lab := &Lab{Faults: faults}
+	for _, f := range faults {
 		f.Disabled = true
 	}
 	if err := lab.build(); err != nil {
@@ -76,7 +69,7 @@ func newLab(lab *Lab) (*Lab, error) {
 		return nil, fmt.Errorf("faultlab: baseline not healthy: observed %v", obs.Symptom)
 	}
 	lab.baselineMeanCost = lab.C.Stats.MeanEventCost()
-	for _, f := range lab.armed() {
+	for _, f := range faults {
 		f.Disabled = false
 		f.resetState()
 	}
@@ -90,19 +83,10 @@ func newLab(lab *Lab) (*Lab, error) {
 // construction (with every fault disabled).
 func (l *Lab) BaselineMeanCost() float64 { return l.baselineMeanCost }
 
-// armed returns the lab's fault set (the single Fault when Faults is
-// unset).
-func (l *Lab) armed() []*Fault {
-	if len(l.Faults) > 0 {
-		return l.Faults
-	}
-	return []*Fault{l.Fault}
-}
-
 // NewIncarnations informs every armed fault that the controller
 // restarted.
 func (l *Lab) NewIncarnations() {
-	for _, f := range l.armed() {
+	for _, f := range l.Faults {
 		f.NewIncarnation()
 	}
 }
@@ -111,7 +95,7 @@ func (l *Lab) NewIncarnations() {
 // installed. The fault object itself survives — it is the bug in the
 // code.
 func (l *Lab) build() error {
-	c, err := newController(l.armed())
+	c, err := newController(l.Faults)
 	if err != nil {
 		return err
 	}
@@ -239,12 +223,11 @@ func (l *Lab) RunWorkload() (Observation, error) {
 	return l.Observe()
 }
 
-// pumpSlot is Driver.SendPacket for a traffic slot, but honouring the
-// lab filter for the resulting packet-in events. It stops at a crash
-// or a harness error.
+// pumpSlot pumps a traffic slot's packet, routing each packet-in
+// through the lab filter. It stops at a crash or a harness error.
 func (l *Lab) pumpSlot(s Slot) ([]sdn.Delivery, error) {
 	var err error
-	deliveries, ierr := l.pump(l.C.Net, s.Src, s.packet(), func(events []sdn.Event) bool {
+	deliveries, ierr := l.pump.Send(l.C.Net, s.Src, s.packet(), func(events []sdn.Event) bool {
 		l.C.ReserveLog(len(events))
 		for _, ev := range events {
 			if l.C.State == sdn.StateCrashed {
@@ -306,11 +289,20 @@ func (l *Lab) Observe() (Observation, error) {
 	return obs, nil
 }
 
-// connectivity is Driver.FullConnectivity but pumped through the lab
-// filter.
-func (l *Lab) connectivity() (sdn.ConnectivityReport, error) {
+// connectivityReport summarizes a full-mesh reachability check.
+type connectivityReport struct {
+	Pairs       int
+	Reachable   int
+	BroadcastOK bool
+}
+
+// connectivity is the behavioural probe: a broadcast from every host
+// so MACs are learned, unicast reachability over every ordered host
+// pair, then a broadcast from the first host on the default and the
+// mirror VLAN — all pumped through the lab filter.
+func (l *Lab) connectivity() (connectivityReport, error) {
 	hosts := l.C.Net.Hosts()
-	var rep sdn.ConnectivityReport
+	var rep connectivityReport
 	for _, src := range hosts {
 		if _, err := l.pumpSlot(Slot{Kind: SlotBroadcast, Src: src}); err != nil {
 			return rep, err

@@ -5,7 +5,8 @@ package faultlab
 // modes, and the perfuzz harness — is a Schedule of slots played
 // against a Runtime. What the campaigns share lives here: building
 // events and packets from each slot kind (NewSlot, Slot.packet),
-// pumping traffic (pump), and drawing wire episodes (Player). A Runtime
+// pumping traffic (through sdn.Pump), and drawing wire episodes
+// (Player). A Runtime
 // owns what differs: how a round of events is submitted, what a wire
 // fault does, what runs around each slot, and what a broadcast probe
 // decides.
@@ -121,10 +122,12 @@ type Runtime interface {
 // as long as the player, so replaying the schedule (a Session's next
 // epoch) continues the episode stream instead of repeating it.
 type Player struct {
-	pumper
+	pump  sdn.Pump
 	rt    Runtime
 	sched Schedule
 	wire  *rand.Rand
+	// mgmt is a management slot's round of one.
+	mgmt [1]sdn.Event
 	// round, play and flood are bound once so that handing them to
 	// the runtime per slot does not allocate.
 	round func([]sdn.Event) bool
@@ -159,14 +162,14 @@ func (p *Player) Play() error {
 func (p *Player) PlaySlot(s Slot) error {
 	switch s.Kind {
 	case SlotUnicast:
-		p.pump(p.rt.Net(), s.Src, s.packet(), p.round)
+		p.pump.Send(p.rt.Net(), s.Src, s.packet(), p.round)
 	case SlotBroadcast, SlotMirrorBroadcast:
 		p.rt.Probe(s, p.flood)
 	case SlotWireFault:
 		return p.rt.Wire(s, p.wire)
 	default:
-		p.events = append(p.events[:0], s.Ev)
-		p.rt.Submit(p.events)
+		p.mgmt[0] = s.Ev
+		p.rt.Submit(p.mgmt[:])
 	}
 	return nil
 }
@@ -174,7 +177,7 @@ func (p *Player) PlaySlot(s Slot) error {
 // reached pumps a traffic slot and counts the distinct hosts it
 // reached.
 func (p *Player) reached(s Slot) int {
-	deliveries, _ := p.pump(p.rt.Net(), s.Src, s.packet(), p.round)
+	deliveries, _ := p.pump.Send(p.rt.Net(), s.Src, s.packet(), p.round)
 	return distinctHosts(deliveries)
 }
 
@@ -185,35 +188,4 @@ func distinctHosts(deliveries []sdn.Delivery) int {
 		seen[d.MAC] = true
 	}
 	return len(seen)
-}
-
-// pumper owns the event buffer its pumps hand to their round
-// callbacks, reused across rounds and pumps.
-type pumper struct{ events []sdn.Event }
-
-// pump injects packet p at host src and hands the resulting punts to
-// round, one slice per control round, until the network goes quiet, 32
-// rounds pass, or round returns false. Events point into the drained
-// packet-in slice (ownership transfers at DrainPacketIns), so a round
-// costs no heap copy per punt. The slice round receives is valid only
-// during the call. pump returns the host deliveries.
-func (pp *pumper) pump(net *sdn.Network, src uint64, p sdn.Packet, round func([]sdn.Event) bool) ([]sdn.Delivery, error) {
-	net.DrainDeliveries()
-	if _, err := net.InjectFromHost(src, p); err != nil {
-		return nil, err
-	}
-	for r := 0; r < 32; r++ {
-		pis := net.DrainPacketIns()
-		if len(pis) == 0 {
-			break
-		}
-		pp.events = pp.events[:0]
-		for i := range pis {
-			pp.events = append(pp.events, sdn.Event{Kind: sdn.EventNetwork, Msg: &pis[i]})
-		}
-		if !round(pp.events) {
-			break
-		}
-	}
-	return net.DrainDeliveries(), nil
 }

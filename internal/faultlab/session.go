@@ -43,7 +43,7 @@ type Supervised struct {
 // metrics). Every restart advances the fault incarnations and resets
 // the program's per-incarnation clamp counters.
 func NewSupervised(faults []*Fault, program *sdn.Program, cfg supervise.Config) (*Supervised, error) {
-	lab, err := NewMultiLab(faults)
+	lab, err := NewLab(faults...)
 	if err != nil {
 		return nil, err
 	}

@@ -125,13 +125,23 @@ func RunCompositionExperiment() (CompositionResult, error) {
 		}
 		app := sdn.NewL2Switch(nil)
 		c := sdn.NewController(net, sdn.NewEnvironment(), app, mws...)
-		d := &sdn.Driver{C: c}
+		// A crashed controller leaves the rest of its punts unserved.
+		submit := func(events []sdn.Event) bool {
+			c.ReserveLog(len(events))
+			for _, ev := range events {
+				if c.State == sdn.StateCrashed || c.Submit(ev) != nil {
+					return false
+				}
+			}
+			return true
+		}
+		var pump sdn.Pump
 		// Each host announces itself once on the mirror VLAN — for a
 		// silent host this is the only packet revealing its location.
 		for _, mac := range net.Hosts() {
-			if _, err := d.SendPacket(mac, sdn.Packet{
+			if _, err := pump.Send(net, mac, sdn.Packet{
 				EthDst: sdn.BroadcastMAC, EthType: 0x0806, VlanID: faultlab.PoisonVLAN,
-			}); err != nil {
+			}, submit); err != nil {
 				return nil, err
 			}
 		}

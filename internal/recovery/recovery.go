@@ -42,7 +42,7 @@ func (CrashRestart) Name() string { return "crash-restart" }
 
 // Recover implements Strategy.
 func (CrashRestart) Recover(l *faultlab.Lab) error {
-	l.Fault.NewIncarnation()
+	l.NewIncarnations()
 	l.C.Restart(false)
 	return nil
 }
@@ -231,10 +231,12 @@ func (EnvironmentFix) Name() string { return "environment-fix" }
 
 // Recover implements Strategy.
 func (EnvironmentFix) Recover(l *faultlab.Lab) error {
-	for svc, v := range l.Fault.ExpectedEnv() {
-		l.C.Env.Versions[svc] = v
+	for _, f := range l.Faults {
+		for svc, v := range f.ExpectedEnv() {
+			l.C.Env.Versions[svc] = v
+		}
 	}
-	l.Fault.NewIncarnation()
+	l.NewIncarnations()
 	l.C.Restart(false)
 	return nil
 }
@@ -302,7 +304,7 @@ func (p *PredictiveRejuvenation) Recover(l *faultlab.Lab) error {
 	if budget <= 0 {
 		budget = 7
 	}
-	l.Fault.NewIncarnation()
+	l.NewIncarnations()
 	l.C.Restart(false)
 	l.Guard = func(c *sdn.Controller) bool {
 		return c.Stats.EventsProcessed >= budget

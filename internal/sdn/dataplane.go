@@ -596,3 +596,25 @@ func (n *Network) HostAttachment(mac uint64) (PortRef, error) {
 	}
 	return h.Attach, nil
 }
+
+// LinearTopology builds N switches in a line with one host per switch:
+// host i (MAC 0x10+i) on port 1 of switch i; inter-switch links use
+// ports 2 (towards lower dpid) and 3 (towards higher).
+func LinearTopology(n int) (*Network, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("sdn: need at least 1 switch, got %d", n)
+	}
+	net := NewNetwork()
+	for i := 1; i <= n; i++ {
+		net.AddSwitch(uint64(i), 3)
+		if err := net.AddHost(uint64(0x10+i), PortRef{uint64(i), 1}); err != nil {
+			return nil, err
+		}
+	}
+	for i := 1; i < n; i++ {
+		if err := net.AddLink(PortRef{uint64(i), 3}, PortRef{uint64(i + 1), 2}); err != nil {
+			return nil, err
+		}
+	}
+	return net, nil
+}

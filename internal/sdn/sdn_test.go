@@ -128,7 +128,7 @@ func TestSwitchPorts(t *testing.T) {
 	}
 }
 
-func newRunningController(t *testing.T, nSwitches int) (*Controller, *Driver) {
+func newRunningController(t *testing.T, nSwitches int) (*Controller, *hostDriver) {
 	t.Helper()
 	net, err := LinearTopology(nSwitches)
 	if err != nil {
@@ -137,7 +137,7 @@ func newRunningController(t *testing.T, nSwitches int) (*Controller, *Driver) {
 	env := NewEnvironment("influxdb", "atomix")
 	app := NewL2Switch(map[string]int{"influxdb": 1, "atomix": 1})
 	c := NewController(net, env, app)
-	return c, &Driver{C: c}
+	return c, &hostDriver{c: c}
 }
 
 func TestLearningSwitchSingleSwitch(t *testing.T) {
@@ -155,7 +155,7 @@ func TestLearningSwitchSingleSwitch(t *testing.T) {
 	c.Net = net
 
 	// Unknown destination floods to everyone.
-	got, err := d.Broadcast(0x21)
+	got, err := d.broadcast(0x21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLearningSwitchSingleSwitch(t *testing.T) {
 		t.Errorf("broadcast deliveries: %v", got)
 	}
 	// After learning, unicast reaches exactly the destination.
-	ok, err := d.Ping(0x22, 0x21)
+	ok, err := d.ping(0x22, 0x21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestLearningSwitchSingleSwitch(t *testing.T) {
 
 func TestLearningSwitchAcrossLine(t *testing.T) {
 	c, d := newRunningController(t, 3)
-	rep, err := d.FullConnectivity()
+	rep, err := d.fullConnectivity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestLearningSwitchAcrossLine(t *testing.T) {
 
 func TestPortDownForgetsHosts(t *testing.T) {
 	c, d := newRunningController(t, 2)
-	if ok, _ := d.Ping(0x11, 0x12); !ok {
+	if ok, _ := d.ping(0x11, 0x12); !ok {
 		// learn both ways first
 		t.Fatal("initial ping failed")
 	}
-	if ok, _ := d.Ping(0x12, 0x11); !ok {
+	if ok, _ := d.ping(0x12, 0x11); !ok {
 		t.Fatal("reverse ping failed")
 	}
 	// Take down host 0x12's port (switch 2, port 1).
@@ -217,7 +217,7 @@ func TestPortDownForgetsHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := d.Ping(0x11, 0x12); ok {
+	if ok, _ := d.ping(0x11, 0x12); ok {
 		t.Error("ping should fail with destination port down")
 	}
 	// Bring it back: reactive re-learning restores connectivity.
@@ -227,7 +227,7 @@ func TestPortDownForgetsHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := d.Ping(0x12, 0x11); !ok {
+	if ok, _ := d.ping(0x12, 0x11); !ok {
 		t.Error("recovery ping failed")
 	}
 }
@@ -284,10 +284,10 @@ func TestHardwareReboot(t *testing.T) {
 	c, d := newRunningController(t, 2)
 	// Ping both ways so unicast flows install (reactive learning needs
 	// the destination MAC seen as a source first).
-	if ok, _ := d.Ping(0x11, 0x12); !ok {
+	if ok, _ := d.ping(0x11, 0x12); !ok {
 		t.Fatal("setup ping failed")
 	}
-	if ok, _ := d.Ping(0x12, 0x11); !ok {
+	if ok, _ := d.ping(0x12, 0x11); !ok {
 		t.Fatal("reverse setup ping failed")
 	}
 	sw, _ := c.Net.Switch(1)
@@ -301,7 +301,7 @@ func TestHardwareReboot(t *testing.T) {
 		t.Error("reboot should clear the flow table")
 	}
 	// Reactive forwarding re-converges.
-	if ok, _ := d.Ping(0x11, 0x12); !ok {
+	if ok, _ := d.ping(0x11, 0x12); !ok {
 		t.Error("ping after reboot failed")
 	}
 }
@@ -539,7 +539,7 @@ func TestAddSwitchAgainKeepsWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.AddSwitch(2, 3)
-	got, err := (&Driver{C: NewController(net, NewEnvironment(), NewL2Switch(nil))}).FullConnectivity()
+	got, err := (&hostDriver{c: NewController(net, NewEnvironment(), NewL2Switch(nil))}).fullConnectivity()
 	if err != nil {
 		t.Fatal(err)
 	}

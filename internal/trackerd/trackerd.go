@@ -41,7 +41,7 @@ func NewGitHubHandler(store *tracker.Store, owner, name string) http.Handler {
 }
 
 // atoiDefault parses s, falling back to def for empty, malformed, or
-// negative input — the shared query-parameter rule of both dialects.
+// negative input — the JIRA dialect's rule for startAt and maxResults.
 func atoiDefault(s string, def int) int {
 	if s == "" {
 		return def

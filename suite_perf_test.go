@@ -12,39 +12,6 @@ import (
 // NLP validation path — the PR's hot set.
 var nlpIDs = []string{"E09", "A01", "A02"}
 
-// TestSuiteWorkersDeterministic is the tentpole's end-to-end
-// determinism contract: the NLP experiments must render byte-identical
-// checks and tables whether the in-experiment worker pools run on one
-// goroutine or many. Each worker count gets its own suite so the
-// validation cache cannot mask a divergence.
-func TestSuiteWorkersDeterministic(t *testing.T) {
-	if raceEnabled {
-		t.Skip("full E09 workloads are too slow under -race; internal/study covers the parallel grid")
-	}
-	ctx := context.Background()
-	var base string
-	for _, workers := range []int{1, 8} {
-		s := NewSuite(1)
-		s.Workers = workers
-		run, err := s.Run(ctx, RunOptions{IDs: nlpIDs, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := run.Err(); err != nil {
-			t.Fatalf("workers=%d run error: %v", workers, err)
-		}
-		out := renderRun(run)
-		if base == "" {
-			base = out
-			continue
-		}
-		if out != base {
-			t.Errorf("workers=%d output diverged from workers=1:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-				workers, base, workers, out)
-		}
-	}
-}
-
 // TestSuiteValidationCacheConsistent checks the suite-level validation
 // cache: A02 repeats E09's exact protocol, and E12's pipeline reuses
 // E09's TF-IDF vocabulary and Word2Vec model, so within one suite run
