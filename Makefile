@@ -10,7 +10,7 @@ GO ?= go
 # pool turns the same setting into real speedup.
 BENCH_GOMAXPROCS ?= 4
 
-.PHONY: build fmt-check vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke verify
+.PHONY: build fmt-check vet perfbench-vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke verify
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet compiles and vets the benchmark module. perfbench has
+# its own go.mod, so the root build and vet never see it: an API change
+# the benchmark relies on would otherwise break it unnoticed.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # cross-check guards the no-FMA rule: Dot, MulVecInto and the PCA fit
 # round every product before adding it, so they must return the same
@@ -138,4 +144,4 @@ examples-smoke:
 	$(GO) run ./examples/selfheal > /dev/null
 	$(GO) run ./examples/recovery-eval > /dev/null
 
-verify: build fmt-check vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke
+verify: build fmt-check vet perfbench-vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke

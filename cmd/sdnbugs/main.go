@@ -325,15 +325,9 @@ func cmdMine(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		jiraStore, ghStore := tracker.NewStore(), tracker.NewStore()
-		for _, iss := range corp.Issues {
-			st := jiraStore
-			if tracker.TrackerFor(iss.Controller) == tracker.KindGitHub {
-				st = ghStore
-			}
-			if err := st.Put(iss); err != nil {
-				return err
-			}
+		jiraStore, ghStore, err := tracker.SplitStores(corp.Issues)
+		if err != nil {
+			return err
 		}
 		owner, name, ok := strings.Cut(*ghRepo, "/")
 		if !ok {

@@ -69,10 +69,7 @@ func run() error {
 	}
 
 	// Figure 11 + Table IV: FAUCET burn analysis.
-	h, err := vcs.GenerateFaucet(vcs.GenerateConfig{Seed: *seed})
-	if err != nil {
-		return err
-	}
+	h := vcs.GenerateFaucet(*seed)
 	dist, err := burn.Distribution(h)
 	if err != nil {
 		return err

@@ -73,16 +73,9 @@ func runLegacy(args []string) error {
 	if err != nil {
 		return err
 	}
-	jiraStore := tracker.NewStore()
-	ghStore := tracker.NewStore()
-	for _, iss := range corp.Issues {
-		store := ghStore
-		if tracker.TrackerFor(iss.Controller) == tracker.KindJIRA {
-			store = jiraStore
-		}
-		if err := store.Put(iss); err != nil {
-			return err
-		}
+	jiraStore, ghStore, err := tracker.SplitStores(corp.Issues)
+	if err != nil {
+		return err
 	}
 
 	var jiraHandler http.Handler = trackerd.NewJIRAHandler(jiraStore)

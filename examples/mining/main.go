@@ -50,15 +50,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	jiraStore, ghStore := tracker.NewStore(), tracker.NewStore()
-	for _, iss := range corp.Issues {
-		store := ghStore
-		if tracker.TrackerFor(iss.Controller) == tracker.KindJIRA {
-			store = jiraStore
-		}
-		if err := store.Put(iss); err != nil {
-			return err
-		}
+	jiraStore, ghStore, err := tracker.SplitStores(corp.Issues)
+	if err != nil {
+		return err
 	}
 	jiraURL, stopJira, err := serve(trackerd.NewJIRAHandler(jiraStore))
 	if err != nil {

@@ -50,7 +50,6 @@ func run() error {
 		Classify:         faultlab.ClassifyEvent,
 		OnRestart:        lab.NewIncarnations,
 	})
-	lab.Filter = sup.Filter
 
 	submit := func(label string, ev sdn.Event) {
 		out := sup.Submit(ev)

@@ -43,9 +43,9 @@ func (s *Suite) E01CorpusMining() (ExperimentResult, error) {
 
 	// Load the simulators exactly as the real trackers would hold the
 	// data: ONOS/CORD in JIRA, FAUCET in GitHub.
-	jiraStore, ghStore, err := loadTrackerStores(corp)
+	jiraStore, ghStore, err := tracker.SplitStores(corp.Issues)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("sdnbugs: load stores: %w", err)
 	}
 	jiraSrv := httptest.NewServer(trackerd.NewJIRAHandler(jiraStore))
 	defer jiraSrv.Close()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"sdnbugs/internal/chaos"
@@ -62,24 +61,21 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 	if err != nil {
 		return res, err
 	}
-	jiraStore, ghStore, err := loadTrackerStores(corp)
+	srv, err := startTrackerServers(corp, chaos.Config{
+		Seed:       s.Seed + 23,
+		Rate:       0.5,
+		RetryAfter: time.Millisecond,
+		Latency:    2 * time.Millisecond,
+	})
 	if err != nil {
 		return res, err
 	}
+	defer srv.Close()
 	ctx := context.Background()
-
-	// One handler per store serves both the clean and the chaos
-	// server, so each corpus is encoded into one replica.
-	jiraH := trackerd.NewJIRAHandler(jiraStore)
-	ghH := trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet")
 
 	// Clean single-shot baseline: durable store on a fault-free
 	// in-memory disk, plain trackers, plain client.
-	cleanJira := httptest.NewServer(jiraH)
-	defer cleanJira.Close()
-	cleanGH := httptest.NewServer(ghH)
-	defer cleanGH.Close()
-	cleanBytes, cleanTotal, err := e23CleanMine(ctx, cleanJira.URL, cleanGH.URL)
+	cleanBytes, cleanTotal, err := e23CleanMine(ctx, srv.cleanJira.URL, srv.cleanGH.URL)
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: E23 baseline mine: %w", err)
 	}
@@ -87,19 +83,6 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 	// The campaign: same mining, but through 50%-chaos trackers and on
 	// a disk that crashes at each scheduled point. One MemFS plays the
 	// disk that survives every "process death".
-	ccfg := chaos.Config{
-		Seed:       s.Seed + 23,
-		Rate:       0.5,
-		RetryAfter: time.Millisecond,
-		Latency:    2 * time.Millisecond,
-	}
-	chaosJiraH := chaos.Wrap(jiraH, ccfg)
-	chaosGHH := chaos.Wrap(ghH, ccfg)
-	flakyJira := httptest.NewServer(chaosJiraH)
-	defer flakyJira.Close()
-	flakyGH := httptest.NewServer(chaosGHH)
-	defer flakyGH.Close()
-
 	mem := diskfault.NewMemFS()
 	var rounds []e23Round
 	var lockedErr error
@@ -111,7 +94,7 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 			crashOp = e23CrashPoints[i]
 			fsys = diskfault.New(mem, diskfault.Config{Seed: s.Seed + int64(i), CrashAfterOps: crashOp})
 		}
-		rd, lockErr, err := e23Round1(ctx, fsys, flakyJira.URL, flakyGH.URL, i > 0, i == len(e23CrashPoints))
+		rd, lockErr, err := e23Round1(ctx, fsys, srv.flakyJira.URL, srv.flakyGH.URL, i > 0, i == len(e23CrashPoints))
 		rd.crashOp = crashOp
 		if err != nil {
 			return res, fmt.Errorf("sdnbugs: E23 round %d: %w", i+1, err)
@@ -142,7 +125,7 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: E23 crash matrix: %w", err)
 	}
-	faults := chaosJiraH.Stats().Faults() + chaosGHH.Stats().Faults()
+	faults := srv.chaosJira.Stats().Faults() + srv.chaosGH.Stats().Faults()
 
 	res.Checks = append(res.Checks,
 		report.Check{Artifact: "E23", Metric: "clean single-shot mine corpus size",

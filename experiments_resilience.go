@@ -28,23 +28,40 @@ func (s *Suite) registerResilienceExperiments(r *engine.Registry[ExperimentResul
 // through; the GitHub simulators serve it under faucetsdn/faucet.
 var faucetRepo = trackerd.GitHubList{Repo: "faucetsdn/faucet"}
 
-// loadTrackerStores splits the corpus into the two simulators the way
-// the real trackers hold the data: ONOS/CORD in JIRA, FAUCET in
-// GitHub.
-func loadTrackerStores(corp *corpus.Corpus) (jira, gh *tracker.Store, err error) {
-	jira, gh = tracker.NewStore(), tracker.NewStore()
-	for _, iss := range corp.Issues {
-		var putErr error
-		if tracker.TrackerFor(iss.Controller) == tracker.KindJIRA {
-			putErr = jira.Put(iss)
-		} else {
-			putErr = gh.Put(iss)
-		}
-		if putErr != nil {
-			return nil, nil, fmt.Errorf("sdnbugs: load store: %w", putErr)
-		}
+// trackerServers serves the corpus's JIRA and GitHub stores twice over
+// loopback: a clean pair, and a flaky pair behind chaos middleware.
+// One handler per store backs both pairs, so each corpus is encoded
+// into one replica.
+type trackerServers struct {
+	cleanJira, cleanGH *httptest.Server
+	flakyJira, flakyGH *httptest.Server
+	chaosJira, chaosGH *chaos.Handler
+}
+
+// startTrackerServers splits the corpus the way the real trackers hold
+// it (tracker.SplitStores) and starts both pairs; ccfg configures the
+// chaos middleware. Close stops all four servers.
+func startTrackerServers(corp *corpus.Corpus, ccfg chaos.Config) (*trackerServers, error) {
+	jiraStore, ghStore, err := tracker.SplitStores(corp.Issues)
+	if err != nil {
+		return nil, fmt.Errorf("sdnbugs: load stores: %w", err)
 	}
-	return jira, gh, nil
+	jiraH := trackerd.NewJIRAHandler(jiraStore)
+	ghH := trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet")
+	t := &trackerServers{chaosJira: chaos.Wrap(jiraH, ccfg), chaosGH: chaos.Wrap(ghH, ccfg)}
+	t.cleanJira = httptest.NewServer(jiraH)
+	t.cleanGH = httptest.NewServer(ghH)
+	t.flakyJira = httptest.NewServer(t.chaosJira)
+	t.flakyGH = httptest.NewServer(t.chaosGH)
+	return t, nil
+}
+
+// Close stops the four servers.
+func (t *trackerServers) Close() {
+	t.cleanJira.Close()
+	t.cleanGH.Close()
+	t.flakyJira.Close()
+	t.flakyGH.Close()
 }
 
 // E21ResilientMining is the robustness experiment: the §II-B mining
@@ -61,50 +78,35 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 	if err != nil {
 		return res, err
 	}
-	jiraStore, ghStore, err := loadTrackerStores(corp)
+	// The chaos pair faults roughly every other request, but the chaos
+	// progress bound (≤3 consecutive error faults) plus 8 attempts per
+	// request guarantees completion.
+	srv, err := startTrackerServers(corp, chaos.Config{
+		Seed:       s.Seed + 21,
+		Rate:       0.5,
+		RetryAfter: time.Millisecond, // advertises "0": no forced sleeps
+		Latency:    2 * time.Millisecond,
+	})
 	if err != nil {
 		return res, err
 	}
+	defer srv.Close()
 	ctx := context.Background()
 
-	// One handler per store serves both the clean and the chaos
-	// server, so each corpus is encoded into one replica.
-	jiraH := trackerd.NewJIRAHandler(jiraStore)
-	ghH := trackerd.NewGitHubHandler(ghStore, "faucetsdn", "faucet")
-
 	// Fault-free baseline through plain clients (no retry layer).
-	cleanJira := httptest.NewServer(jiraH)
-	defer cleanJira.Close()
-	cleanGH := httptest.NewServer(ghH)
-	defer cleanGH.Close()
 	plain := &http.Client{}
-	baseJira, err := (&trackerd.Client{BaseURL: cleanJira.URL, HTTPClient: plain,
+	baseJira, err := (&trackerd.Client{BaseURL: srv.cleanJira.URL, HTTPClient: plain,
 		PageSize: 50}).FetchAll(ctx, trackerd.JIRASearch{})
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: baseline JIRA mining: %w", err)
 	}
-	baseGH, err := (&trackerd.Client{BaseURL: cleanGH.URL,
+	baseGH, err := (&trackerd.Client{BaseURL: srv.cleanGH.URL,
 		HTTPClient: plain, PageSize: 50}).FetchAll(ctx, faucetRepo)
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: baseline GitHub mining: %w", err)
 	}
 
-	// The same mining run through chaos: roughly every other request is
-	// faulted, but the chaos progress bound (≤3 consecutive error
-	// faults) plus 8 attempts per request guarantees completion.
-	ccfg := chaos.Config{
-		Seed:       s.Seed + 21,
-		Rate:       0.5,
-		RetryAfter: time.Millisecond, // advertises "0": no forced sleeps
-		Latency:    2 * time.Millisecond,
-	}
-	chaosJiraH := chaos.Wrap(jiraH, ccfg)
-	chaosGHH := chaos.Wrap(ghH, ccfg)
-	flakyJira := httptest.NewServer(chaosJiraH)
-	defer flakyJira.Close()
-	flakyGH := httptest.NewServer(chaosGHH)
-	defer flakyGH.Close()
-
+	// The same mining run through chaos.
 	budget := resilience.NewBudget(200, 1)
 	breaker := resilience.NewBreaker(resilience.BreakerConfig{
 		FailureThreshold: 10, // above the chaos progress bound: must never trip
@@ -119,18 +121,18 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 		Budget:        budget,
 	}, breaker)
 	hardened := &http.Client{Transport: rt}
-	chaosJira, err := (&trackerd.Client{BaseURL: flakyJira.URL, HTTPClient: hardened,
+	chaosJira, err := (&trackerd.Client{BaseURL: srv.flakyJira.URL, HTTPClient: hardened,
 		PageSize: 50}).FetchAll(ctx, trackerd.JIRASearch{})
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: chaos JIRA mining: %w", err)
 	}
-	chaosGH, err := (&trackerd.Client{BaseURL: flakyGH.URL,
+	chaosGH, err := (&trackerd.Client{BaseURL: srv.flakyGH.URL,
 		HTTPClient: hardened, PageSize: 50}).FetchAll(ctx, faucetRepo)
 	if err != nil {
 		return res, fmt.Errorf("sdnbugs: chaos GitHub mining: %w", err)
 	}
 
-	jiraStats, ghStats := chaosJiraH.Stats(), chaosGHH.Stats()
+	jiraStats, ghStats := srv.chaosJira.Stats(), srv.chaosGH.Stats()
 	faults := jiraStats.Faults() + ghStats.Faults()
 	m := rt.Metrics()
 	opens, rejections := breaker.Counts()

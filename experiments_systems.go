@@ -218,10 +218,7 @@ func (s *Suite) E14CommitsPerRelease() (ExperimentResult, error) {
 // E15FaucetBurn reproduces Figure 11.
 func (s *Suite) E15FaucetBurn() (ExperimentResult, error) {
 	res := ExperimentResult{ID: "E15", Title: "Figure 11: FAUCET commit distribution"}
-	h, err := vcs.GenerateFaucet(vcs.GenerateConfig{Seed: s.Seed})
-	if err != nil {
-		return res, err
-	}
+	h := vcs.GenerateFaucet(s.Seed)
 	dist, err := burn.Distribution(h)
 	if err != nil {
 		return res, err
@@ -249,10 +246,7 @@ func (s *Suite) E15FaucetBurn() (ExperimentResult, error) {
 // E16DependencyBurn reproduces Table IV.
 func (s *Suite) E16DependencyBurn() (ExperimentResult, error) {
 	res := ExperimentResult{ID: "E16", Title: "Table IV: FAUCET dependency burn-down"}
-	h, err := vcs.GenerateFaucet(vcs.GenerateConfig{Seed: s.Seed})
-	if err != nil {
-		return res, err
-	}
+	h := vcs.GenerateFaucet(s.Seed)
 	table, err := burn.BurnDownTable(h)
 	if err != nil {
 		return res, err

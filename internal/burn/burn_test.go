@@ -42,10 +42,7 @@ func TestClassifyCommitMajority(t *testing.T) {
 }
 
 func TestDistributionFigure11(t *testing.T) {
-	h, err := vcs.GenerateFaucet(vcs.GenerateConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := vcs.GenerateFaucet(1)
 	dist, err := Distribution(h)
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +99,7 @@ func TestCommitsPerReleaseFigure10(t *testing.T) {
 }
 
 func TestDependencyBurnTable4(t *testing.T) {
-	h, err := vcs.GenerateFaucet(vcs.GenerateConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := vcs.GenerateFaucet(3)
 	table, err := BurnDownTable(h)
 	if err != nil {
 		t.Fatal(err)

@@ -26,11 +26,18 @@ import (
 
 // Defaults applied by Config.withDefaults.
 const (
-	DefaultRate           = 0.25
-	DefaultLatency        = 20 * time.Millisecond
-	DefaultBurstLen       = 2
-	DefaultMaxConsecutive = 3
+	DefaultRate    = 0.25
+	DefaultLatency = 20 * time.Millisecond
 )
+
+// MaxConsecutive bounds back-to-back error faults: after this many,
+// the next request is served cleanly. It is the progress guarantee
+// retrying clients rely on.
+const MaxConsecutive = 3
+
+// burstLen is the maximum number of extra 5xx responses following an
+// injected server error — trackers rarely fail exactly once.
+const burstLen = 2
 
 // Config tunes a chaos Handler. The zero value injects at the default
 // rate with the default fault mix.
@@ -47,14 +54,6 @@ type Config struct {
 	// Latency is the upper bound of an injected latency spike
 	// (default 20ms). Spikes delay the response but serve it intact.
 	Latency time.Duration
-	// BurstLen is the maximum number of extra 5xx responses following
-	// an injected server error (default 2) — trackers rarely fail
-	// exactly once.
-	BurstLen int
-	// MaxConsecutive bounds back-to-back error faults: after this many,
-	// the next request is served cleanly (default 3). It is the
-	// progress guarantee retrying clients rely on.
-	MaxConsecutive int
 }
 
 func (c Config) withDefaults() Config {
@@ -69,12 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Latency <= 0 {
 		c.Latency = DefaultLatency
-	}
-	if c.BurstLen <= 0 {
-		c.BurstLen = DefaultBurstLen
-	}
-	if c.MaxConsecutive <= 0 {
-		c.MaxConsecutive = DefaultMaxConsecutive
 	}
 	return c
 }
@@ -143,7 +136,7 @@ func (h *Handler) decide() (faultKind, time.Duration) {
 
 	// Forced progress: after MaxConsecutive error faults the request
 	// goes through untouched, whatever the dice say.
-	if h.consecutive >= h.cfg.MaxConsecutive {
+	if h.consecutive >= MaxConsecutive {
 		h.burst = 0
 		h.consecutive = 0
 		return passThrough, 0
@@ -175,7 +168,7 @@ func (h *Handler) decide() (faultKind, time.Duration) {
 		return faultRateLimit, 0
 	case faultServerError:
 		h.consecutive++
-		h.burst = h.rng.Intn(h.cfg.BurstLen + 1)
+		h.burst = h.rng.Intn(burstLen + 1)
 		h.stats.ServerErrors++
 		return faultServerError, 0
 	case faultTruncate:

@@ -62,10 +62,11 @@ func TestDeterministicSchedule(t *testing.T) {
 }
 
 func TestFaultMixAtFullRate(t *testing.T) {
-	// Rate 1 with a high consecutive bound: nearly every request is
-	// faulted, and over enough draws every kind appears.
+	// Rate 1: every request is faulted except the one forced clean
+	// after each MaxConsecutive run, and over enough draws every kind
+	// appears.
 	cfg := Config{Seed: 7, Rate: 1, RetryAfter: time.Millisecond,
-		Latency: time.Millisecond, MaxConsecutive: 2}
+		Latency: time.Millisecond}
 	_, stats := sequence(t, cfg, 120)
 	if stats.Requests != 120 {
 		t.Fatalf("requests = %d, want 120", stats.Requests)
@@ -84,7 +85,7 @@ func TestForcedProgressBound(t *testing.T) {
 	// error faults the next request must be served cleanly — the
 	// guarantee retrying clients build on.
 	cfg := Config{Seed: 1, Rate: 1, RetryAfter: time.Millisecond,
-		Latency: time.Millisecond, MaxConsecutive: 3}
+		Latency: time.Millisecond}
 	outcomes, _ := sequence(t, cfg, 60)
 	streak := 0
 	sawClean := false
@@ -97,8 +98,8 @@ func TestForcedProgressBound(t *testing.T) {
 			continue
 		}
 		streak++
-		if streak > 3 {
-			t.Fatalf("%d consecutive error faults, bound is 3: %v", streak, outcomes)
+		if streak > MaxConsecutive {
+			t.Fatalf("%d consecutive error faults, bound is %d: %v", streak, MaxConsecutive, outcomes)
 		}
 	}
 	if !sawClean {
@@ -155,8 +156,7 @@ func TestTruncationDeliversPartialBody(t *testing.T) {
 
 func TestZeroConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Rate != DefaultRate || cfg.Latency != DefaultLatency ||
-		cfg.BurstLen != DefaultBurstLen || cfg.MaxConsecutive != DefaultMaxConsecutive {
+	if cfg.Rate != DefaultRate || cfg.Latency != DefaultLatency {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if cfg.RetryAfter != time.Second {

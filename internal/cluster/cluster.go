@@ -266,9 +266,6 @@ func (e *Ensemble) Primary() *Replica { return e.Reps[e.primary] }
 // Term returns the current term (the live fencing token).
 func (e *Ensemble) Term() uint64 { return e.term }
 
-// Fence exposes the fencing token gate (tests race against it).
-func (e *Ensemble) FenceRef() *Fence { return &e.fence }
-
 // Bank exposes the switch mastership bank.
 func (e *Ensemble) BankRef() *Bank { return e.bank }
 

@@ -54,9 +54,6 @@ func NewSupervised(faults []*Fault, program *sdn.Program, cfg supervise.Config) 
 		s.program.NewIncarnation()
 	}
 	s.Sup = newSupervisor(lab.C, cfg)
-	// The graceful-degradation hook: shed classes die at the lab
-	// filter, before they reach the controller.
-	lab.Filter = s.Sup.Filter
 	return s, nil
 }
 
@@ -79,7 +76,7 @@ func (s *Supervised) Offer(ev sdn.Event) (sdn.Verdict, bool) {
 			return verdict, false
 		}
 	}
-	ev, keep := s.Lab.Filter(ev)
+	ev, keep := s.Sup.Filter(ev)
 	if keep {
 		s.Sup.Submit(ev)
 	}

@@ -155,15 +155,6 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 	return m
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Equal reports whether a and b have the same shape and all elements
 // within tol of each other.
 func Equal(a, b *Matrix, tol float64) bool {

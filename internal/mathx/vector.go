@@ -21,8 +21,7 @@ import (
 var ErrDimensionMismatch = errors.New("mathx: dimension mismatch")
 
 // Dot returns the inner product of a and b.
-// It panics if the lengths differ; use DotChecked when lengths are not
-// statically known to agree.
+// It panics if the lengths differ.
 //
 // The sum is accumulated in four fixed lanes combined in a fixed
 // order, which breaks the floating-point add latency chain that
@@ -53,27 +52,9 @@ func Dot(a, b []float64) float64 {
 	return ((s0 + s1) + (s2 + s3)) + s
 }
 
-// DotChecked returns the inner product of a and b, or
-// ErrDimensionMismatch when the lengths differ.
-func DotChecked(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	return Dot(a, b), nil
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))
-}
-
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // Scale multiplies every element of v by c in place and returns v.
@@ -92,18 +73,6 @@ func Axpy(a float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += a * v
 	}
-}
-
-// Add returns a new vector a+b. It panics on length mismatch.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mathx: Add length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }
 
 // SubInto computes dst = a-b in place (dst may alias a or b) and
@@ -205,21 +174,6 @@ func ArgMax(v []float64) int {
 	best := 0
 	for i := 1; i < len(v); i++ {
 		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element of v, or -1 for an
-// empty slice. Ties resolve to the lowest index.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[best] {
 			best = i
 		}
 	}

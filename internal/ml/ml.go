@@ -1,8 +1,7 @@
 // Package ml provides the classic machine-learning scaffolding the
 // paper's validation uses (§II-C): datasets, feature scaling, the
-// 2/3–1/3 train/test protocol, k-fold cross-validation, and the
-// accuracy/confusion metrics used to compare SVM, decision trees,
-// PCA-reduced models, and AdaBoost.
+// 2/3–1/3 train/test protocol, and the accuracy metric used to compare
+// SVM, decision trees, PCA-reduced models, and AdaBoost.
 package ml
 
 import (
@@ -174,51 +173,6 @@ func Accuracy(pred, truth []int) (float64, error) {
 	return float64(hits) / float64(len(pred)), nil
 }
 
-// ConfusionMatrix returns counts[t][p] of true class t predicted as p,
-// over k classes.
-func ConfusionMatrix(pred, truth []int, k int) ([][]int, error) {
-	if len(pred) != len(truth) {
-		return nil, fmt.Errorf("%w: %d vs %d", ErrLengthMatch, len(pred), len(truth))
-	}
-	cm := make([][]int, k)
-	for i := range cm {
-		cm[i] = make([]int, k)
-	}
-	for i := range pred {
-		if truth[i] < 0 || truth[i] >= k || pred[i] < 0 || pred[i] >= k {
-			return nil, fmt.Errorf("ml: label out of range at %d (t=%d, p=%d, k=%d)", i, truth[i], pred[i], k)
-		}
-		cm[truth[i]][pred[i]]++
-	}
-	return cm, nil
-}
-
-// MacroF1 returns the unweighted mean of per-class F1 scores. Classes
-// absent from both pred and truth contribute 0.
-func MacroF1(pred, truth []int, k int) (float64, error) {
-	cm, err := ConfusionMatrix(pred, truth, k)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for c := 0; c < k; c++ {
-		tp := cm[c][c]
-		var fp, fn int
-		for o := 0; o < k; o++ {
-			if o == c {
-				continue
-			}
-			fp += cm[o][c]
-			fn += cm[c][o]
-		}
-		den := 2*tp + fp + fn
-		if den > 0 {
-			sum += 2 * float64(tp) / float64(den)
-		}
-	}
-	return sum / float64(k), nil
-}
-
 // EvaluateSplit trains clf on train and returns its accuracy on test.
 func EvaluateSplit(clf Classifier, train, test *Dataset) (float64, error) {
 	if err := clf.Fit(train.X, train.Y); err != nil {
@@ -233,42 +187,4 @@ func EvaluateSplit(clf Classifier, train, test *Dataset) (float64, error) {
 		pred[i] = p
 	}
 	return Accuracy(pred, test.Y)
-}
-
-// CrossValidate runs k-fold cross-validation, returning per-fold
-// accuracies. newClf must return a fresh model per fold.
-func CrossValidate(newClf func() Classifier, d *Dataset, folds int, seed int64) ([]float64, error) {
-	if folds < 2 {
-		return nil, fmt.Errorf("ml: need >= 2 folds, got %d", folds)
-	}
-	n := d.Len()
-	if n < folds {
-		return nil, fmt.Errorf("ml: %d examples < %d folds", n, folds)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	accs := make([]float64, 0, folds)
-	for f := 0; f < folds; f++ {
-		var trainIdx, testIdx []int
-		for i, j := range perm {
-			if i%folds == f {
-				testIdx = append(testIdx, j)
-			} else {
-				trainIdx = append(trainIdx, j)
-			}
-		}
-		train, err := d.Subset(trainIdx)
-		if err != nil {
-			return nil, err
-		}
-		test, err := d.Subset(testIdx)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := EvaluateSplit(newClf(), train, test)
-		if err != nil {
-			return nil, err
-		}
-		accs = append(accs, acc)
-	}
-	return accs, nil
 }

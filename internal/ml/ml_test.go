@@ -142,33 +142,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrixAndF1(t *testing.T) {
-	pred := []int{0, 0, 1, 1, 1}
-	truth := []int{0, 1, 1, 1, 0}
-	cm, err := ConfusionMatrix(pred, truth, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm[0][0] != 1 || cm[0][1] != 1 || cm[1][0] != 1 || cm[1][1] != 2 {
-		t.Errorf("cm = %v", cm)
-	}
-	if _, err := ConfusionMatrix([]int{5}, []int{0}, 2); err == nil {
-		t.Error("want out-of-range error")
-	}
-	f1, err := MacroF1(pred, truth, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// class0: p=1/2 r=1/2 f1=1/2; class1: p=2/3 r=2/3 f1=2/3; macro=7/12.
-	if math.Abs(f1-7.0/12.0) > 1e-12 {
-		t.Errorf("macro f1 = %v, want %v", f1, 7.0/12.0)
-	}
-	perfect, _ := MacroF1([]int{0, 1}, []int{0, 1}, 2)
-	if perfect != 1 {
-		t.Errorf("perfect f1 = %v", perfect)
-	}
-}
-
 // centroid is a trivial nearest-centroid classifier for scaffold tests.
 type centroid struct {
 	centers *mathx.Matrix
@@ -218,23 +191,5 @@ func TestEvaluateSplitAndCrossValidate(t *testing.T) {
 	}
 	if acc != 1 {
 		t.Errorf("separable data accuracy = %v, want 1", acc)
-	}
-	accs, err := CrossValidate(func() Classifier { return &centroid{} }, d, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 3 {
-		t.Fatalf("folds = %d", len(accs))
-	}
-	for _, a := range accs {
-		if a != 1 {
-			t.Errorf("fold accuracy = %v, want 1", a)
-		}
-	}
-	if _, err := CrossValidate(func() Classifier { return &centroid{} }, d, 1, 7); err == nil {
-		t.Error("want error for folds < 2")
-	}
-	if _, err := CrossValidate(func() Classifier { return &centroid{} }, d, 100, 7); err == nil {
-		t.Error("want error for folds > n")
 	}
 }

@@ -18,14 +18,14 @@ var (
 	ErrBadRank = errors.New("lda: topics must be >= 1")
 )
 
+// beta is the topic-word Dirichlet prior. The document-topic prior
+// alpha is 50/Topics.
+const beta = 0.01
+
 // Config controls training.
 type Config struct {
 	// Topics is the number of latent topics.
 	Topics int
-	// Alpha is the document-topic Dirichlet prior (default 50/Topics).
-	Alpha float64
-	// Beta is the topic-word Dirichlet prior (default 0.01).
-	Beta float64
 	// Iterations of Gibbs sweeps (default 150).
 	Iterations int
 	// Seed makes sampling deterministic.
@@ -33,23 +33,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 {
-		c.Alpha = 50 / float64(max(c.Topics, 1))
-	}
-	if c.Beta <= 0 {
-		c.Beta = 0.01
-	}
 	if c.Iterations <= 0 {
 		c.Iterations = 150
 	}
 	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Model is a fitted LDA model.
@@ -118,6 +105,7 @@ func Fit(docs [][]string, cfg Config) (*Model, error) {
 		m.docLen[tk.doc]++
 	}
 
+	alpha := 50 / float64(k)
 	probs := make([]float64, k)
 	for it := 0; it < cfg.Iterations; it++ {
 		for i, tk := range tokens {
@@ -129,9 +117,9 @@ func Fit(docs [][]string, cfg Config) (*Model, error) {
 			// Sample a new topic from the collapsed conditional.
 			var total float64
 			for t := 0; t < k; t++ {
-				p := (float64(m.docTopic[tk.doc][t]) + cfg.Alpha) *
-					(float64(m.topicWord[t][tk.word]) + cfg.Beta) /
-					(float64(m.topicTotal[t]) + cfg.Beta*float64(v))
+				p := (float64(m.docTopic[tk.doc][t]) + alpha) *
+					(float64(m.topicWord[t][tk.word]) + beta) /
+					(float64(m.topicTotal[t]) + beta*float64(v))
 				probs[t] = p
 				total += p
 			}

@@ -23,15 +23,16 @@ var (
 
 const eps = 1e-12
 
+// tol stops the updates early when the relative reconstruction-error
+// improvement drops below it.
+const tol = 1e-4
+
 // Config controls the factorization.
 type Config struct {
 	// Rank is the number of topics (columns of W).
 	Rank int
 	// MaxIter bounds the multiplicative-update iterations (default 200).
 	MaxIter int
-	// Tol stops early when the relative reconstruction-error
-	// improvement drops below it (default 1e-4).
-	Tol float64
 	// Seed initializes W and H deterministically.
 	Seed int64
 }
@@ -65,10 +66,6 @@ func Factorize(x *mathx.Matrix, cfg Config) (*Model, error) {
 	maxIter := cfg.MaxIter
 	if maxIter <= 0 {
 		maxIter = 200
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-4
 	}
 	k := cfg.Rank
 

@@ -61,7 +61,7 @@ func TestFactorsStayNonNegative(t *testing.T) {
 }
 
 func TestErrorNonIncreasing(t *testing.T) {
-	model, err := Factorize(blockMatrix(), Config{Rank: 2, Seed: 3, MaxIter: 150, Tol: 1e-12})
+	model, err := Factorize(blockMatrix(), Config{Rank: 2, Seed: 3, MaxIter: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestErrorNonIncreasing(t *testing.T) {
 }
 
 func TestRecoverBlockStructure(t *testing.T) {
-	model, err := Factorize(blockMatrix(), Config{Rank: 2, Seed: 11, MaxIter: 300, Tol: 1e-9})
+	model, err := Factorize(blockMatrix(), Config{Rank: 2, Seed: 11, MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRecoverBlockStructure(t *testing.T) {
 }
 
 func TestTopicTerms(t *testing.T) {
-	model, err := Factorize(blockMatrix(), Config{Rank: 2, Seed: 11, MaxIter: 300, Tol: 1e-9})
+	model, err := Factorize(blockMatrix(), Config{Rank: 2, Seed: 11, MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

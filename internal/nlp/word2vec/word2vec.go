@@ -19,21 +19,23 @@ var (
 	ErrNotInVocab = errors.New("word2vec: word not in vocabulary")
 )
 
+// Training constants. Every word of the corpus is in the vocabulary.
+const (
+	// window is the max context distance.
+	window = 4
+	// negative is the number of negative samples per positive.
+	negative = 5
+	// learningRate is the initial SGD step, decayed linearly to 1e-4
+	// of itself across training.
+	learningRate = 0.025
+)
+
 // Config controls training.
 type Config struct {
 	// Dim is the embedding dimensionality (default 50).
 	Dim int
-	// Window is the max context distance (default 4).
-	Window int
 	// Epochs over the corpus (default 5).
 	Epochs int
-	// Negative is the number of negative samples per positive (default 5).
-	Negative int
-	// LearningRate is the initial SGD step (default 0.025), decayed
-	// linearly to 1e-4 of itself across training.
-	LearningRate float64
-	// MinCount drops words occurring fewer times (default 1).
-	MinCount int
 	// Seed makes training deterministic.
 	Seed int64
 }
@@ -42,20 +44,8 @@ func (c Config) withDefaults() Config {
 	if c.Dim <= 0 {
 		c.Dim = 50
 	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 5
-	}
-	if c.Negative <= 0 {
-		c.Negative = 5
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.025
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = 1
 	}
 	return c
 }
@@ -92,12 +82,7 @@ func Train(sentences [][]string, cfg Config) (*Model, error) {
 	}
 	kept := make([]wc, 0, len(counts))
 	for w, c := range counts {
-		if c >= cfg.MinCount {
-			kept = append(kept, wc{w, c})
-		}
-	}
-	if len(kept) == 0 {
-		return nil, ErrNoCorpus
+		kept = append(kept, wc{w, c})
 	}
 	sort.Slice(kept, func(i, j int) bool {
 		if kept[i].c != kept[j].c {
@@ -129,27 +114,21 @@ func Train(sentences [][]string, cfg Config) (*Model, error) {
 
 	// Encode corpus as vocabulary ids.
 	ids := make([][]int, 0, len(sentences))
-	var nTokens int
 	for _, s := range sentences {
-		row := make([]int, 0, len(s))
-		for _, w := range s {
-			if id, ok := m.vocab[w]; ok {
-				row = append(row, id)
-			}
+		if len(s) == 0 {
+			continue
 		}
-		if len(row) > 0 {
-			ids = append(ids, row)
-			nTokens += len(row)
+		row := make([]int, len(s))
+		for i, w := range s {
+			row[i] = m.vocab[w]
 		}
-	}
-	if nTokens == 0 {
-		return nil, ErrNoCorpus
+		ids = append(ids, row)
 	}
 
 	// Single-threaded SGD: one RNG stream (continuing from vector
 	// initialization), tokens visited in corpus order, so a fixed Seed
 	// reproduces the model byte for byte.
-	steps := cfg.Epochs * nTokens
+	steps := cfg.Epochs * total
 	step := 0
 	grad := make([]float64, cfg.Dim)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -165,11 +144,11 @@ func trainSpan(cfg Config, in, out []float64, sents [][]int, negTable []int, rng
 	for _, sent := range sents {
 		for pos, center := range sent {
 			step++
-			lr := cfg.LearningRate * (1 - float64(step)/float64(steps+1))
-			if lr < cfg.LearningRate*1e-4 {
-				lr = cfg.LearningRate * 1e-4
+			lr := learningRate * (1 - float64(step)/float64(steps+1))
+			if lr < learningRate*1e-4 {
+				lr = learningRate * 1e-4
 			}
-			win := 1 + rng.Intn(cfg.Window)
+			win := 1 + rng.Intn(window)
 			for off := -win; off <= win; off++ {
 				cpos := pos + off
 				if off == 0 || cpos < 0 || cpos >= len(sent) {
@@ -179,7 +158,7 @@ func trainSpan(cfg Config, in, out []float64, sents [][]int, negTable []int, rng
 				inVec := in[center*cfg.Dim : (center+1)*cfg.Dim]
 				mathx.Fill(grad, 0)
 				// Positive sample + negatives.
-				for s := 0; s <= cfg.Negative; s++ {
+				for s := 0; s <= negative; s++ {
 					var target int
 					var label float64
 					if s == 0 {

@@ -10,6 +10,9 @@ import (
 	"sdnbugs/internal/metrics"
 )
 
+// maxGenomeLen caps genome growth under duplication and splicing.
+const maxGenomeLen = 96
+
 // Config parameterizes one fuzzing run. Every run is reproducible
 // from (Seed, Generations, Population, GenomeLen): identical configs
 // yield byte-identical reports.
@@ -21,9 +24,6 @@ type Config struct {
 	Population int
 	// GenomeLen is the initial random genome length (default 40).
 	GenomeLen int
-	// MaxGenomeLen caps genome growth under duplication/splicing
-	// (default 96).
-	MaxGenomeLen int
 	// TopK is how many worst genomes the report keeps (default 3).
 	TopK int
 	// ShrinkBudget caps delta-debugging evaluations per reproducer
@@ -45,9 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GenomeLen <= 0 {
 		c.GenomeLen = 40
-	}
-	if c.MaxGenomeLen <= 0 {
-		c.MaxGenomeLen = 96
 	}
 	if c.TopK <= 0 {
 		c.TopK = 3
@@ -152,7 +149,7 @@ func Fuzz(cfg Config) (*Report, error) {
 		Generations:  cfg.Generations,
 		Population:   cfg.Population,
 		GenomeLen:    cfg.GenomeLen,
-		MaxGenomeLen: cfg.MaxGenomeLen,
+		MaxGenomeLen: maxGenomeLen,
 	}
 
 	// --- Guided search: elitist genetic loop. ---
@@ -208,9 +205,9 @@ func Fuzz(cfg Config) (*Report, error) {
 			if rng.Float64() < 0.3 && elite >= 2 {
 				a := pop[order[rng.Intn(elite)]]
 				b := pop[order[rng.Intn(elite)]]
-				next = append(next, Splice(rng, a, b, cfg.MaxGenomeLen))
+				next = append(next, Splice(rng, a, b, maxGenomeLen))
 			} else {
-				next = append(next, Mutate(rng, pop[order[rng.Intn(elite)]], cfg.MaxGenomeLen))
+				next = append(next, Mutate(rng, pop[order[rng.Intn(elite)]], maxGenomeLen))
 			}
 		}
 		pop = next

@@ -201,7 +201,7 @@ func TestFeaturizeWidth(t *testing.T) {
 }
 
 // TestLatencySummaryRounding pins latencySummary's nearest-rank rule,
-// ⌊p·n+0.5⌋−1. It is not stats.Percentile's ⌈p·n⌉−1: the two pick
+// ⌊p·n+0.5⌋−1. It is not stats.ECDF.Quantile's ⌈p·n⌉−1: the two pick
 // different ranks whenever frac(p·n) is in (0, 0.5), so swapping one
 // for the other would change every E24 report.
 func TestLatencySummaryRounding(t *testing.T) {

@@ -285,12 +285,12 @@ func StandardStrategies() []Strategy {
 // monitor watches the controller's processed-event volume — the
 // resource-pressure proxy behind load and leak failures — and restarts
 // the controller proactively before the predicted crash point.
-type PredictiveRejuvenation struct {
-	// Budget is the per-incarnation event volume after which the
-	// predictor fires (default 7, below the standard suite's leak and
-	// load thresholds).
-	Budget int
-}
+type PredictiveRejuvenation struct{}
+
+// rejuvenationBudget is the per-incarnation event volume after which
+// the predictor fires, below the standard suite's leak and load
+// thresholds.
+const rejuvenationBudget = 7
 
 var _ Strategy = (*PredictiveRejuvenation)(nil)
 
@@ -300,14 +300,10 @@ func (*PredictiveRejuvenation) Name() string { return "predictive-rejuvenation" 
 // Recover implements Strategy: restart once, then keep the predictor
 // armed for all future traffic.
 func (p *PredictiveRejuvenation) Recover(l *faultlab.Lab) error {
-	budget := p.Budget
-	if budget <= 0 {
-		budget = 7
-	}
 	l.NewIncarnations()
 	l.C.Restart(false)
 	l.Guard = func(c *sdn.Controller) bool {
-		return c.Stats.EventsProcessed >= budget
+		return c.Stats.EventsProcessed >= rejuvenationBudget
 	}
 	return nil
 }

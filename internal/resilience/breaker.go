@@ -46,6 +46,10 @@ func (e *openError) Error() string                 { return ErrOpen.Error() }
 func (e *openError) Unwrap() error                 { return ErrOpen }
 func (e *openError) RetryAfterHint() time.Duration { return e.wait }
 
+// halfOpenProbes bounds concurrent half-open probes: one request tests
+// the dependency while the rest wait out another open period.
+const halfOpenProbes = 1
+
 // BreakerConfig tunes a Breaker. Zero fields take the defaults.
 type BreakerConfig struct {
 	// FailureThreshold is the consecutive-failure count that trips the
@@ -57,8 +61,6 @@ type BreakerConfig struct {
 	// OpenTimeout is how long the circuit stays open before admitting
 	// probes (default 10s).
 	OpenTimeout time.Duration
-	// HalfOpenProbes bounds concurrent half-open probes (default 1).
-	HalfOpenProbes int
 	// Now is the clock, injectable for tests.
 	Now func() time.Time
 }
@@ -72,9 +74,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 10 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -138,7 +137,7 @@ func (b *Breaker) Allow() error {
 	case StateClosed:
 		return nil
 	case StateHalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return nil
 		}

@@ -17,7 +17,6 @@ func newTestBreaker(clk *fakeClock) *Breaker {
 		FailureThreshold: 3,
 		SuccessThreshold: 2,
 		OpenTimeout:      10 * time.Second,
-		HalfOpenProbes:   1,
 		Now:              clk.now,
 	})
 }

@@ -6,15 +6,15 @@
 //
 // The package has three layers:
 //
-//   - Policy + Do: a context-aware retry loop with exponential backoff,
-//     full jitter, a per-attempt timeout, an optional shared retry
-//     Budget, and Retry-After honoring for any error that carries a
-//     server hint.
+//   - Policy: the retry schedule — exponential backoff with full
+//     jitter, a per-attempt timeout, an optional shared retry Budget,
+//     and Retry-After honoring for any error that carries a server
+//     hint.
 //   - Breaker: a circuit breaker (closed → open → half-open) that stops
 //     hammering a tracker that is persistently down.
-//   - Transport: an http.RoundTripper middleware combining both, so any
-//     client gains retries, backoff and breaking without changing its
-//     own code. See transport.go.
+//   - Transport: the http.RoundTripper middleware that runs the retry
+//     loop under both, so any client gains retries, backoff and
+//     breaking without changing its own code. See transport.go.
 //
 // All timing knobs accept test-friendly values and the jitter source is
 // injectable, so retry schedules are reproducible under test.
@@ -141,22 +141,6 @@ var (
 	ErrBudget = errors.New("resilience: retry budget exhausted")
 )
 
-// permanentError marks an error as non-retryable.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps an error so Do fails immediately instead of
-// retrying — for inputs that cannot get better (bad request, parse
-// failure of our own making).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
 // StatusError reports a retryable-class HTTP response (429 or 5xx),
 // carrying any Retry-After hint the server sent.
 type StatusError struct {
@@ -170,9 +154,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("resilience: %s returned %s", e.URL, e.Status)
 }
 
-// Temporary reports whether the status is worth retrying.
-func (e *StatusError) Temporary() bool { return RetryableStatus(e.Code) }
-
 // RetryAfterHint exposes the server's wait hint to the retry loop.
 func (e *StatusError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
@@ -185,26 +166,6 @@ func RetryableStatus(code int) bool {
 	return code >= 500 && code <= 599 && code != http.StatusNotImplemented
 }
 
-// retryable classifies an error for the retry loop: context
-// cancellation and Permanent-wrapped errors stop immediately;
-// StatusError follows its Temporary method; everything else —
-// connection resets, timeouts, truncated bodies — is presumed
-// transient.
-func retryable(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) {
-		return false
-	}
-	var perm *permanentError
-	if errors.As(err, &perm) {
-		return false
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Temporary()
-	}
-	return true
-}
-
 // hinter is any error carrying a server-provided wait hint.
 type hinter interface{ RetryAfterHint() time.Duration }
 
@@ -215,55 +176,6 @@ func hintFrom(err error) time.Duration {
 		return h.RetryAfterHint()
 	}
 	return 0
-}
-
-// Do runs fn under the policy: attempts are spaced by Delay, each
-// bounded by PerAttemptTimeout, and the loop stops on success, a
-// non-retryable error, context cancellation, or budget/attempt
-// exhaustion.
-func Do[T any](ctx context.Context, p Policy, fn func(context.Context) (T, error)) (T, error) {
-	var zero T
-	p = p.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.Budget != nil {
-		p.Budget.Deposit()
-	}
-	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if p.Budget != nil && !p.Budget.Withdraw() {
-				return zero, fmt.Errorf("%w after %d attempts: %w", ErrBudget, attempt, lastErr)
-			}
-			delay := p.Delay(attempt-1, hintFrom(lastErr))
-			if p.OnRetry != nil {
-				p.OnRetry(attempt, delay, lastErr)
-			}
-			if err := Sleep(ctx, delay); err != nil {
-				return zero, err
-			}
-		}
-		attemptCtx, cancel := ctx, context.CancelFunc(nil)
-		if p.PerAttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.PerAttemptTimeout)
-		}
-		res, err := fn(attemptCtx)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return zero, fmt.Errorf("resilience: %w (last error: %w)", ctx.Err(), err)
-		}
-		if !retryable(err) {
-			return zero, err
-		}
-	}
-	return zero, fmt.Errorf("%w (%d attempts): %w", ErrExhausted, p.MaxAttempts, lastErr)
 }
 
 // Sleep waits for d or until ctx is done, whichever comes first.

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"testing"
@@ -77,107 +76,6 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// fastPolicy keeps retry tests quick.
-func fastPolicy() Policy {
-	return Policy{MaxAttempts: 4, BaseDelay: time.Microsecond,
-		MaxDelay: 10 * time.Microsecond}
-}
-
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	calls := 0
-	got, err := Do(context.Background(), fastPolicy(), func(context.Context) (string, error) {
-		calls++
-		if calls < 3 {
-			return "", errors.New("transient")
-		}
-		return "ok", nil
-	})
-	if err != nil || got != "ok" {
-		t.Fatalf("Do = %q, %v", got, err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	calls := 0
-	base := errors.New("still down")
-	_, err := Do(context.Background(), fastPolicy(), func(context.Context) (int, error) {
-		calls++
-		return 0, base
-	})
-	if !errors.Is(err, ErrExhausted) || !errors.Is(err, base) {
-		t.Fatalf("err = %v, want ErrExhausted wrapping the cause", err)
-	}
-	if calls != 4 {
-		t.Errorf("calls = %d, want MaxAttempts=4", calls)
-	}
-}
-
-func TestDoPermanentStopsImmediately(t *testing.T) {
-	calls := 0
-	_, err := Do(context.Background(), fastPolicy(), func(context.Context) (int, error) {
-		calls++
-		return 0, Permanent(errors.New("bad request"))
-	})
-	if err == nil || calls != 1 {
-		t.Fatalf("calls = %d, err = %v; want 1 call and an error", calls, err)
-	}
-}
-
-func TestDoRespectsContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	_, err := Do(ctx, fastPolicy(), func(context.Context) (int, error) {
-		calls++
-		cancel()
-		return 0, errors.New("transient")
-	})
-	if err == nil || calls != 1 {
-		t.Fatalf("calls = %d, err = %v; cancellation must stop the loop", calls, err)
-	}
-}
-
-func TestDoPerAttemptTimeout(t *testing.T) {
-	p := fastPolicy()
-	p.MaxAttempts = 2
-	p.PerAttemptTimeout = 5 * time.Millisecond
-	calls := 0
-	_, err := Do(context.Background(), p, func(ctx context.Context) (int, error) {
-		calls++
-		<-ctx.Done() // each attempt is individually bounded
-		return 0, ctx.Err()
-	})
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted (timeouts are retryable)", err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2", calls)
-	}
-}
-
-func TestDoBudgetExhaustion(t *testing.T) {
-	b := NewBudget(1, 0) // one retry total, no per-request earnings
-	p := fastPolicy()
-	p.Budget = b
-	calls := 0
-	_, err := Do(context.Background(), p, func(context.Context) (int, error) {
-		calls++
-		return 0, errors.New("transient")
-	})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if calls != 2 { // initial + the single budgeted retry
-		t.Errorf("calls = %d, want 2", calls)
-	}
-	requests, retries, denied := b.Stats()
-	if requests != 1 || retries != 1 || denied != 1 {
-		t.Errorf("budget stats = %d/%d/%d, want 1/1/1", requests, retries, denied)
-	}
-}
-
 func TestBudgetEarnsWithTraffic(t *testing.T) {
 	b := NewBudget(0, 0.5)
 	for i := 0; i < 4; i++ {
@@ -192,41 +90,21 @@ func TestBudgetEarnsWithTraffic(t *testing.T) {
 	}
 }
 
-func TestDoOnRetryObservesSchedule(t *testing.T) {
-	var delays []time.Duration
-	p := fastPolicy()
-	p.OnRetry = func(attempt int, delay time.Duration, err error) {
-		delays = append(delays, delay)
-	}
-	_, _ = Do(context.Background(), p, func(context.Context) (int, error) {
-		return 0, errors.New("transient")
-	})
-	if len(delays) != 3 {
-		t.Fatalf("observed %d retries, want 3", len(delays))
-	}
-	for i, d := range delays {
-		if ceiling := p.Backoff(i); d < 0 || d > ceiling {
-			t.Errorf("retry %d delay %v outside [0, %v]", i, d, ceiling)
-		}
-	}
-}
-
-func TestRetryableClassification(t *testing.T) {
+func TestRetryableStatus(t *testing.T) {
 	cases := []struct {
-		err  error
+		code int
 		want bool
 	}{
-		{errors.New("conn reset"), true},
-		{context.Canceled, false},
-		{Permanent(errors.New("bad")), false},
-		{&StatusError{Code: 429}, true},
-		{&StatusError{Code: 503}, true},
-		{&StatusError{Code: 501}, false},
-		{&StatusError{Code: 404}, false},
+		{http.StatusTooManyRequests, true},
+		{http.StatusServiceUnavailable, true},
+		{http.StatusBadGateway, true},
+		{http.StatusNotImplemented, false},
+		{http.StatusNotFound, false},
+		{http.StatusOK, false},
 	}
 	for _, c := range cases {
-		if got := retryable(c.err); got != c.want {
-			t.Errorf("retryable(%v) = %v, want %v", c.err, got, c.want)
+		if got := RetryableStatus(c.code); got != c.want {
+			t.Errorf("RetryableStatus(%d) = %v, want %v", c.code, got, c.want)
 		}
 	}
 }

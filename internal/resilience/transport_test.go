@@ -1,6 +1,8 @@
 package resilience
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -183,7 +185,7 @@ func TestTransportBreakerOpensAndRecovers(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	br := NewBreaker(BreakerConfig{
 		FailureThreshold: 3, SuccessThreshold: 1,
-		OpenTimeout: time.Minute, HalfOpenProbes: 1, Now: clk.now,
+		OpenTimeout: time.Minute, Now: clk.now,
 	})
 	// MaxRetryAfter also caps the wait hint a breaker rejection carries
 	// (the remaining open period), keeping this test fast.
@@ -235,5 +237,121 @@ func TestTransportConnectionErrorRetries(t *testing.T) {
 	}
 	if m := rt.Metrics(); m.Attempts < 2 {
 		t.Errorf("attempts = %d, want retries on dropped connections", m.Attempts)
+	}
+}
+
+// alwaysBusy returns a server that answers every request with 503 and
+// counts the hits.
+func alwaysBusy(t *testing.T, hits *atomic.Int32) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func TestTransportBudgetExhaustion(t *testing.T) {
+	var hits atomic.Int32
+	srv := alwaysBusy(t, &hits)
+	b := NewBudget(1, 0) // one retry total, no per-request earnings
+	rt := fastTransport(nil)
+	rt.Policy.Budget = b
+	_, err := get(t, rt, srv.URL)
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if got := hits.Load(); got != 2 { // initial + the single budgeted retry
+		t.Errorf("server hits = %d, want 2", got)
+	}
+	requests, retries, denied := b.Stats()
+	if requests != 1 || retries != 1 || denied != 1 {
+		t.Errorf("budget stats = %d/%d/%d, want 1/1/1", requests, retries, denied)
+	}
+}
+
+func TestTransportStopsOnContextCancel(t *testing.T) {
+	var hits atomic.Int32
+	srv := alwaysBusy(t, &hits)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// An hour-long backoff that the cancellation must cut short.
+	rt := NewTransport(nil, Policy{
+		MaxAttempts: 3, BaseDelay: time.Hour, MaxDelay: time.Hour,
+		Rand:    func() float64 { return 0.5 },
+		OnRetry: func(int, time.Duration, error) { cancel() },
+	}, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = (&http.Client{Transport: rt}).Do(req)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := hits.Load(); got != 1 {
+		t.Errorf("server hits = %d, want 1 (no attempt after cancel)", got)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("cancel during backoff took %v", d)
+	}
+}
+
+func TestTransportPerAttemptTimeout(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // outlast the attempt's deadline
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	}))
+	defer srv.Close()
+
+	rt := fastTransport(nil)
+	rt.Policy.MaxAttempts = 2
+	rt.Policy.PerAttemptTimeout = 5 * time.Millisecond
+	_, err := get(t, rt, srv.URL)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the attempt deadline", err)
+	}
+	if m := rt.Metrics(); m.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (timeouts are retryable)", m.Attempts)
+	}
+}
+
+func TestTransportOnRetryObservesSchedule(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 2 {
+			w.Header().Set("Retry-After", "7")
+		}
+		http.Error(w, "busy", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	var delays []time.Duration
+	rt := fastTransport(nil)
+	// Full jitter at coefficient 0.5 is half the backoff ceiling; the
+	// second response's hint wins over jitter, capped at MaxRetryAfter.
+	rt.Policy.Rand = func() float64 { return 0.5 }
+	rt.Policy.MaxRetryAfter = time.Millisecond
+	rt.Policy.OnRetry = func(attempt int, delay time.Duration, err error) {
+		delays = append(delays, delay)
+	}
+	resp, err := get(t, rt, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	p := rt.Policy
+	want := []time.Duration{p.Backoff(0) / 2, time.Millisecond, p.Backoff(2) / 2, p.Backoff(3) / 2}
+	if len(delays) != len(want) {
+		t.Fatalf("observed %d retries, want %d", len(delays), len(want))
+	}
+	for i := range want {
+		if delays[i] != want[i] {
+			t.Errorf("retry %d delay = %v, want %v", i, delays[i], want[i])
+		}
 	}
 }

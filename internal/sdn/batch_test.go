@@ -110,7 +110,7 @@ func snapshotController(c *Controller) ctlSnapshot {
 }
 
 func randomEvents(rng *rand.Rand, n int) []Event {
-	kinds := EventKinds()
+	kinds := []EventKind{EventConfig, EventNetwork, EventExternalCall, EventHardwareReboot}
 	events := make([]Event, n)
 	for i := range events {
 		events[i] = Event{

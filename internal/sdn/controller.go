@@ -20,11 +20,6 @@ const (
 	EventHardwareReboot
 )
 
-// EventKinds lists every concrete kind.
-func EventKinds() []EventKind {
-	return []EventKind{EventConfig, EventNetwork, EventExternalCall, EventHardwareReboot}
-}
-
 func (k EventKind) String() string {
 	switch k {
 	case EventConfig:
@@ -232,12 +227,6 @@ func (c *Controller) process(ev Event) error {
 		c.Stats.ErrorsLogged++
 	}
 	return nil
-}
-
-// LogError records a non-fatal error message.
-func (c *Controller) LogError(format string, args ...any) {
-	c.ErrorLog = append(c.ErrorLog, fmt.Sprintf(format, args...))
-	c.Stats.ErrorsLogged++
 }
 
 // InstallFlow sends a flow-mod to the dataplane.

@@ -103,27 +103,53 @@ func TestPumpStopsAfterMaxControlRounds(t *testing.T) {
 	net := ringTopology(t, 3)
 	c := NewController(net, NewEnvironment(), NewL2Switch(nil))
 	var pump Pump
-	rounds := 0
-	deliveries, err := pump.Send(net, 0x11, Packet{EthDst: BroadcastMAC, EthType: 0x0806}, func(events []Event) bool {
-		rounds++
-		for _, ev := range events {
-			if err := c.Submit(ev); err != nil {
-				t.Fatal(err)
+	var rounds [][]Packet
+	send := func(src uint64) []Delivery {
+		rounds = rounds[:0]
+		deliveries, err := pump.Send(net, src, Packet{EthDst: BroadcastMAC, EthType: 0x0806}, func(events []Event) bool {
+			var pkts []Packet
+			for _, ev := range events {
+				pkt, _ := PacketOf(ev)
+				pkts = append(pkts, pkt)
+				if err := c.Submit(ev); err != nil {
+					t.Fatal(err)
+				}
 			}
+			rounds = append(rounds, pkts)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+		return deliveries
 	}
-	if rounds != 32 {
-		t.Errorf("pumped %d rounds, want the 32-round bound", rounds)
-	}
-	if len(net.PacketIns) == 0 {
-		t.Error("no punts left after the bound: the ring should re-punt every round")
-	}
-	if len(deliveries) == 0 {
+	if deliveries := send(0x11); len(deliveries) == 0 {
 		t.Error("no deliveries returned")
+	}
+	if len(rounds) != 32 {
+		t.Errorf("pumped %d rounds, want the 32-round bound", len(rounds))
+	}
+	// The ring re-punts every round, so the cut leaves punts behind:
+	// Send drops and counts them instead of leaving them queued.
+	cut := pump.Dropped()
+	if cut == 0 {
+		t.Error("Dropped = 0 after the bound: the ring should re-punt every round")
+	}
+	if len(net.PacketIns) != 0 {
+		t.Errorf("%d punts left queued after the bound", len(net.PacketIns))
+	}
+	// The next send's first round holds only its own packet's punts.
+	send(0x12)
+	if len(rounds) == 0 || len(rounds[0]) == 0 {
+		t.Fatal("follow-up broadcast caused no punts")
+	}
+	for _, pkt := range rounds[0] {
+		if pkt.EthSrc != 0x12 {
+			t.Errorf("follow-up first round holds a punt from %#x, want only 0x12's", pkt.EthSrc)
+		}
+	}
+	if pump.Dropped() <= cut {
+		t.Errorf("Dropped = %d after a second cut, want more than %d", pump.Dropped(), cut)
 	}
 }
 
@@ -158,6 +184,11 @@ func TestPumpStopsWhenRoundReturnsFalse(t *testing.T) {
 	}
 	if len(net.Deliveries) != 0 {
 		t.Error("Send left deliveries queued instead of returning them")
+	}
+	// Round 2's floods punted again on the ring; the stop drops them.
+	if pump.Dropped() == 0 || len(net.PacketIns) != 0 {
+		t.Errorf("early stop: Dropped = %d, %d punts queued; want > 0 and 0",
+			pump.Dropped(), len(net.PacketIns))
 	}
 }
 

@@ -7,7 +7,6 @@ package smell
 
 import (
 	"errors"
-	"sort"
 
 	"sdnbugs/internal/codemodel"
 )
@@ -225,19 +224,4 @@ func Trend(profiles []codemodel.ReleaseProfile, seed int64) ([]TrendPoint, error
 		})
 	}
 	return out, nil
-}
-
-// Subjects returns the sorted distinct subjects of the report's
-// findings of one kind — convenient for inspection and tests.
-func (r *Report) Subjects(k Kind) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range r.Findings {
-		if f.Kind == k && !seen[f.Subject] {
-			seen[f.Subject] = true
-			out = append(out, f.Subject)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

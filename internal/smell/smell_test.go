@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sdnbugs/internal/codemodel"
-	"sdnbugs/internal/taxonomy"
 )
 
 func TestAnalyzeNil(t *testing.T) {
@@ -72,11 +71,13 @@ func TestHandBuiltSmells(t *testing.T) {
 	}
 	for k, want := range wants {
 		if got := rep.Count(k); got != want {
-			t.Errorf("%v = %d, want %d (subjects: %v)", k, got, want, rep.Subjects(k))
+			t.Errorf("%v = %d, want %d (findings: %v)", k, got, want, rep.Findings)
 		}
 	}
-	if subj := rep.Subjects(BrokenHierarchy); len(subj) != 1 || subj[0] != "app.Run" {
-		t.Errorf("broken hierarchy subjects = %v", subj)
+	for _, f := range rep.Findings {
+		if f.Kind == BrokenHierarchy && f.Subject != "app.Run" {
+			t.Errorf("broken hierarchy subject = %q, want app.Run", f.Subject)
+		}
 	}
 }
 
@@ -207,37 +208,5 @@ func TestGenerateDeterministic(t *testing.T) {
 		if ra.Count(k) != rb.Count(k) {
 			t.Errorf("%v differs across same-seed runs", k)
 		}
-	}
-}
-
-func TestRefactoringPlan(t *testing.T) {
-	p := codemodel.ONOSReleases()[0]
-	cb := codemodel.Generate(p, 5)
-	rep, err := Analyze(cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := Plan(rep)
-	if len(plan) != len(rep.Findings) {
-		t.Fatalf("plan covers %d of %d findings", len(plan), len(rep.Findings))
-	}
-	for _, r := range plan {
-		if r.Technique == "" {
-			t.Fatalf("no technique for %v", r.Finding.Kind)
-		}
-		// §VI-A: smells are remedied by logic changes, never by
-		// configuration-only fixes.
-		if r.FixClass == taxonomy.NoLogicChange || r.FixClass == taxonomy.FixClassUnknown {
-			t.Fatalf("%v mapped to %v", r.Finding.Kind, r.FixClass)
-		}
-	}
-	breakdown := FixClassBreakdown(plan)
-	// Broken hierarchies dominate the add-new-logic class at 1.12.
-	if breakdown[taxonomy.AddNewLogic] < p.BrokenHierarchies {
-		t.Errorf("add-new-logic remediations = %d, want >= %d",
-			breakdown[taxonomy.AddNewLogic], p.BrokenHierarchies)
-	}
-	if breakdown[taxonomy.ChangeExistingLogic] == 0 {
-		t.Error("change-existing-logic remediations missing")
 	}
 }

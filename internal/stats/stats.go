@@ -1,12 +1,11 @@
 // Package stats provides the statistical primitives the study engine
 // uses to reproduce the paper's figures: empirical CDFs (Figure 7 and
-// Figure 12), histograms, percentiles, and association measures between
+// Figure 12) with their quantiles, and association measures between
 // categorical bug labels (phi coefficient and lift).
 package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -87,64 +86,6 @@ type Point struct {
 	Y float64 `json:"y"`
 }
 
-// Percentile returns the p-th percentile (0..100) of the sample using
-// the nearest-rank method.
-func Percentile(sample []float64, p float64) (float64, error) {
-	e, err := NewECDF(sample)
-	if err != nil {
-		return 0, err
-	}
-	return e.Quantile(p / 100), nil
-}
-
-// Histogram counts sample values into nbins equal-width bins spanning
-// [min, max]. Values equal to max land in the last bin.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram with nbins bins.
-func NewHistogram(sample []float64, nbins int) (*Histogram, error) {
-	if len(sample) == 0 {
-		return nil, ErrEmpty
-	}
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: nbins must be >= 1, got %d", nbins)
-	}
-	lo, hi := sample[0], sample[0]
-	for _, v := range sample {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	h := &Histogram{Min: lo, Max: hi, Counts: make([]int, nbins)}
-	width := (hi - lo) / float64(nbins)
-	for _, v := range sample {
-		var idx int
-		if width > 0 {
-			idx = int((v - lo) / width)
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
-}
-
-// Total returns the number of samples counted.
-func (h *Histogram) Total() int {
-	var n int
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // PhiCoefficient measures association between two binary indicators
 // from their 2x2 contingency counts:
 //
@@ -175,62 +116,4 @@ func Lift(n11, nA, nB, n int) float64 {
 	pA := float64(nA) / float64(n)
 	pB := float64(nB) / float64(n)
 	return pAB / (pA * pB)
-}
-
-// PearsonCorrelation returns the sample Pearson correlation of paired
-// observations x and y, or an error on mismatched/empty input.
-func PearsonCorrelation(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: paired samples differ in length: %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := mean(x), mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-func mean(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Summary holds the five-number summary plus mean of a sample.
-type Summary struct {
-	N                  int
-	Min, P25, Median   float64
-	P75, P90, P99, Max float64
-	Mean               float64
-}
-
-// Summarize computes a Summary of the sample.
-func Summarize(sample []float64) (Summary, error) {
-	e, err := NewECDF(sample)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		N:      e.N(),
-		Min:    e.Min(),
-		P25:    e.Quantile(0.25),
-		Median: e.Quantile(0.50),
-		P75:    e.Quantile(0.75),
-		P90:    e.Quantile(0.90),
-		P99:    e.Quantile(0.99),
-		Max:    e.Max(),
-		Mean:   mean(sample),
-	}, nil
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -101,65 +100,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	v := []float64{15, 20, 35, 40, 50}
-	got, err := Percentile(v, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 20 {
-		t.Errorf("P40 = %v, want 20", got)
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("want error for empty sample")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 10}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 10 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Min != 0 || h.Max != 10 {
-		t.Errorf("range [%v,%v]", h.Min, h.Max)
-	}
-	// Max value must land in last bin, not overflow.
-	if h.Counts[4] == 0 {
-		t.Error("max value not counted in last bin")
-	}
-	if _, err := NewHistogram([]float64{1}, 0); err == nil {
-		t.Error("want error for nbins=0")
-	}
-	if _, err := NewHistogram(nil, 3); err == nil {
-		t.Error("want error for empty sample")
-	}
-	// Constant sample: all mass in one bin.
-	ch, _ := NewHistogram([]float64{2, 2, 2}, 4)
-	if ch.Counts[0] != 3 {
-		t.Errorf("constant sample counts = %v", ch.Counts)
-	}
-}
-
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		sample := make([]float64, len(raw))
-		for i, v := range raw {
-			sample[i] = math.Mod(v, 1e9)
-		}
-		h, err := NewHistogram(sample, 7)
-		return err == nil && h.Total() == len(sample)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPhiCoefficient(t *testing.T) {
 	tests := []struct {
 		name               string
@@ -202,57 +142,5 @@ func TestLift(t *testing.T) {
 	}
 	if Lift(0, 0, 10, 100) != 0 || Lift(0, 10, 10, 0) != 0 {
 		t.Error("degenerate lift should be 0")
-	}
-}
-
-func TestPearsonCorrelation(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	got, err := PearsonCorrelation(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("r = %v, want 1", got)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	got, _ = PearsonCorrelation(x, neg)
-	if math.Abs(got+1) > 1e-12 {
-		t.Errorf("r = %v, want -1", got)
-	}
-	if _, err := PearsonCorrelation(x, x[:2]); err == nil {
-		t.Error("want mismatch error")
-	}
-	if _, err := PearsonCorrelation([]float64{1}, []float64{1}); err == nil {
-		t.Error("want error for n<2")
-	}
-	// Constant series has no defined correlation; we return 0.
-	r, err := PearsonCorrelation([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if err != nil || r != 0 {
-		t.Errorf("constant series r = %v err = %v", r, err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	sample := make([]float64, 1000)
-	for i := range sample {
-		sample[i] = rng.Float64() * 100
-	}
-	s, err := Summarize(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 1000 {
-		t.Errorf("N = %d", s.N)
-	}
-	if !(s.Min <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 && s.P75 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max) {
-		t.Errorf("summary not ordered: %+v", s)
-	}
-	if math.Abs(s.Median-50) > 10 {
-		t.Errorf("median = %v, expected near 50", s.Median)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("want error for empty")
 	}
 }

@@ -30,9 +30,6 @@ type PipelineConfig struct {
 	// DisableTFIDF / DisableW2V turn one off for ablations.
 	DisableTFIDF bool
 	DisableW2V   bool
-	// DisableScaling turns off feature normalization (the paper found
-	// "SVM with normalization" best — this is the ablation knob).
-	DisableScaling bool
 	// Workers bounds the worker pool the pipeline and validation use
 	// for independent work (per-dimension classifier training, batch
 	// prediction, the repeat×dimension×model validation grid);
@@ -98,7 +95,8 @@ func labelIndex(d taxonomy.Dimension, tag string) (int, error) {
 // Word2Vec model from the same cache as Validate, so validating and
 // then fitting with one config trains the features once. The
 // classifiers train on unit-L2 rows ("normalization" in the paper's
-// sense) unless cfg.DisableScaling is set.
+// sense; A02 compares the unnormalized ModelSVMNoNorm through
+// ValidateRepeated).
 func (v *Validator) Pipeline(cfg PipelineConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	if len(v.bugs) == 0 {
@@ -112,7 +110,7 @@ func (v *Validator) Pipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err := buildFeatures(vec, w2v, v.tokenized(), !cfg.DisableScaling)
+	x, err := buildFeatures(vec, w2v, v.tokenized(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +178,7 @@ func (p *Pipeline) Predict(issue tracker.Issue) (taxonomy.Label, error) {
 		return taxonomy.Label{}, ErrPipelineNotFitted
 	}
 	doc := nlp.Preprocess(issue.Text())
-	x, err := buildFeatures(p.vec, p.w2v, [][]string{doc}, !p.cfg.DisableScaling)
+	x, err := buildFeatures(p.vec, p.w2v, [][]string{doc}, true)
 	if err != nil {
 		return taxonomy.Label{}, err
 	}

@@ -21,7 +21,7 @@ func TestSubmitHealthyZeroAlloc(t *testing.T) {
 		Failover: func(*sdn.Event) bool { return false },
 	})
 	ev := sdn.Event{Kind: sdn.EventNetwork, Msg: &openflow.PacketIn{DatapathID: 1, InPort: 2}}
-	for i := 0; i < 2*s.cfg.PerfWindow; i++ {
+	for i := 0; i < 2*perfWindow; i++ {
 		s.Submit(ev) // fill the cost window
 	}
 	c.ReserveLog(runs + 1)

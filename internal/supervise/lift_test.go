@@ -25,7 +25,6 @@ func TestShedPersistsUntilLifted(t *testing.T) {
 	app := &scriptApp{crashes: map[string]int{"poison": -1}}
 	var shed []string
 	s := newScripted(app, Config{
-		DegradeAfter:    2,
 		CheckpointEvery: 4,
 		Budget:          resilience.NewBudget(8, 1.0),
 		Classify:        keyClassify,
@@ -96,9 +95,8 @@ func TestLiftedClassStillBrokenReSheds(t *testing.T) {
 	app := &scriptApp{crashes: map[string]int{"poison": -1}}
 	sheds := 0
 	s := newScripted(app, Config{
-		DegradeAfter: 2,
-		Classify:     keyClassify,
-		OnShed:       func(string) { sheds++ },
+		Classify: keyClassify,
+		OnShed:   func(string) { sheds++ },
 	})
 	if out := s.Submit(cfgEvent("poison", "1")); out != OutcomeDegraded {
 		t.Fatalf("outcome = %v, want degraded", out)

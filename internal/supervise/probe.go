@@ -35,13 +35,13 @@ func (s *Supervisor) Probe() Health {
 		return Health{Live: true, Symptom: taxonomy.SymptomByzantine,
 			Detail: "controller stalled (byzantine: stalling)"}
 	}
-	if s.cfg.BaselineMeanCost > 0 && len(s.window) >= s.cfg.PerfWindow {
+	if s.cfg.BaselineMeanCost > 0 && len(s.window) >= perfWindow {
 		sum := 0
 		for _, c := range s.window {
 			sum += c
 		}
 		mean := float64(sum) / float64(len(s.window))
-		if mean > s.cfg.PerfFactor*s.cfg.BaselineMeanCost {
+		if mean > perfFactor*s.cfg.BaselineMeanCost {
 			return Health{Live: true, Symptom: taxonomy.SymptomPerformance,
 				Detail: fmt.Sprintf("windowed mean cost %.1f vs baseline %.1f",
 					mean, s.cfg.BaselineMeanCost)}

@@ -39,19 +39,26 @@ const (
 	WireReconnectCost = 5
 )
 
-// Config tunes a Supervisor. The zero value is usable: sensible
-// degradation and probe defaults, no checkpointing, no budget.
+// Probe and degradation constants.
+const (
+	// perfFactor flags a performance regression when the windowed mean
+	// cost exceeds perfFactor × BaselineMeanCost, matching the fault
+	// lab's detector.
+	perfFactor = 4
+	// perfWindow is how many recent event costs the perf probe
+	// averages over.
+	perfWindow = 16
+	// degradeAfter is how many consecutive failed recovery attempts a
+	// single event class gets before the supervisor sheds it.
+	degradeAfter = 3
+)
+
+// Config tunes a Supervisor. The zero value is usable: no perf probe,
+// no checkpointing, no budget.
 type Config struct {
 	// BaselineMeanCost is the healthy mean event cost the performance
 	// probe compares against; 0 disables the perf probe.
 	BaselineMeanCost float64
-	// PerfFactor flags a performance regression when the windowed mean
-	// cost exceeds PerfFactor × BaselineMeanCost (default 4, matching
-	// the fault lab's detector).
-	PerfFactor float64
-	// PerfWindow is how many recent event costs the perf probe averages
-	// over (default 16).
-	PerfWindow int
 	// Backoff shapes restart delays. Only the deterministic Backoff
 	// ceiling is used — never the jittered Delay — so supervised runs
 	// replay exactly.
@@ -63,10 +70,6 @@ type Config struct {
 	// CheckpointEvery captures a checkpoint every N processed events;
 	// 0 disables checkpointing, making every restart a cold replay.
 	CheckpointEvery int
-	// DegradeAfter is how many consecutive failed recovery attempts a
-	// single event class gets before the supervisor sheds it
-	// (default 3).
-	DegradeAfter int
 	// Classify buckets events into the classes degradation sheds;
 	// defaults to EventKind.String(). Finer classifiers (e.g. the fault
 	// lab's poison signatures) shed more surgically.
@@ -95,15 +98,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PerfFactor <= 0 {
-		c.PerfFactor = 4
-	}
-	if c.PerfWindow <= 0 {
-		c.PerfWindow = 16
-	}
-	if c.DegradeAfter <= 0 {
-		c.DegradeAfter = 3
-	}
 	if c.Classify == nil {
 		c.Classify = func(ev sdn.Event) string { return ev.Kind.String() }
 	}
@@ -220,7 +214,7 @@ type Supervisor struct {
 	// consec counts consecutive failed recovery attempts per class;
 	// reset by a clean success of that class.
 	consec map[string]int
-	// window holds the last PerfWindow event costs for the perf probe.
+	// window holds the last perfWindow event costs for the perf probe.
 	window []int
 	// cp is the latest checkpoint (nil until the first capture).
 	cp *Checkpoint
@@ -375,13 +369,13 @@ func (s *Supervisor) WireError(err error) {
 // heal is the recovery loop for one incident: restart (budgeted, with
 // backoff growing in the class's consecutive-failure count), then
 // either retry the failed event, re-run the caller's verification, or
-// trust the probe. A class that keeps failing past DegradeAfter
+// trust the probe. A class that keeps failing past degradeAfter
 // attempts is shed.
 func (s *Supervisor) heal(class string, retry *sdn.Event, retryLogged bool, verify func() bool) bool {
 	s.Metrics.Incidents++
 	for {
 		s.consec[class]++
-		if s.consec[class] > s.cfg.DegradeAfter {
+		if s.consec[class] > degradeAfter {
 			s.degrade(class)
 			return false
 		}
@@ -562,7 +556,7 @@ func (s *Supervisor) noteSymptom(sym taxonomy.Symptom) {
 }
 
 func (s *Supervisor) pushCost(cost int) {
-	if len(s.window) == s.cfg.PerfWindow {
+	if len(s.window) == perfWindow {
 		// Slide in place: the window never outgrows its first array.
 		copy(s.window, s.window[1:])
 		s.window = s.window[:len(s.window)-1]

@@ -70,8 +70,8 @@ func TestProbeDetectsSymptoms(t *testing.T) {
 
 func TestProbePerformanceRegression(t *testing.T) {
 	app := &scriptApp{cost: map[string]int{"heavy": 50}}
-	s := newScripted(app, Config{BaselineMeanCost: 1, PerfFactor: 4, PerfWindow: 4})
-	for i := 0; i < 4; i++ {
+	s := newScripted(app, Config{BaselineMeanCost: 1})
+	for i := 0; i < perfWindow; i++ {
 		s.Submit(cfgEvent("heavy", "1"))
 	}
 	if s.Metrics.PerfRegressions == 0 {
@@ -104,7 +104,7 @@ func TestSubmitHealsTransientCrash(t *testing.T) {
 
 func TestDeterministicCrashDegradesClass(t *testing.T) {
 	app := &scriptApp{crashes: map[string]int{"poison": -1}}
-	s := newScripted(app, Config{DegradeAfter: 3})
+	s := newScripted(app, Config{})
 	if out := s.Submit(cfgEvent("poison", "1")); out != OutcomeDegraded {
 		t.Fatalf("outcome = %v, want degraded", out)
 	}
@@ -134,10 +134,9 @@ func TestDeterministicCrashDegradesClass(t *testing.T) {
 
 func TestBudgetDenialForcesDegradation(t *testing.T) {
 	app := &scriptApp{crashes: map[string]int{"poison": -1}}
-	s := newScripted(app, Config{
-		DegradeAfter: 100, // only the budget can stop the heal loop
-		Budget:       resilience.NewBudget(2, 0),
-	})
+	// The budget's floor of 2 restarts runs dry on the third attempt,
+	// before degradeAfter (3) failed attempts can shed the class.
+	s := newScripted(app, Config{Budget: resilience.NewBudget(2, 0)})
 	if out := s.Submit(cfgEvent("poison", "1")); out != OutcomeDegraded {
 		t.Fatalf("outcome = %v, want degraded", out)
 	}
@@ -155,7 +154,7 @@ func TestBudgetDenialForcesDegradation(t *testing.T) {
 func TestBackoffGrowsWithConsecutiveFailures(t *testing.T) {
 	// The same deterministic-crash incident with and without a backoff
 	// policy: 1ms of backoff is 1 tick, and each consecutive attempt
-	// doubles it (8 + 16 + 32 across DegradeAfter=3 attempts), so the
+	// doubles it (8 + 16 + 32 across degradeAfter=3 attempts), so the
 	// runs must differ by at least those 56 delay ticks.
 	run := func(cfg Config) Metrics {
 		s := newScripted(&scriptApp{crashes: map[string]int{"poison": -1}}, cfg)

@@ -304,6 +304,28 @@ func (s *Store) Len() int {
 	return len(s.issues)
 }
 
+// SplitStores loads issues into one store per tracker, the way the
+// real trackers hold them: ONOS and CORD in JIRA, FAUCET in GitHub
+// (TrackerFor). An issue whose controller has no tracker is an error.
+func SplitStores(issues []Issue) (jira, github *Store, err error) {
+	jira, github = NewStore(), NewStore()
+	for _, iss := range issues {
+		var st *Store
+		switch TrackerFor(iss.Controller) {
+		case KindJIRA:
+			st = jira
+		case KindGitHub:
+			st = github
+		default:
+			return nil, nil, fmt.Errorf("tracker: issue %q: controller %v has no tracker", iss.ID, iss.Controller)
+		}
+		if err := st.Put(iss); err != nil {
+			return nil, nil, err
+		}
+	}
+	return jira, github, nil
+}
+
 // Query filters issues.
 type Query struct {
 	// Controller restricts to one project (ControllerUnknown = all).

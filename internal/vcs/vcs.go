@@ -91,38 +91,21 @@ var (
 	}
 )
 
-// GenerateConfig controls synthetic history generation.
-type GenerateConfig struct {
-	// TotalCommits across the history (default 3000).
-	TotalCommits int
-	// Start is the history's first commit time (default 2016-01-01).
-	Start time.Time
-	// Days is the history span (default 1500).
-	Days int
-	// Seed drives all randomness.
-	Seed int64
-}
+// The synthetic FAUCET history's shape: faucetCommits commits over
+// faucetDays days from faucetStart.
+const (
+	faucetCommits = 3000
+	faucetDays    = 1500
+)
 
-func (c GenerateConfig) withDefaults() GenerateConfig {
-	if c.TotalCommits <= 0 {
-		c.TotalCommits = 3000
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.Days <= 0 {
-		c.Days = 1500
-	}
-	return c
-}
+var faucetStart = time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// GenerateFaucet synthesizes the FAUCET history: commits split across
-// the three subsystems per Figure 11, with Table IV's dependency bumps
-// embedded as requirements.txt commits (they count toward the external
-// abstraction share).
-func GenerateFaucet(cfg GenerateConfig) (*History, error) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// GenerateFaucet synthesizes the FAUCET history from seed: commits
+// split across the three subsystems per Figure 11, with Table IV's
+// dependency bumps embedded as requirements.txt commits (they count
+// toward the external abstraction share).
+func GenerateFaucet(seed int64) *History {
+	rng := rand.New(rand.NewSource(seed))
 
 	deps := FaucetDependencies()
 	var bumps []Commit
@@ -140,18 +123,11 @@ func GenerateFaucet(cfg GenerateConfig) (*History, error) {
 			})
 		}
 	}
-	if len(bumps) > cfg.TotalCommits/4 {
-		return nil, fmt.Errorf("vcs: %d bump commits exceed budget for %d total", len(bumps), cfg.TotalCommits)
-	}
-
 	// Remaining commits by subsystem quota: config 38 %, network 35 %,
 	// external 27 % (bumps already count as external).
-	nConfig := int(0.38 * float64(cfg.TotalCommits))
-	nNetwork := int(0.35 * float64(cfg.TotalCommits))
-	nExternal := cfg.TotalCommits - nConfig - nNetwork - len(bumps)
-	if nExternal < 0 {
-		return nil, errors.New("vcs: commit budget too small for external share")
-	}
+	nConfig := int(0.38 * faucetCommits)
+	nNetwork := int(0.35 * faucetCommits)
+	nExternal := faucetCommits - nConfig - nNetwork - len(bumps)
 
 	var commits []Commit
 	add := func(n int, files []string, verb string) {
@@ -175,15 +151,15 @@ func GenerateFaucet(cfg GenerateConfig) (*History, error) {
 
 	// Shuffle then timestamp monotonically across the span.
 	rng.Shuffle(len(commits), func(i, j int) { commits[i], commits[j] = commits[j], commits[i] })
-	span := time.Duration(cfg.Days) * 24 * time.Hour
+	span := time.Duration(faucetDays) * 24 * time.Hour
 	for i := range commits {
 		frac := float64(i) / float64(len(commits))
 		jitter := time.Duration(rng.Int63n(int64(6 * time.Hour)))
-		commits[i].Time = cfg.Start.Add(time.Duration(frac*float64(span)) + jitter)
+		commits[i].Time = faucetStart.Add(time.Duration(frac*float64(span)) + jitter)
 		commits[i].Hash = fmt.Sprintf("%08x%08x", rng.Uint32(), rng.Uint32())
 	}
 	sort.Slice(commits, func(i, j int) bool { return commits[i].Time.Before(commits[j].Time) })
-	return &History{Repo: "faucet", Commits: commits}, nil
+	return &History{Repo: "faucet", Commits: commits}
 }
 
 // GenerateONOS synthesizes an ONOS history whose per-release commit

@@ -6,10 +6,7 @@ import (
 )
 
 func TestGenerateFaucetBasics(t *testing.T) {
-	h, err := GenerateFaucet(GenerateConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := GenerateFaucet(1)
 	if len(h.Commits) != 3000 {
 		t.Errorf("commits = %d, want 3000", len(h.Commits))
 	}
@@ -35,10 +32,7 @@ func TestGenerateFaucetBasics(t *testing.T) {
 }
 
 func TestGenerateFaucetBumpCounts(t *testing.T) {
-	h, err := GenerateFaucet(GenerateConfig{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := GenerateFaucet(2)
 	counts := map[string]int{}
 	for _, c := range h.Commits {
 		if c.Bump != nil {
@@ -56,24 +50,12 @@ func TestGenerateFaucetBumpCounts(t *testing.T) {
 }
 
 func TestGenerateFaucetDeterministic(t *testing.T) {
-	a, err := GenerateFaucet(GenerateConfig{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateFaucet(GenerateConfig{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := GenerateFaucet(7)
+	b := GenerateFaucet(7)
 	for i := range a.Commits {
 		if a.Commits[i].Hash != b.Commits[i].Hash || a.Commits[i].Message != b.Commits[i].Message {
 			t.Fatal("same seed should give identical history")
 		}
-	}
-}
-
-func TestGenerateFaucetBudgetError(t *testing.T) {
-	if _, err := GenerateFaucet(GenerateConfig{TotalCommits: 100, Seed: 1}); err == nil {
-		t.Error("want error when bumps exceed commit budget")
 	}
 }
 
