@@ -6,7 +6,7 @@
 //
 //	sdnbugs generate    [-seed N] [-out corpus.json]
 //	sdnbugs report      [-seed N] [-experiments E02,E05] [-csv] [-parallel N] [-workers N] [-timings]
-//	sdnbugs checks      [-seed N] [-experiments E02,E05] [-parallel N] [-workers N] [-timings]
+//	sdnbugs checks      [-seed N] [-experiments E02,E05] [-ablations] [-parallel N] [-workers N] [-timings]
 //	sdnbugs experiments [-seed N] [-out FILE] [-ablations] [-parallel N] [-workers N] [-timings]
 //	sdnbugs classify    [-seed N] -text "controller crashes after config reload"
 //	sdnbugs mine        -state-dir DIR [-resume] [-jira-url URL] [-gh-url URL] [-out FILE]
@@ -31,8 +31,9 @@
 // experiments (the NLP validation grid, batch prediction) and, like
 // -parallel, never changes output. -exp-timeout bounds each
 // experiment's wall clock; one that overruns is reported errored with
-// a deadline error while the rest of the batch completes.
-// -cpuprofile and -memprofile write
+// a deadline error while the rest of the batch completes. With no
+// -experiments, checks and experiments run E01–E26, and -ablations
+// adds A01–A07. -cpuprofile and -memprofile write
 // runtime/pprof profiles of the suite run for `go tool pprof`.
 //
 // mine pages issues into a crash-consistent state directory (a
@@ -436,10 +437,11 @@ func cmdReport(ctx context.Context, args []string) error {
 func cmdChecks(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("checks", flag.ContinueOnError)
 	ef := addEngineFlags(fs)
+	ablations := fs.Bool("ablations", false, "include the A01–A07 ablation studies")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	run, err := ef.runSuite(ctx, false)
+	run, err := ef.runSuite(ctx, *ablations)
 	if err != nil {
 		return err
 	}

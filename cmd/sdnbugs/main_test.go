@@ -141,6 +141,24 @@ func TestChecksSummaryLine(t *testing.T) {
 	}
 }
 
+// checks takes -ablations as experiments does, and an ablation ID
+// selects that ablation's checks.
+func TestChecksAblations(t *testing.T) {
+	var code int
+	out := capture(t, &os.Stdout, func() {
+		code = run([]string{"checks", "-seed", "1", "-ablations", "-experiments", "A07", "-parallel", "1"})
+	})
+	if code != 0 {
+		t.Fatalf("checks -ablations exit code = %d\n%s", code, out)
+	}
+	for _, frag := range []string{"A07", "monitor alone builds a complete model",
+		"1 experiments: 1 passed, 0 failed, 0 errored"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("checks -ablations -experiments A07 output missing %q:\n%s", frag, out)
+		}
+	}
+}
+
 func TestExperimentsSubcommandSelection(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "experiments.md")
 	code := run([]string{"experiments", "-seed", "1", "-experiments", "E02,A06",

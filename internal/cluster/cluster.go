@@ -1,11 +1,13 @@
 // Package cluster turns the single supervised controller into an
 // N-replica ensemble: deterministic term/lease-based leader election,
 // primary→standby state replication by shipping the primary's event
-// log in bounded batches (sdn.EventQueue + ProcessBatch, so replicas
-// converge byte-identically), OpenFlow mastership handoff at the
-// ofconn layer (role request/reply with generation ids), and fencing
-// tokens so a deposed primary's in-flight writes are rejected — no
-// dual-master window ever mutates state.
+// log in bounded batches (sdn.EventQueue + ProcessBatch, which applies
+// the log without re-forwarding the primary's packet-outs, so replicas
+// converge byte-identically and standbys keep empty dataplane queues),
+// OpenFlow mastership handoff at the ofconn layer (role request/reply
+// with generation ids), and fencing tokens so a deposed primary's
+// in-flight writes are rejected — no dual-master window ever mutates
+// state.
 //
 // The paper's taxonomy puts control-plane failures (controller
 // crashes, mastership confusion, state divergence after reconnect)
@@ -526,10 +528,12 @@ func (e *Ensemble) failover(from *Replica, retry *sdn.Event) bool {
 // mid-slot would silently lose the unshipped tail. A partitioned
 // (alive, unreachable) primary's log cannot be read, but partitions
 // take effect at slot boundaries, after EndSlot has shipped
-// everything, so there is never an unshipped tail to lose. Returns
-// the replay cost in ticks; when the suffix already contains the
-// in-flight retry event (a crash after logging), the retry is
-// cancelled so the event is not applied twice.
+// everything, so there is never an unshipped tail to lose. The tail's
+// traffic was the deposed primary's to forward, so ProcessBatch
+// forwards none of it again. Returns the replay cost in ticks; when
+// the suffix already contains the in-flight retry event (a crash
+// after logging), the retry is cancelled so the event is not applied
+// twice.
 func (e *Ensemble) recoverDurableLog(oldID, winner int, retry **sdn.Event) int {
 	old, win := e.Reps[oldID], e.Reps[winner]
 	if old.C.State != sdn.StateCrashed || len(old.C.Log) <= len(win.C.Log) {
@@ -538,7 +542,6 @@ func (e *Ensemble) recoverDurableLog(oldID, winner int, retry **sdn.Event) int {
 	suffix := old.C.Log[len(win.C.Log):]
 	before := win.C.Stats.TotalCost
 	win.C.ProcessBatch(suffix)
-	win.C.Net.ClearQueues()
 	if *retry != nil && sameEvent(suffix[len(suffix)-1], **retry) {
 		*retry = nil
 	}
@@ -572,7 +575,7 @@ func (e *Ensemble) EnsureServing() bool {
 // heartbeats and replicates: every bidirectionally reachable standby
 // receives the primary's log suffix through its bounded inbox ring
 // and applies it with ProcessBatch — so standby state converges
-// byte-identically — then discards its own dataplane echoes. A
+// byte-identically without re-forwarding the primary's traffic. A
 // primary without quorum burns lease: after LeaseSlots slots the
 // majority side elects a successor.
 func (e *Ensemble) EndSlot() {
@@ -612,13 +615,10 @@ func (e *Ensemble) catchUp(rep *Replica) int {
 	}
 	batch := rep.inbox.Drain(rep.scratch[:0])
 	rep.scratch = batch[:0]
+	// ProcessBatch forwards none of the replayed packet-outs: the
+	// primary already delivered them, so the standby's punt and
+	// delivery queues stay empty for the day it is promoted.
 	rep.C.ProcessBatch(batch)
-	// The standby's dataplane echoes (punts, deliveries) from
-	// replaying traffic events are shadows of work the primary
-	// already served; a promoted standby must start with clean
-	// queues. Emptying them in place keeps their capacity for the
-	// next slot.
-	rep.C.Net.ClearQueues()
 	return len(batch)
 }
 

@@ -1,7 +1,7 @@
 // Package ml provides the classic machine-learning scaffolding the
-// paper's validation uses (§II-C): datasets, feature scaling, the
-// 2/3–1/3 train/test protocol, and the accuracy metric used to compare
-// SVM, decision trees, PCA-reduced models, and AdaBoost.
+// paper's validation uses (§II-C): datasets, the 2/3–1/3 train/test
+// protocol, and the accuracy metric used to compare SVM, decision
+// trees, PCA-reduced models, and AdaBoost.
 package ml
 
 import (
@@ -47,18 +47,6 @@ func NewDataset(x *mathx.Matrix, y []int) (*Dataset, error) {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return d.X.Rows() }
 
-// Classes returns the number of distinct labels, assuming labels are
-// 0-based and dense; it is max(y)+1.
-func (d *Dataset) Classes() int {
-	maxY := 0
-	for _, v := range d.Y {
-		if v > maxY {
-			maxY = v
-		}
-	}
-	return maxY + 1
-}
-
 // Subset returns a new dataset containing the given row indices
 // (data copied).
 func (d *Dataset) Subset(idx []int) (*Dataset, error) {
@@ -98,62 +86,6 @@ func TrainTestSplit(d *Dataset, trainFrac float64, seed int64) (train, test *Dat
 		return nil, nil, err
 	}
 	return train, test, nil
-}
-
-// StandardScaler standardizes features to zero mean, unit variance —
-// the "normalization" the paper reports as decisive for SVM accuracy.
-type StandardScaler struct {
-	mean, std []float64
-}
-
-// Fit learns per-column mean and standard deviation.
-func (s *StandardScaler) Fit(x *mathx.Matrix) error {
-	if x.Rows() == 0 {
-		return ErrEmptyDataset
-	}
-	d := x.Cols()
-	s.mean = make([]float64, d)
-	s.std = make([]float64, d)
-	for j := 0; j < d; j++ {
-		col := x.Col(j)
-		s.mean[j] = mathx.Mean(col)
-		s.std[j] = mathx.StdDev(col)
-		if s.std[j] == 0 {
-			s.std[j] = 1 // constant column: leave centered only
-		}
-	}
-	return nil
-}
-
-// Transform returns a standardized copy of v.
-func (s *StandardScaler) Transform(v []float64) ([]float64, error) {
-	if s.mean == nil {
-		return nil, ErrNotFitted
-	}
-	if len(v) != len(s.mean) {
-		return nil, fmt.Errorf("ml: scaler expects %d features, got %d", len(s.mean), len(v))
-	}
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = (x - s.mean[i]) / s.std[i]
-	}
-	return out, nil
-}
-
-// TransformMatrix standardizes every row of x into a new matrix.
-func (s *StandardScaler) TransformMatrix(x *mathx.Matrix) (*mathx.Matrix, error) {
-	if s.mean == nil {
-		return nil, ErrNotFitted
-	}
-	out := mathx.NewMatrix(x.Rows(), x.Cols())
-	for i := 0; i < x.Rows(); i++ {
-		row, err := s.Transform(x.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Row(i), row)
-	}
-	return out, nil
 }
 
 // Accuracy returns the fraction of matching labels.

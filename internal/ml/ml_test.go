@@ -37,11 +37,8 @@ func TestNewDatasetErrors(t *testing.T) {
 	}
 }
 
-func TestDatasetClassesAndSubset(t *testing.T) {
+func TestDatasetSubset(t *testing.T) {
 	d := toyData(t)
-	if d.Classes() != 3 {
-		t.Errorf("Classes = %d, want 3", d.Classes())
-	}
 	sub, err := d.Subset([]int{0, 4, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -86,43 +83,6 @@ func TestTrainTestSplit(t *testing.T) {
 		if train.Y[i] != tr2.Y[i] {
 			t.Fatal("same seed should give same split")
 		}
-	}
-}
-
-func TestStandardScaler(t *testing.T) {
-	x, _ := mathx.MatrixFromRows([][]float64{{1, 100}, {2, 200}, {3, 300}})
-	var s StandardScaler
-	if _, err := s.Transform([]float64{1, 2}); err != ErrNotFitted {
-		t.Errorf("want ErrNotFitted, got %v", err)
-	}
-	if err := s.Fit(x); err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.TransformMatrix(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 2; j++ {
-		col := out.Col(j)
-		if m := mathx.Mean(col); math.Abs(m) > 1e-9 {
-			t.Errorf("col %d mean = %v, want 0", j, m)
-		}
-		if sd := mathx.StdDev(col); math.Abs(sd-1) > 1e-9 {
-			t.Errorf("col %d std = %v, want 1", j, sd)
-		}
-	}
-	if _, err := s.Transform([]float64{1}); err == nil {
-		t.Error("want dimension error")
-	}
-	// Constant column must not divide by zero.
-	c, _ := mathx.MatrixFromRows([][]float64{{5, 1}, {5, 2}})
-	var s2 StandardScaler
-	if err := s2.Fit(c); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s2.Transform([]float64{5, 1})
-	if err != nil || math.IsNaN(v[0]) {
-		t.Errorf("constant column handling: %v %v", v, err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sdn
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // EventRing is a fixed-capacity ring buffer of events: the backing
 // array is allocated once and never grows, so steady-state enqueue and
@@ -112,25 +109,43 @@ func (q *EventQueue) Dropped() int {
 	return q.dropped
 }
 
-// ReserveLog grows the event log's capacity so the next n Submit calls
-// append into a single pre-grown region without reallocating.
+// ReserveLog makes room in the event log for n more events, so the
+// next n Submit calls append without reallocating. A log that must
+// grow gets room for half its length again, or for n more events if
+// that is more, so each logged event is copied about twice however
+// long the log gets; append's 1.25x steps for large slices copy it
+// about four times. Growing by half rather than doubling caps the
+// spare slots at half the log, which matters because every replica
+// holds a whole log.
 func (c *Controller) ReserveLog(n int) {
-	c.Log = slices.Grow(c.Log, n)
+	if need := len(c.Log) + n; need > cap(c.Log) {
+		log := make([]Event, len(c.Log), max(need, len(c.Log)+len(c.Log)/2))
+		copy(log, c.Log)
+		c.Log = log
+	}
 }
 
-// ProcessBatch submits events in order, exactly as n sequential Submit
-// calls would — middleware runs per event, crashes drop the remainder
-// of the batch into EventsDropped, error logging and liveness
-// transitions are per event — but the log grows in one pre-reserved
-// append region and callers amortize their own per-event overhead. It
-// returns the number of events processed cleanly and the first error.
-// Batching is mechanical, not semantic: controller state, log, and
-// stats after ProcessBatch are byte-identical to the sequential loop.
+// ProcessBatch applies events another replica already served: a
+// standby catching up on the primary's log, or a promoted replica
+// replaying a deposed primary's unshipped tail. It submits them in
+// order, exactly as n sequential Submit calls would — middleware runs
+// per event, crashes drop the remainder of the batch into
+// EventsDropped, error logging and liveness transitions are per event
+// — with one difference: the packet-outs the events cause are
+// validated (switch lookup and packet decoding, failing as
+// ApplyPacketOut does) but not forwarded, because the serving replica
+// already delivered them. Forwarding changes no flow table, port or
+// app state, so controller state, log and stats after ProcessBatch are
+// byte-identical to the sequential loop; only the network's PacketIns
+// and Deliveries stay as they were. It returns the number of events
+// processed cleanly and the first error.
 func (c *Controller) ProcessBatch(events []Event) (int, error) {
 	if len(events) == 0 {
 		return 0, nil
 	}
 	c.ReserveLog(len(events))
+	c.Net.replaying = true
+	defer func() { c.Net.replaying = false }()
 	var processed int
 	var firstErr error
 	for _, ev := range events {

@@ -180,13 +180,15 @@ func NewController(net *Network, env *Environment, app App, mw ...Middleware) *C
 const stallCostThreshold = 1000
 
 // Submit processes one event through the app (and any middleware),
-// recording it in the event log first.
+// recording it in the event log first. A full log grows as ReserveLog
+// grows it, by half its length.
 func (c *Controller) Submit(ev Event) error {
 	if c.State == StateCrashed {
 		c.Stats.EventsDropped++
 		return ErrNotRunning
 	}
 	ev.Seq = len(c.Log)
+	c.ReserveLog(1)
 	c.Log = append(c.Log, ev)
 	return c.process(ev)
 }

@@ -269,6 +269,11 @@ type Network struct {
 	PacketIns []openflow.PacketIn
 	// Deliveries accumulates every host delivery; drivers drain it.
 	Deliveries []Delivery
+
+	// replaying is set while a controller's ProcessBatch replays
+	// events another replica served: packet-outs are validated but not
+	// forwarded.
+	replaying bool
 }
 
 // Network errors.
@@ -464,13 +469,15 @@ func (n *Network) emit(sw *Switch, port uint32, p Packet, hops int) {
 // ApplyPacketOut executes a controller packet-out: the carried packet
 // is pushed out of the named switch according to the actions, returning
 // any host deliveries. New table misses downstream punt to PacketIns.
+// During a ProcessBatch replay the packet-out is validated but not
+// forwarded, so it delivers and punts nothing.
 func (n *Network) ApplyPacketOut(po openflow.PacketOut) ([]Delivery, error) {
 	sw, err := n.Switch(po.DatapathID)
 	if err != nil {
 		return nil, err
 	}
 	pkt, err := DecodePacket(po.Data)
-	if err != nil {
+	if err != nil || n.replaying {
 		return nil, err
 	}
 	mark := len(n.Deliveries)
@@ -498,7 +505,9 @@ func (n *Network) ApplyPacketOut(po openflow.PacketOut) ([]Delivery, error) {
 	return n.Deliveries[mark:], nil
 }
 
-// DrainPacketIns returns and clears the accumulated punts.
+// DrainPacketIns returns and clears the accumulated punts. The caller
+// owns the returned slice: events built from it point into it and may
+// be logged, so the network starts a new one.
 func (n *Network) DrainPacketIns() []openflow.PacketIn {
 	out := n.PacketIns
 	n.PacketIns = nil
@@ -506,23 +515,13 @@ func (n *Network) DrainPacketIns() []openflow.PacketIn {
 }
 
 // DrainDeliveries returns and clears the accumulated host deliveries.
+// The returned slice is the network's own buffer, valid until the
+// network next forwards a packet: the buffer is reused, so draining
+// allocates nothing.
 func (n *Network) DrainDeliveries() []Delivery {
 	out := n.Deliveries
-	n.Deliveries = nil
-	return out
-}
-
-// ClearQueues empties PacketIns and Deliveries in place, keeping
-// their capacity for the next round. Unlike the Drain methods it hands
-// nothing to the caller, and later punts and deliveries overwrite the
-// cleared slots, including those a slice returned by InjectFromHost or
-// ApplyPacketOut still shows: it suits a caller that never reads the
-// queues, such as a standby replaying the primary's log.
-func (n *Network) ClearQueues() {
-	clear(n.PacketIns)
-	n.PacketIns = n.PacketIns[:0]
-	clear(n.Deliveries)
 	n.Deliveries = n.Deliveries[:0]
+	return out
 }
 
 // ApplyFlowMod executes a controller flow-mod against the dataplane.

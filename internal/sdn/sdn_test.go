@@ -548,10 +548,10 @@ func TestAddSwitchAgainKeepsWiring(t *testing.T) {
 	}
 }
 
-// ClearQueues empties both queues in place, while the Drain methods
-// still hand their slices over: later punts never overwrite a drained
-// slice.
-func TestClearQueuesKeepsCapacityAndDrainOwnership(t *testing.T) {
+// DrainDeliveries hands back the network's own buffer and keeps it
+// for the next deliveries, while DrainPacketIns still hands its slice
+// over: later punts never overwrite a drained slice.
+func TestDrainReusesDeliveriesAndHandsOverPunts(t *testing.T) {
 	net, err := LinearTopology(2)
 	if err != nil {
 		t.Fatal(err)
@@ -566,28 +566,61 @@ func TestClearQueuesKeepsCapacityAndDrainOwnership(t *testing.T) {
 	sw, _ := net.Switch(2)
 	sw.Table.Add(FlowEntry{Priority: 1, Match: openflow.Match{EthDst: 0x12},
 		Actions: []openflow.Action{{Type: openflow.ActionOutput, Port: 1}}})
-	if _, err := net.ApplyPacketOut(openflow.PacketOut{DatapathID: 2, InPort: 2,
-		Actions: []openflow.Action{{Type: openflow.ActionOutput, Port: 1}},
-		Data:    EncodePacket(Packet{EthSrc: 0x11, EthDst: 0x12})}); err != nil {
-		t.Fatal(err)
+	deliver := func() {
+		t.Helper()
+		if _, err := net.ApplyPacketOut(openflow.PacketOut{DatapathID: 2, InPort: 2,
+			Actions: []openflow.Action{{Type: openflow.ActionOutput, Port: 1}},
+			Data:    EncodePacket(Packet{EthSrc: 0x11, EthDst: 0x12})}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	deliver()
 	if len(net.PacketIns) == 0 || len(net.Deliveries) == 0 {
 		t.Fatalf("setup: %d punts, %d deliveries", len(net.PacketIns), len(net.Deliveries))
 	}
-	piCap, delCap := cap(net.PacketIns), cap(net.Deliveries)
-	net.ClearQueues()
-	if len(net.PacketIns) != 0 || len(net.Deliveries) != 0 {
-		t.Fatalf("after ClearQueues: %d punts, %d deliveries", len(net.PacketIns), len(net.Deliveries))
+	delCap := cap(net.Deliveries)
+	got := net.DrainDeliveries()
+	if len(got) != 1 || got[0].MAC != 0x12 {
+		t.Fatalf("drained %+v, want one delivery to 0x12", got)
 	}
-	if cap(net.PacketIns) != piCap || cap(net.Deliveries) != delCap {
-		t.Fatalf("ClearQueues dropped capacity: punts %d->%d, deliveries %d->%d",
-			piCap, cap(net.PacketIns), delCap, cap(net.Deliveries))
+	if len(net.Deliveries) != 0 || cap(net.Deliveries) != delCap {
+		t.Fatalf("after DrainDeliveries: len %d cap %d, want len 0 cap %d",
+			len(net.Deliveries), cap(net.Deliveries), delCap)
 	}
+	deliver()
+	if &net.Deliveries[0] != &got[0] {
+		t.Fatal("the next delivery did not reuse the drained buffer")
+	}
+	net.DrainPacketIns()
 	punt()
 	drained := net.DrainPacketIns()
 	want := append([]openflow.PacketIn(nil), drained...)
 	punt()
 	if !reflect.DeepEqual(drained, want) {
 		t.Fatal("a later punt overwrote a drained slice")
+	}
+}
+
+// Once every MAC is learned and every flow installed, a primary's
+// traffic slot (inject, forward, drain the deliveries) allocates
+// nothing: the delivery buffer is reused across slots.
+func TestSteadyStateSlotDrainAllocatesNothing(t *testing.T) {
+	_, d := newRunningController(t, 3)
+	if _, err := d.fullConnectivity(); err != nil {
+		t.Fatal(err)
+	}
+	var reached int
+	allocs := testing.AllocsPerRun(100, func() {
+		deliveries, err := d.send(0x11, Packet{EthDst: 0x13, EthType: 0x0800})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reached = len(deliveries)
+	})
+	if reached != 1 {
+		t.Fatalf("unicast reached %d hosts, want 1", reached)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state slot: %.1f allocs, want 0", allocs)
 	}
 }

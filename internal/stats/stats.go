@@ -73,11 +73,12 @@ func (e *ECDF) Points(n int) []Point {
 		return []Point{{X: lo, Y: 1}}
 	}
 	step := (hi - lo) / float64(n-1)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n-1; i++ {
 		x := lo + float64(i)*step
 		out = append(out, Point{X: x, Y: e.At(x)})
 	}
-	return out
+	// lo + (n-1)*step can round below hi, where the CDF is below 1.
+	return append(out, Point{X: hi, Y: 1})
 }
 
 // Point is a single (x, y) coordinate of a plotted series.

@@ -100,6 +100,46 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
+// Every curve starts at the smallest sample, rises monotonically and
+// ends exactly at (max, 1), whatever the sample and the point count.
+func TestECDFPointsEndAtMaxProperty(t *testing.T) {
+	f := func(raw []float64, count uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		sample := make([]float64, len(raw))
+		for i, v := range raw {
+			sample[i] = math.Mod(v, 1e3)
+		}
+		e, err := NewECDF(sample)
+		if err != nil {
+			return false
+		}
+		n := int(count%64) + 2
+		pts := e.Points(n)
+		if e.Min() != e.Max() && len(pts) != n {
+			return false
+		}
+		if pts[0].X != e.Min() || pts[len(pts)-1] != (Point{X: e.Max(), Y: 1}) {
+			return false
+		}
+		for i := 1; i < len(pts); i++ {
+			if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y || pts[i].Y > 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	// A sample where lo + 11*step rounds below hi.
+	e, _ := NewECDF([]float64{0.01, 0.7, 51.07})
+	if last := e.Points(12)[11]; last != (Point{X: 51.07, Y: 1}) {
+		t.Errorf("last point = %+v, want (51.07, 1)", last)
+	}
+}
+
 func TestPhiCoefficient(t *testing.T) {
 	tests := []struct {
 		name               string
