@@ -29,16 +29,20 @@ vet:
 perfbench-vet:
 	cd perfbench && $(GO) vet ./...
 
-# cross-check guards the no-FMA rule: Dot, MulVecInto and the PCA fit
-# round every product before adding it, so they must return the same
-# bits on every architecture. It vets internal/mathx for arm64 (which
-# has fused multiply-add) and 386, and runs the mathx tests and the
-# bit-pinned PCA fit under GOARCH=386, a second architecture.
+# cross-check guards the no-FMA rule: Dot, Axpy, Rotate, PegasosStep,
+# MulVecInto, the Pegasos SVM fit and the PCA fit round every product
+# before adding it, so they must return the same bits on every
+# architecture, with or without mathx's AVX2 kernels. It vets mathx,
+# svm and pca for arm64 (which has fused multiply-add) and 386, and
+# runs the mathx tests, the bit-pinned PCA fit and the SVM fit's
+# reference comparison under GOARCH=386, a second architecture where
+# only the portable Go loops run.
 cross-check:
-	GOARCH=arm64 $(GO) vet ./internal/mathx/
-	GOARCH=386 $(GO) vet ./internal/mathx/
+	GOARCH=arm64 $(GO) vet ./internal/mathx/ ./internal/ml/svm/ ./internal/ml/pca/
+	GOARCH=386 $(GO) vet ./internal/mathx/ ./internal/ml/svm/ ./internal/ml/pca/
 	GOARCH=386 $(GO) test ./internal/mathx/
 	GOARCH=386 $(GO) test ./internal/ml/pca/
+	GOARCH=386 $(GO) test ./internal/ml/svm/
 
 test:
 	$(GO) test ./...
@@ -95,7 +99,8 @@ bench-tracker-smoke:
 # canonical issue codec must stay a byte-stable fixed point, the
 # tracker handlers' spliced pre-encoded pages must equal json.Encoder's
 # bytes, the fused Pegasos step must fit the same bits as the
-# separate Scale/Axpy/average loops, and the EthDst-indexed flow table
+# separate Scale/Axpy/average loops, mathx's AVX2 kernels must return
+# the bits of the portable Go loops, and the EthDst-indexed flow table
 # must return the same entry as the linear reference table.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/openflow/
@@ -107,6 +112,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRepairPatch -fuzztime=10s ./internal/repair/
 	$(GO) test -run='^$$' -fuzz=FuzzFitMatchesReference -fuzztime=10s ./internal/ml/adaboost/
 	$(GO) test -run='^$$' -fuzz=FuzzFitBinaryMatchesReference -fuzztime=10s ./internal/ml/svm/
+	$(GO) test -run='^$$' -fuzz=FuzzKernelsMatchGo -fuzztime=10s ./internal/mathx/
 	$(GO) test -run='^$$' -fuzz=FuzzFlowTableMatchesReference -fuzztime=10s ./internal/sdn/
 
 # fuzz-perf runs the feedback-guided performance fuzzer (the E24

@@ -64,18 +64,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mathx: col %d out of range [0,%d)", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mathx: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
@@ -100,7 +88,8 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns the matrix product a×b.
+// Mul returns the matrix product a×b. Each product is rounded before
+// it is added, as in Axpy, which runs the inner loop.
 func Mul(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("%w: %dx%d × %dx%d", ErrDimensionMismatch, a.rows, a.cols, b.rows, b.cols)
@@ -113,10 +102,7 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 			if av == 0 {
 				continue
 			}
-			br := b.Row(k)
-			for j, bv := range br {
-				or[j] += av * bv
-			}
+			Axpy(av, b.Row(k), or)
 		}
 	}
 	return out, nil
@@ -172,7 +158,8 @@ func Equal(a, b *Matrix, tol float64) bool {
 // CovarianceMatrix returns the (cols×cols) covariance matrix of the
 // rows of x, treating each row as an observation. Columns are centered
 // with their sample means; the normalizer is n-1 (sample covariance).
-// Each product is rounded before it is added, as in Dot.
+// Each product is rounded before it is added, as in Axpy, which
+// accumulates each row.
 func CovarianceMatrix(x *Matrix) (*Matrix, error) {
 	n := x.rows
 	if n < 2 {
@@ -188,19 +175,12 @@ func CovarianceMatrix(x *Matrix) (*Matrix, error) {
 	cov := NewMatrix(d, d)
 	centered := make([]float64, d)
 	for i := 0; i < n; i++ {
-		copy(centered, x.Row(i))
-		for j := range centered {
-			centered[j] -= means[j]
-		}
-		for a := 0; a < d; a++ {
-			ca := centered[a]
+		SubInto(centered, x.Row(i), means)
+		for a, ca := range centered {
 			if ca == 0 {
 				continue
 			}
-			row := cov.Row(a)
-			for b := 0; b < d; b++ {
-				row[b] += float64(ca * centered[b])
-			}
+			Axpy(ca, centered, cov.Row(a))
 		}
 	}
 	cov.Apply(func(v float64) float64 { return v / float64(n-1) })

@@ -20,14 +20,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(1, 0) != 9 {
 		t.Error("Row should be a mutable view")
 	}
-	col := m.Col(0)
-	if col[1] != 9 {
-		t.Errorf("Col(0) = %v", col)
-	}
-	col[1] = 100 // Col is a copy.
-	if m.At(1, 0) != 9 {
-		t.Error("Col should be a copy")
-	}
 }
 
 func TestMatrixFromRows(t *testing.T) {
@@ -53,7 +45,6 @@ func TestMatrixOutOfRangePanics(t *testing.T) {
 		func() { m.At(2, 0) },
 		func() { m.Set(0, 2, 1) },
 		func() { m.Row(-1) },
-		func() { m.Col(5) },
 	} {
 		func() {
 			defer func() {

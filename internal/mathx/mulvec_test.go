@@ -39,24 +39,16 @@ func checkMulVecMatchesDot(t *testing.T, m *Matrix, v []float64) {
 	}
 }
 
-// randomOperands fills a rows×cols matrix and a cols vector. With
-// special set, about a quarter of the entries come from specials;
-// the rest are normal deviates spread over many binades so the lane
-// order shows in the rounding.
+// randomOperands fills a rows×cols matrix and a cols vector with
+// randomValue entries.
 func randomOperands(rng *rand.Rand, rows, cols int, special bool) (*Matrix, []float64) {
-	val := func() float64 {
-		if special && rng.Intn(4) == 0 {
-			return specials[rng.Intn(len(specials))]
-		}
-		return math.Ldexp(rng.NormFloat64(), rng.Intn(41)-20)
-	}
 	m := NewMatrix(rows, cols)
 	for i := range m.data {
-		m.data[i] = val()
+		m.data[i] = randomValue(rng, special)
 	}
 	v := make([]float64, cols)
 	for i := range v {
-		v[i] = val()
+		v[i] = randomValue(rng, special)
 	}
 	return m, v
 }

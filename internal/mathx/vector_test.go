@@ -126,19 +126,13 @@ func TestCosineSimilarityBounded(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(v); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := Variance(v); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(v); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs should return 0")
+	if Mean(nil) != 0 {
+		t.Error("Mean(nil) should return 0")
 	}
 }
 

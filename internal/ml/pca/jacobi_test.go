@@ -261,3 +261,117 @@ func TestFitPinnedBits(t *testing.T) {
 		}
 	}
 }
+
+// referenceRotate is rotate as first written: it reads and writes
+// columns p and q of a element by element and turns the rows of v
+// pair by pair. rotate must leave the same bits in a and v.
+func referenceRotate(a []float64, m int, v *mathx.Matrix, p, q int) {
+	turn := func(g, h, s, tau float64) (float64, float64) {
+		return g - float64(s*(h+float64(g*tau))), h + float64(s*(g-float64(h*tau)))
+	}
+	apq := a[p*m+q]
+	if apq == 0 {
+		return
+	}
+	theta := (a[q*m+q] - a[p*m+p]) / (2 * apq)
+	t := 1 / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+	if theta < 0 {
+		t = -t
+	}
+	c := 1 / math.Sqrt(float64(t*t)+1)
+	s := float64(t * c)
+	tau := s / (1 + c)
+	a[p*m+p] -= float64(t * apq)
+	a[q*m+q] += float64(t * apq)
+	a[p*m+q], a[q*m+p] = 0, 0
+	for r := 0; r < m; r++ {
+		if r == p || r == q {
+			continue
+		}
+		g, h := turn(a[r*m+p], a[r*m+q], s, tau)
+		a[r*m+p], a[p*m+r] = g, g
+		a[r*m+q], a[q*m+r] = h, h
+	}
+	vp, vq := v.Row(p), v.Row(q)
+	for r := range vp {
+		vp[r], vq[r] = turn(vp[r], vq[r], s, tau)
+	}
+}
+
+// TestRotateMatchesReference runs two cyclic sweeps of rotations on
+// random symmetric matrices, every len%4 tail among them, with rotate
+// and with referenceRotate, and compares a and v bit for bit after
+// every rotation.
+func TestRotateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, m := range []int{2, 3, 4, 5, 6, 7, 8, 9, 13, 24, 41} {
+		for _, psd := range []bool{false, true} {
+			a := randomSymmetric(rng, m, psd)
+			ref := append([]float64(nil), a...)
+			v, refV := mathx.NewMatrix(m, m), mathx.NewMatrix(m, m)
+			for i := 0; i < m; i++ {
+				v.Set(i, i, 1)
+				refV.Set(i, i, 1)
+			}
+			for sweep := 0; sweep < 2; sweep++ {
+				for p := 0; p < m-1; p++ {
+					for q := p + 1; q < m; q++ {
+						rotate(a, m, v, p, q)
+						referenceRotate(ref, m, refV, p, q)
+						for i := range a {
+							if math.Float64bits(a[i]) != math.Float64bits(ref[i]) {
+								t.Fatalf("m=%d psd=%v rotation (%d,%d): a[%d] = %v, reference %v", m, psd, p, q, i, a[i], ref[i])
+							}
+						}
+						for i := 0; i < m; i++ {
+							for j := 0; j < m; j++ {
+								if g, w := v.At(i, j), refV.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+									t.Fatalf("m=%d psd=%v rotation (%d,%d): v[%d][%d] = %v, reference %v", m, psd, p, q, i, j, g, w)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkJacobi100 diagonalises the Gram matrix of E09's PCA fit:
+// 100 training rows of 410 sparse TF-IDF features at unit L2 norm,
+// centred, Xc·Xcᵀ/(n−1).
+func BenchmarkJacobi100(b *testing.B) {
+	const n, d = 100, 410
+	rng := rand.New(rand.NewSource(9))
+	x := mathx.NewMatrix(n, d)
+	mean := make([]float64, d)
+	for i := 0; i < n; i++ {
+		row := x.Row(i)
+		for j := range row {
+			if rng.Intn(100) >= 85 {
+				row[j] = rng.Float64()
+			}
+		}
+		mathx.Normalize(row)
+		mathx.Axpy(1, row, mean)
+	}
+	mathx.Scale(mean, 1/float64(n))
+	for i := 0; i < n; i++ {
+		mathx.SubInto(x.Row(i), x.Row(i), mean)
+	}
+	gram := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			g := mathx.Dot(x.Row(i), x.Row(j)) / float64(n-1)
+			gram[i*n+j], gram[j*n+i] = g, g
+		}
+	}
+	a := make([]float64, n*n)
+	b.ReportAllocs()
+	for b.Loop() {
+		copy(a, gram)
+		if _, _, err := jacobi(a, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

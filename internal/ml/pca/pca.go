@@ -107,12 +107,8 @@ func (p *PCA) fit(x *mathx.Matrix, gram bool) error {
 		row := p.components.Row(c)
 		if gram {
 			// The covariance eigenvector is Xcᵀu, up to scale.
-			u := vecs.Row(c)
-			for i := 0; i < n; i++ {
-				ui, xi := u[i], xc.Row(i)
-				for j := range row {
-					row[j] += float64(ui * xi[j])
-				}
+			for i, ui := range vecs.Row(c) {
+				mathx.Axpy(ui, xc.Row(i), row)
 			}
 			mathx.Normalize(row)
 		} else {
@@ -172,7 +168,9 @@ func jacobi(a []float64, m int) (vals []float64, vecs *mathx.Matrix, err error) 
 
 // rotate applies the Jacobi rotation that zeroes a_pq to a and to the
 // eigenvector rows p and q of v, in the form of Numerical Recipes'
-// jacobi.
+// jacobi. a stays symmetric, so rows p and q are also columns p and
+// q: rotate turns the two rows with mathx.Rotate, sets the four
+// entries where they cross, and copies the rows into the columns.
 func rotate(a []float64, m int, v *mathx.Matrix, p, q int) {
 	apq := a[p*m+q]
 	if apq == 0 {
@@ -186,27 +184,16 @@ func rotate(a []float64, m int, v *mathx.Matrix, p, q int) {
 	c := 1 / math.Sqrt(float64(t*t)+1)
 	s := float64(t * c)
 	tau := s / (1 + c)
-	a[p*m+p] -= float64(t * apq)
-	a[q*m+q] += float64(t * apq)
-	a[p*m+q], a[q*m+p] = 0, 0
+	rp, rq := a[p*m:(p+1)*m], a[q*m:(q+1)*m]
+	app, aqq := rp[p], rq[q]
+	mathx.Rotate(rp, rq, s, tau)
+	rp[p] = app - float64(t*apq)
+	rq[q] = aqq + float64(t*apq)
+	rp[q], rq[p] = 0, 0
 	for r := 0; r < m; r++ {
-		if r == p || r == q {
-			continue
-		}
-		g, h := turn(a[r*m+p], a[r*m+q], s, tau)
-		a[r*m+p], a[p*m+r] = g, g
-		a[r*m+q], a[q*m+r] = h, h
+		a[r*m+p], a[r*m+q] = rp[r], rq[r]
 	}
-	vp, vq := v.Row(p), v.Row(q)
-	for r := range vp {
-		vp[r], vq[r] = turn(vp[r], vq[r], s, tau)
-	}
-}
-
-// turn rotates the pair (g, h) to (c·g − s·h, s·g + c·h), written with
-// tau = s/(1+c) in place of c so that small rotations round well.
-func turn(g, h, s, tau float64) (float64, float64) {
-	return g - float64(s*(h+float64(g*tau))), h + float64(s*(g-float64(h*tau)))
+	mathx.Rotate(v.Row(p), v.Row(q), s, tau)
 }
 
 // orient flips v so that its largest-magnitude entry, the lowest index

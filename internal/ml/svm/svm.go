@@ -81,77 +81,46 @@ func (s *Binary) FitBinary(x *mathx.Matrix, y []int) error {
 	avgW := make([]float64, d)
 	var avgB float64
 	var avgN int
-	t := 0
-	for e := 0; e < epochs; e++ {
-		for range n {
-			t++
-			var i int
-			if pos != nil {
-				if rng.Intn(2) == 0 {
-					i = pos[rng.Intn(len(pos))]
-				} else {
-					i = neg[rng.Intn(len(neg))]
-				}
-			} else {
-				i = rng.Intn(n)
+	draw := func() int {
+		if pos != nil {
+			if rng.Intn(2) == 0 {
+				return pos[rng.Intn(len(pos))]
 			}
-			eta := 1 / (lambda * float64(t))
-			xi := x.Row(i)
-			yi := float64(y[i])
-			margin := yi * (mathx.Dot(s.w, xi) + s.b)
-			// w <- (1 - eta*lambda) w  [+ eta*yi*xi if margin < 1]
-			hinge := margin < 1
-			if hinge {
-				s.b += eta * yi
-			}
-			avg := t > avgFrom
-			var inv float64
-			if avg {
-				avgN++
-				inv = 1 / float64(avgN)
-				avgB += (s.b - avgB) * inv
-			}
-			pegasosStep(s.w, avgW, xi, 1-eta*lambda, eta*yi, inv, hinge, avg)
+			return neg[rng.Intn(len(neg))]
 		}
+		return rng.Intn(n)
+	}
+	// Each step draws the next row before it updates w, so that one
+	// pass can update w and compute the next margin's w·x. The RNG
+	// only draws rows, so the sequence of rows is unchanged; the last
+	// draw is unused.
+	i := draw()
+	dot := mathx.Dot(s.w, x.Row(i))
+	for t := 1; t <= steps; t++ {
+		eta := 1 / (lambda * float64(t))
+		xi := x.Row(i)
+		yi := float64(y[i])
+		margin := yi * (dot + s.b)
+		// w <- (1 - eta*lambda) w  [+ eta*yi*xi if margin < 1]
+		hinge := margin < 1
+		if hinge {
+			s.b += eta * yi
+		}
+		avg := t > avgFrom
+		var inv float64
+		if avg {
+			avgN++
+			inv = 1 / float64(avgN)
+			avgB += (s.b - avgB) * inv
+		}
+		i = draw()
+		dot = mathx.PegasosStep(s.w, avgW, xi, x.Row(i), 1-eta*lambda, eta*yi, inv, hinge, avg)
 	}
 	if avgN > 0 {
 		s.w = avgW
 		s.b = avgB
 	}
 	return nil
-}
-
-// pegasosStep updates w in one pass: w[j] = w[j]*c, plus a*xi[j] when
-// hinge is set, then, when avg is set, moves avgW[j] toward the new
-// w[j] by inv. Per element it computes the same expressions in the
-// same order as a Scale, an Axpy and a running-average loop run one
-// after another, so every bit matches; the float64 conversions stop
-// any compiler from fusing a product and a sum into one rounding.
-func pegasosStep(w, avgW, xi []float64, c, a, inv float64, hinge, avg bool) {
-	avgW = avgW[:len(w)]
-	xi = xi[:len(w)]
-	switch {
-	case hinge && avg:
-		for j := range w {
-			wj := float64(w[j]*c) + float64(a*xi[j])
-			w[j] = wj
-			avgW[j] += float64((wj - avgW[j]) * inv)
-		}
-	case hinge:
-		for j := range w {
-			w[j] = float64(w[j]*c) + float64(a*xi[j])
-		}
-	case avg:
-		for j := range w {
-			wj := float64(w[j] * c)
-			w[j] = wj
-			avgW[j] += float64((wj - avgW[j]) * inv)
-		}
-	default:
-		for j := range w {
-			w[j] *= c
-		}
-	}
 }
 
 // Decision returns the signed margin w·x + b.
