@@ -142,12 +142,14 @@ cluster-smoke:
 	$(GO) run ./cmd/faultlab -cluster -seed 1 -events 400 -replicas 3 -json \
 		> /tmp/cluster_smoke.json
 
-# examples-smoke runs the examples that drive controllers through
-# sdn.Pump outside the golden contract — the supervised self-healing
-# walk and the Table VII recovery evaluation — and fails if either
-# exits non-zero.
+# examples-smoke runs every example and fails if one exits non-zero:
+# the two that drive controllers through sdn.Pump outside the golden
+# contract (the supervised self-healing walk and the Table VII
+# recovery evaluation), the corpus quickstart, and NLP triage.
 examples-smoke:
 	$(GO) run ./examples/selfheal > /dev/null
 	$(GO) run ./examples/recovery-eval > /dev/null
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/triage > /dev/null
 
 verify: build fmt-check vet perfbench-vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke

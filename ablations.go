@@ -14,19 +14,19 @@ import (
 // registerAblations registers the design-choice studies (A01–A07)
 // with the engine in order.
 func (s *Suite) registerAblations(r *engine.Registry[ExperimentResult]) {
-	registerSuite(r, "A01", "Ablation: feature blocks (TF-IDF vs Word2Vec vs both)", engine.KindAblation, s.AblationFeatures)
-	registerSuite(r, "A02", "Ablation: feature normalization for the SVM", engine.KindAblation, s.AblationScaling)
-	registerSuite(r, "A03", "Ablation: NMF rank sensitivity (Figure 14)", engine.KindAblation, s.AblationNMFRank)
-	registerSuite(r, "A04", "Ablation: extending input-transform tools beyond network events", engine.KindAblation, s.AblationTransformScope)
-	registerSuite(r, "A05", "Ablation: NMF vs LDA topic models (Figure 14)", engine.KindAblation, s.AblationTopicModel)
-	registerSuite(r, "A06", "Ablation: predictive rejuvenation vs the memory/load gap", engine.KindAblation, s.AblationPrediction)
-	registerSuite(r, "A07", "Ablation: naive tool composition (SPHINX ⊕ Bouncer, §VII-C)", engine.KindAblation, s.AblationLayering)
+	registerSuite(r, "A01", "Ablation: feature blocks (TF-IDF vs Word2Vec vs both)", engine.KindAblation, s.ablationFeatures)
+	registerSuite(r, "A02", "Ablation: feature normalization for the SVM", engine.KindAblation, s.ablationScaling)
+	registerSuite(r, "A03", "Ablation: NMF rank sensitivity (Figure 14)", engine.KindAblation, s.ablationNMFRank)
+	registerSuite(r, "A04", "Ablation: extending input-transform tools beyond network events", engine.KindAblation, s.ablationTransformScope)
+	registerSuite(r, "A05", "Ablation: NMF vs LDA topic models (Figure 14)", engine.KindAblation, s.ablationTopicModel)
+	registerSuite(r, "A06", "Ablation: predictive rejuvenation vs the memory/load gap", engine.KindAblation, s.ablationPrediction)
+	registerSuite(r, "A07", "Ablation: naive tool composition (SPHINX ⊕ Bouncer, §VII-C)", engine.KindAblation, s.ablationLayering)
 }
 
-// AblationFeatures compares the classification feature blocks: TF-IDF
+// ablationFeatures compares the classification feature blocks: TF-IDF
 // only, Word2Vec only, and the paper's concatenation of both.
-func (s *Suite) AblationFeatures() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A01", Title: "Ablation: feature blocks (TF-IDF vs Word2Vec vs both)"}
+func (s *Suite) ablationFeatures() (ExperimentResult, error) {
+	var res ExperimentResult
 	val, err := s.Validator()
 	if err != nil {
 		return res, err
@@ -68,7 +68,7 @@ func (s *Suite) AblationFeatures() (ExperimentResult, error) {
 			}
 		}
 		res.Checks = append(res.Checks, report.Check{
-			Artifact: "A01", Metric: d.String() + ": combined features competitive",
+			Metric:   d.String() + ": combined features competitive",
 			Paper:    "paper uses TF-IDF + Word2Vec",
 			Measured: fmt.Sprintf("both %s vs best single %s", report.Pct(both[d]), report.Pct(best)),
 			Holds:    both[d] >= best-0.08,
@@ -77,11 +77,11 @@ func (s *Suite) AblationFeatures() (ExperimentResult, error) {
 	return res, nil
 }
 
-// AblationScaling compares the SVM with and without feature
+// ablationScaling compares the SVM with and without feature
 // normalization (the paper: "SVM with normalization provided the best
 // accuracy").
-func (s *Suite) AblationScaling() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A02", Title: "Ablation: feature normalization for the SVM"}
+func (s *Suite) ablationScaling() (ExperimentResult, error) {
+	var res ExperimentResult
 	val, err := s.Validator()
 	if err != nil {
 		return res, err
@@ -107,7 +107,7 @@ func (s *Suite) AblationScaling() (ExperimentResult, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "A02", Metric: "normalization wins on most dimensions",
+		Metric:   "normalization wins on most dimensions",
 		Paper:    "SVM with normalization best",
 		Measured: fmt.Sprintf("%d/%d dimensions", normWins, dims),
 		Holds:    normWins*2 >= dims,
@@ -115,10 +115,10 @@ func (s *Suite) AblationScaling() (ExperimentResult, error) {
 	return res, nil
 }
 
-// AblationNMFRank studies topic-count sensitivity of the Figure 14
+// ablationNMFRank studies topic-count sensitivity of the Figure 14
 // analysis.
-func (s *Suite) AblationNMFRank() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A03", Title: "Ablation: NMF rank sensitivity (Figure 14)"}
+func (s *Suite) ablationNMFRank() (ExperimentResult, error) {
+	var res ExperimentResult
 	manual, err := s.Manual()
 	if err != nil {
 		return res, err
@@ -148,7 +148,7 @@ func (s *Suite) AblationNMFRank() (ExperimentResult, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "A03", Metric: "headline categories scored at every rank",
+		Metric:   "headline categories scored at every rank",
 		Paper:    "topic structure robust",
 		Measured: fmt.Sprintf("stable: %v", stable),
 		Holds:    stable,
@@ -156,11 +156,11 @@ func (s *Suite) AblationNMFRank() (ExperimentResult, error) {
 	return res, nil
 }
 
-// AblationTransformScope contrasts the network-event-scoped transform
+// ablationTransformScope contrasts the network-event-scoped transform
 // tool with an extended variant covering all event sources — the
 // paper's recommendation for closing Table VII's gaps.
-func (s *Suite) AblationTransformScope() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A04", Title: "Ablation: extending input-transform tools beyond network events"}
+func (s *Suite) ablationTransformScope() (ExperimentResult, error) {
+	var res ExperimentResult
 	stock := &recovery.EventTransform{}
 	extended := &recovery.EventTransform{Scope: []sdn.EventKind{
 		sdn.EventNetwork, sdn.EventConfig, sdn.EventExternalCall, sdn.EventHardwareReboot,
@@ -189,7 +189,7 @@ func (s *Suite) AblationTransformScope() (ExperimentResult, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "A04", Metric: "extended scope covers additional fault classes",
+		Metric:   "extended scope covers additional fault classes",
 		Paper:    "extend tools beyond network events (§VII-C)",
 		Measured: fmt.Sprintf("%d extra classes covered", gained),
 		Holds:    gained >= 2,
@@ -197,11 +197,11 @@ func (s *Suite) AblationTransformScope() (ExperimentResult, error) {
 	return res, nil
 }
 
-// AblationTopicModel compares NMF (the paper's choice) with LDA (the
+// ablationTopicModel compares NMF (the paper's choice) with LDA (the
 // alternative it weighed, §II-C) on the Figure 14 topic-uniqueness
 // analysis.
-func (s *Suite) AblationTopicModel() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A05", Title: "Ablation: NMF vs LDA topic models (Figure 14)"}
+func (s *Suite) ablationTopicModel() (ExperimentResult, error) {
+	var res ExperimentResult
 	manual, err := s.Manual()
 	if err != nil {
 		return res, err
@@ -252,7 +252,7 @@ func (s *Suite) AblationTopicModel() (ExperimentResult, error) {
 		}
 	}
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "A05", Metric: "NMF and LDA agree on headline categories",
+		Metric:   "NMF and LDA agree on headline categories",
 		Paper:    "topic choice robust (paper picked NMF over LDA/HDP)",
 		Measured: fmt.Sprintf("%d/%d categories agree", agree, compared),
 		Holds:    compared > 0 && agree*3 >= compared*2,
@@ -260,11 +260,11 @@ func (s *Suite) AblationTopicModel() (ExperimentResult, error) {
 	return res, nil
 }
 
-// AblationPrediction evaluates the paper's proposed research direction
+// ablationPrediction evaluates the paper's proposed research direction
 // (§IV): metrics-based failure prediction with proactive rejuvenation
 // closing the memory/load gap that Table VII's surveyed tools leave.
-func (s *Suite) AblationPrediction() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A06", Title: "Ablation: predictive rejuvenation vs the memory/load gap"}
+func (s *Suite) ablationPrediction() (ExperimentResult, error) {
+	var res ExperimentResult
 	m, err := recovery.Evaluate([]recovery.Strategy{
 		recovery.CrashRestart{},
 		&recovery.PredictiveRejuvenation{},
@@ -284,7 +284,7 @@ func (s *Suite) AblationPrediction() (ExperimentResult, error) {
 		cr, _ := m.Cell(f, "crash-restart")
 		pr, _ := m.Cell(f, "predictive-rejuvenation")
 		res.Checks = append(res.Checks, report.Check{
-			Artifact: "A06", Metric: f + ": prediction beats reactive restart",
+			Metric:   f + ": prediction beats reactive restart",
 			Paper:    "predict crashes by analyzing metrics (§IV)",
 			Measured: fmt.Sprintf("%.2f vs %.2f", pr.Rate(), cr.Rate()),
 			Holds:    pr.Recovers() && !cr.Recovers(),
@@ -293,12 +293,12 @@ func (s *Suite) AblationPrediction() (ExperimentResult, error) {
 	return res, nil
 }
 
-// AblationLayering reproduces §VII-C's composition caveat empirically:
+// ablationLayering reproduces §VII-C's composition caveat empirically:
 // SPHINX-style flow-graph monitoring needs every input message, so a
 // Bouncer-style proactive filter layered outside it leaves the model
 // incomplete — naive composition "impacts accuracy".
-func (s *Suite) AblationLayering() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "A07", Title: "Ablation: naive tool composition (SPHINX ⊕ Bouncer, §VII-C)"}
+func (s *Suite) ablationLayering() (ExperimentResult, error) {
+	var res ExperimentResult
 	comp, err := recovery.RunCompositionExperiment()
 	if err != nil {
 		return res, err
@@ -309,11 +309,11 @@ func (s *Suite) AblationLayering() (ExperimentResult, error) {
 	_ = tbl.AddRow("input filter layered outside monitor", report.Pct(comp.FilteredCompleteness))
 	res.Tables = append(res.Tables, tbl)
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "A07", Metric: "monitor alone builds a complete model",
+		report.Check{Metric: "monitor alone builds a complete model",
 			Paper:    "SPHINX requires all input OpenFlow messages",
 			Measured: report.Pct(comp.UnfilteredCompleteness),
 			Holds:    comp.UnfilteredCompleteness == 1},
-		report.Check{Artifact: "A07", Metric: "filtering degrades the layered model",
+		report.Check{Metric: "filtering degrades the layered model",
 			Paper: "filters may lead to an inconsistent flow graph (§VII-C)",
 			Measured: fmt.Sprintf("%s → %s", report.Pct(comp.UnfilteredCompleteness),
 				report.Pct(comp.FilteredCompleteness)),

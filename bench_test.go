@@ -211,18 +211,14 @@ func BenchmarkSuite_Parallel(b *testing.B) {
 	writeBenchJSON(b)
 }
 
-// runExperiment executes one experiment per iteration and asserts its
-// checks, then lets the bench report headline metrics.
-func runExperiment(b *testing.B, run func() (ExperimentResult, error), metrics func(*testing.B, ExperimentResult)) {
+// runExperiment runs one registered experiment per iteration on the
+// shared suite and asserts its checks, then lets the bench report
+// headline metrics.
+func runExperiment(b *testing.B, id string, metrics func(*testing.B, ExperimentResult)) {
 	b.Helper()
 	var last ExperimentResult
 	for i := 0; i < b.N; i++ {
-		res, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		assertChecks(b, res)
-		last = res
+		last = runChecked(b, benchSuite, id)
 	}
 	if metrics != nil {
 		metrics(b, last)
@@ -234,34 +230,39 @@ func runExperiment(b *testing.B, run func() (ExperimentResult, error), metrics f
 // otherwise answer from memory after iteration one (the bench would
 // measure a map lookup). Suite construction happens outside the timed
 // region; workers bounds the in-experiment pools.
-func runExperimentCold(b *testing.B, workers int,
-	run func(*Suite) (ExperimentResult, error), metrics func(*testing.B, ExperimentResult)) {
+func runExperimentCold(b *testing.B, workers int, id string, metrics func(*testing.B, ExperimentResult)) {
 	b.Helper()
 	var last ExperimentResult
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := newWarmSuite(b, workers)
 		b.StartTimer()
-		res, err := run(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		assertChecks(b, res)
-		last = res
+		last = runChecked(b, s, id)
 	}
 	if metrics != nil {
 		metrics(b, last)
 	}
 }
 
-func assertChecks(b *testing.B, res ExperimentResult) {
+// runChecked runs experiment id on s through the registry and fails
+// the bench if it errors or any of its checks does not hold.
+func runChecked(b *testing.B, s *Suite, id string) ExperimentResult {
 	b.Helper()
-	for _, c := range res.Checks {
+	run, err := s.Run(context.Background(), RunOptions{IDs: []string{id}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := run.Outcomes[0]
+	if o.Err != nil {
+		b.Fatal(o.Err)
+	}
+	for _, c := range o.Result.Checks {
 		if !c.Holds {
 			b.Fatalf("%s check failed: %s — paper %q, measured %q",
-				res.ID, c.Metric, c.Paper, c.Measured)
+				id, c.Metric, c.Paper, c.Measured)
 		}
 	}
+	return o.Result
 }
 
 // pctMetric extracts the numeric value of a "xx.x%" string (-1 when
@@ -288,13 +289,13 @@ func findCheck(res ExperimentResult, metric string) string {
 }
 
 func BenchmarkE01_CorpusMining(b *testing.B) {
-	runExperiment(b, benchSuite.E01CorpusMining, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E01", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "bugs created within 45d after a release")), "release_burst_%")
 	})
 }
 
 func BenchmarkE02_Determinism(b *testing.B) {
-	runExperiment(b, benchSuite.E02Determinism, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E02", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "FAUCET deterministic")), "FAUCET_det_%")
 		b.ReportMetric(pctMetric(findCheck(res, "ONOS deterministic")), "ONOS_det_%")
 		b.ReportMetric(pctMetric(findCheck(res, "CORD deterministic")), "CORD_det_%")
@@ -302,44 +303,44 @@ func BenchmarkE02_Determinism(b *testing.B) {
 }
 
 func BenchmarkE03_Symptoms(b *testing.B) {
-	runExperiment(b, benchSuite.E03Symptoms, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E03", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "byzantine")), "byzantine_%")
 		b.ReportMetric(pctMetric(findCheck(res, "fail-stop")), "failstop_%")
 	})
 }
 
 func BenchmarkE04_RootCauseBySymptom(b *testing.B) {
-	runExperiment(b, benchSuite.E04RootCauseBySymptom, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E04", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "FAUCET fail-stop from human+ecosystem")), "faucet_failstop_humaneco_%")
 	})
 }
 
 func BenchmarkE05_Triggers(b *testing.B) {
-	runExperiment(b, benchSuite.E05Triggers, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E05", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "configuration")), "config_trigger_%")
 		b.ReportMetric(pctMetric(findCheck(res, "network-event")), "network_trigger_%")
 	})
 }
 
 func BenchmarkE06_ConfigSubcategories(b *testing.B) {
-	runExperiment(b, benchSuite.E06ConfigSubcategories, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E06", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "ONOS controller-config")), "onos_controller_scope_%")
 	})
 }
 
 func BenchmarkE07_FixAnalysis(b *testing.B) {
-	runExperiment(b, benchSuite.E07FixAnalysis, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E07", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "config bugs fixed by config change")), "config_fixed_by_config_%")
 		b.ReportMetric(pctMetric(findCheck(res, "external-call compatibility/upgrade fixes")), "external_compat_fixes_%")
 	})
 }
 
 func BenchmarkE08_ResolutionCDF(b *testing.B) {
-	runExperiment(b, benchSuite.E08ResolutionCDF, nil)
+	runExperiment(b, "E08", nil)
 }
 
 func BenchmarkE09_NLPValidation(b *testing.B) {
-	runExperimentCold(b, 0, (*Suite).E09NLPValidation, func(b *testing.B, res ExperimentResult) {
+	runExperimentCold(b, 0, "E09", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "SVM bug-type accuracy")), "svm_type_acc_%")
 		b.ReportMetric(pctMetric(findCheck(res, "SVM symptom accuracy")), "svm_symptom_acc_%")
 		b.ReportMetric(pctMetric(findCheck(res, "fix prediction is poor")), "svm_fix_acc_%")
@@ -350,28 +351,28 @@ func BenchmarkE09_NLPValidation(b *testing.B) {
 // BenchmarkE09_NLPValidation is the experiment's internal parallel
 // speedup on this machine.
 func BenchmarkE09_NLPValidation_Serial(b *testing.B) {
-	runExperimentCold(b, 1, (*Suite).E09NLPValidation, nil)
+	runExperimentCold(b, 1, "E09", nil)
 }
 
 func BenchmarkE10_CorrelationCDF(b *testing.B) {
-	runExperiment(b, benchSuite.E10CorrelationCDF, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E10", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "strongly correlated pair share")), "strong_pairs_%")
 	})
 }
 
 func BenchmarkE11_TopicUniqueness(b *testing.B) {
-	runExperiment(b, benchSuite.E11TopicUniqueness, nil)
+	runExperiment(b, "E11", nil)
 }
 
 // BenchmarkE11_TopicUniqueness_Serial pins Workers=1 on a cold suite;
 // the ratio against the cold parallel run below is the NMF sweep's
 // internal parallel speedup.
 func BenchmarkE11_TopicUniqueness_Serial(b *testing.B) {
-	runExperimentCold(b, 1, (*Suite).E11TopicUniqueness, nil)
+	runExperimentCold(b, 1, "E11", nil)
 }
 
 func BenchmarkE12_FullDatasetPrediction(b *testing.B) {
-	runExperimentCold(b, 0, (*Suite).E12FullDatasetPrediction, func(b *testing.B, res ExperimentResult) {
+	runExperimentCold(b, 0, "E12", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "configuration is the dominant predicted trigger")), "pred_config_%")
 		b.ReportMetric(pctMetric(findCheck(res, "network events contribute a small part")), "pred_network_%")
 	})
@@ -381,50 +382,50 @@ func BenchmarkE12_FullDatasetPrediction(b *testing.B) {
 // BenchmarkE12_FullDatasetPrediction it measures the full-dataset
 // fold pool's parallel speedup.
 func BenchmarkE12_FullDatasetPrediction_Serial(b *testing.B) {
-	runExperimentCold(b, 1, (*Suite).E12FullDatasetPrediction, nil)
+	runExperimentCold(b, 1, "E12", nil)
 }
 
 func BenchmarkE13_SmellTrend(b *testing.B) {
-	runExperiment(b, benchSuite.E13SmellTrend, nil)
+	runExperiment(b, "E13", nil)
 }
 
 func BenchmarkE14_CommitsPerRelease(b *testing.B) {
-	runExperiment(b, benchSuite.E14CommitsPerRelease, nil)
+	runExperiment(b, "E14", nil)
 }
 
 func BenchmarkE15_FaucetBurn(b *testing.B) {
-	runExperiment(b, benchSuite.E15FaucetBurn, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E15", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "configuration")), "config_commits_%")
 	})
 }
 
 func BenchmarkE16_DependencyBurn(b *testing.B) {
-	runExperiment(b, benchSuite.E16DependencyBurn, nil)
+	runExperiment(b, "E16", nil)
 }
 
 func BenchmarkE17_VulnerabilityScan(b *testing.B) {
-	runExperiment(b, benchSuite.E17VulnerabilityScan, nil)
+	runExperiment(b, "E17", nil)
 }
 
 func BenchmarkE18_ControllerSelection(b *testing.B) {
-	runExperiment(b, benchSuite.E18ControllerSelection, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E18", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "FAUCET missing-logic share")), "faucet_missing_logic_%")
 	})
 }
 
 func BenchmarkE19_RecoveryCoverage(b *testing.B) {
-	runExperiment(b, benchSuite.E19RecoveryCoverage, nil)
+	runExperiment(b, "E19", nil)
 }
 
 // BenchmarkE19_RecoveryCoverage_Serial pins Workers=1 on a cold suite
 // so the recovery-matrix fan-out cost is measurable against the warm
 // parallel bench above.
 func BenchmarkE19_RecoveryCoverage_Serial(b *testing.B) {
-	runExperimentCold(b, 1, (*Suite).E19RecoveryCoverage, nil)
+	runExperimentCold(b, 1, "E19", nil)
 }
 
 func BenchmarkE20_CrossDomainComparison(b *testing.B) {
-	runExperiment(b, benchSuite.E20CrossDomainComparison, func(b *testing.B, res ExperimentResult) {
+	runExperiment(b, "E20", func(b *testing.B, res ExperimentResult) {
 		b.ReportMetric(pctMetric(findCheck(res, "SDN fail-stop share below cloud and BGP")), "sdn_failstop_%")
 		b.ReportMetric(pctMetric(findCheck(res, "SDN byzantine share above cloud and BGP")), "sdn_byzantine_%")
 	})
@@ -433,67 +434,67 @@ func BenchmarkE20_CrossDomainComparison(b *testing.B) {
 func BenchmarkE21_ResilientMining(b *testing.B) {
 	// Wall time here is dominated by the retry schedule under a 50%
 	// injected-fault rate — the price of mining through chaos.
-	runExperiment(b, benchSuite.E21ResilientMining, nil)
+	runExperiment(b, "E21", nil)
 }
 
 func BenchmarkE22_SelfHealingCampaign(b *testing.B) {
 	// Four full campaigns per run (checkpointed twice for the
 	// determinism check, cold, and the unsupervised baseline).
-	runExperiment(b, benchSuite.E22SelfHealingCampaign, nil)
+	runExperiment(b, "E22", nil)
 }
 
 func BenchmarkE23_KillAndResumeMining(b *testing.B) {
 	// Two full durable mines (clean baseline + the kill-and-resume
 	// campaign across five scheduled disk crashes) plus the per-op
 	// crash matrix.
-	runExperiment(b, benchSuite.E23KillAndResumeMining, nil)
+	runExperiment(b, "E23", nil)
 }
 
 func BenchmarkE24_PerformanceFuzzing(b *testing.B) {
 	// Two full fuzzing runs (the second for the byte-identity check):
 	// guided search, equal-budget random baseline, reproducer
 	// shrinking, and classifier training.
-	runExperiment(b, benchSuite.E24PerformanceFuzzing, nil)
+	runExperiment(b, "E24", nil)
 }
 
 func BenchmarkE25_AutomaticRepair(b *testing.B) {
 	// Two full repair runs (the second for the byte-identity check):
 	// shed-mode campaign epoch, candidate synthesis + learner ranking,
 	// reproducer + campaign validation per survivor, lifted epoch.
-	runExperiment(b, benchSuite.E25AutomaticRepair, nil)
+	runExperiment(b, "E25", nil)
 }
 
 func BenchmarkE26_ClusterFailover(b *testing.B) {
 	// Two full HA campaigns (the second for the byte-identity check):
 	// replicated ensemble under crashes/partitions, supervised
 	// single-controller baseline, and the unfaulted truth run.
-	runExperiment(b, benchSuite.E26ClusterFailover, nil)
+	runExperiment(b, "E26", nil)
 }
 
 func BenchmarkAblation_Features(b *testing.B) {
-	runExperimentCold(b, 0, (*Suite).AblationFeatures, nil)
+	runExperimentCold(b, 0, "A01", nil)
 }
 
 func BenchmarkAblation_Scaling(b *testing.B) {
-	runExperimentCold(b, 0, (*Suite).AblationScaling, nil)
+	runExperimentCold(b, 0, "A02", nil)
 }
 
 func BenchmarkAblation_NMFRank(b *testing.B) {
-	runExperiment(b, benchSuite.AblationNMFRank, nil)
+	runExperiment(b, "A03", nil)
 }
 
 func BenchmarkAblation_TransformScope(b *testing.B) {
-	runExperiment(b, benchSuite.AblationTransformScope, nil)
+	runExperiment(b, "A04", nil)
 }
 
 func BenchmarkAblation_TopicModel(b *testing.B) {
-	runExperiment(b, benchSuite.AblationTopicModel, nil)
+	runExperiment(b, "A05", nil)
 }
 
 func BenchmarkAblation_Prediction(b *testing.B) {
-	runExperiment(b, benchSuite.AblationPrediction, nil)
+	runExperiment(b, "A06", nil)
 }
 
 func BenchmarkAblation_Layering(b *testing.B) {
-	runExperiment(b, benchSuite.AblationLayering, nil)
+	runExperiment(b, "A07", nil)
 }

@@ -228,13 +228,13 @@ func cmdExperiments(ctx context.Context, args []string) error {
 			fmt.Fprintf(&b, "**ERROR:** %v\n\n", o.Err)
 			continue
 		}
+		total += o.Passed + o.Failed
+		failed += o.Failed
 		b.WriteString("| metric | paper | measured | holds |\n|---|---|---|---|\n")
 		for _, c := range o.Result.Checks {
 			holds := "yes"
-			total++
 			if !c.Holds {
 				holds = "**NO**"
-				failed++
 			}
 			fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", c.Metric, c.Paper, c.Measured, holds)
 		}
@@ -452,12 +452,8 @@ func cmdChecks(ctx context.Context, args []string) error {
 			fmt.Fprintf(os.Stderr, "sdnbugs: %s: %v\n", o.ID, o.Err)
 			continue
 		}
-		for _, c := range o.Result.Checks {
-			all = append(all, c)
-			if !c.Holds {
-				failedChecks++
-			}
-		}
+		all = append(all, o.Result.Checks...)
+		failedChecks += o.Failed
 	}
 	tbl := report.ChecksTable("Paper vs measured", all)
 	if err := tbl.Render(os.Stdout); err != nil {

@@ -46,8 +46,8 @@
 // the engine and reports paper-vs-measured checks. Suite.Run selects
 // experiments by ID and executes them on a configurable worker pool —
 // a Suite is safe for concurrent use because its shared artifacts are
-// built behind sync.Once accessors — while Suite.Experiments and
-// Suite.Ablations remain thin sequential wrappers. bench_test.go
+// built behind sync.Once accessors. It is the only way to run one:
+// the per-experiment methods are unexported. bench_test.go
 // regenerates each artifact as a benchmark and measures the
 // sequential-vs-parallel suite speedup.
 package sdnbugs

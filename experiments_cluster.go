@@ -15,10 +15,10 @@ import (
 // replay.
 func (s *Suite) registerClusterExperiments(r *engine.Registry[ExperimentResult]) {
 	registerSuite(r, "E26", "controller HA: replicated ensemble failover vs cold-replay restart",
-		engine.KindExperiment, s.E26ClusterFailover)
+		engine.KindExperiment, s.e26ClusterFailover)
 }
 
-// E26ClusterFailover reproduces the paper's control-plane findings at
+// e26ClusterFailover reproduces the paper's control-plane findings at
 // the ensemble level: controller crashes and mastership confusion are
 // among the most damaging SDN failure classes, and the standard
 // mitigation is a replicated controller cluster with leader election
@@ -30,9 +30,8 @@ func (s *Suite) registerClusterExperiments(r *engine.Registry[ExperimentResult])
 // supervised baseline's cold full-log replay; availability strictly
 // beats the single-controller baseline; and the ensemble's converged
 // state is byte-identical to an unfaulted run — crashes and all.
-func (s *Suite) E26ClusterFailover() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E26",
-		Title: "controller HA: replicated ensemble failover vs cold-replay restart"}
+func (s *Suite) e26ClusterFailover() (ExperimentResult, error) {
+	var res ExperimentResult
 
 	cfg := faultlab.ClusterCampaignConfig{Seed: s.Seed}
 	run, err := faultlab.RunClusterCampaign(cfg)
@@ -46,27 +45,27 @@ func (s *Suite) E26ClusterFailover() (ExperimentResult, error) {
 
 	cl, base, truth := run.Cluster, run.Baseline, run.Unfaulted
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E26", Metric: "zero lost events across induced failovers",
+		report.Check{Metric: "zero lost events across induced failovers",
 			Paper: "replication with log shipping and event re-homing makes controller crashes lossless",
 			Measured: fmt.Sprintf("%d failovers (%d elections), %d/%d events lost, log %d vs unfaulted %d",
 				cl.Failovers, cl.Elections, cl.Lost, cl.Offered, cl.LogLen, truth.LogLen),
 			Holds: cl.Failovers > 0 && cl.Lost == 0 && cl.LogLen == truth.LogLen},
-		report.Check{Artifact: "E26", Metric: "zero fenced-write leaks",
+		report.Check{Metric: "zero fenced-write leaks",
 			Paper: "generation-id fencing closes the dual-master window: a deposed primary mutates nothing",
 			Measured: fmt.Sprintf("%d stale writes rejected (%d at the wire as OFPRRFC_STALE), %d leaked",
 				cl.FencedRejects, cl.WireStaleRejects, cl.FencedLeaks),
 			Holds: cl.FencedRejects > 0 && cl.WireStaleRejects > 0 && cl.FencedLeaks == 0},
-		report.Check{Artifact: "E26", Metric: "failover cheaper than cold replay",
+		report.Check{Metric: "failover cheaper than cold replay",
 			Paper: "a warm standby resumes from replicated state; a restarted singleton replays its whole log",
 			Measured: fmt.Sprintf("mean failover %.1f ticks vs mean cold restore %.1f ticks (%d cold restores)",
 				cl.MeanFailoverTicks, base.MeanColdRestoreTicks, base.ColdRestores),
 			Holds: base.ColdRestores > 0 && cl.MeanFailoverTicks < base.MeanColdRestoreTicks},
-		report.Check{Artifact: "E26", Metric: "availability strictly above the single-controller baseline",
+		report.Check{Metric: "availability strictly above the single-controller baseline",
 			Paper: "controller redundancy is what turns fail-stop bugs from outages into blips",
 			Measured: fmt.Sprintf("cluster %.4f vs supervised singleton %.4f (same crash schedule)",
 				cl.TimeAvailability(), base.TimeAvailability()),
 			Holds: cl.TimeAvailability() > base.TimeAvailability()},
-		report.Check{Artifact: "E26", Metric: "byte-identical state to the unfaulted run, on every replica",
+		report.Check{Metric: "byte-identical state to the unfaulted run, on every replica",
 			Paper: "deterministic log replication means failover is invisible in the converged state",
 			Measured: fmt.Sprintf("cluster %s vs unfaulted %s across %d replicas; rerun identical=%v",
 				cl.Fingerprint, truth.Fingerprint, len(cl.ReplicaFingerprints),
@@ -76,7 +75,7 @@ func (s *Suite) E26ClusterFailover() (ExperimentResult, error) {
 
 	tbl := &report.Table{Title: "Failover campaign by mode (E26, seed-deterministic schedule)",
 		Headers: []string{"mode", "offered", "lost", "failovers", "restarts", "mean recovery ticks", "availability", "fingerprint"}}
-	for _, m := range []ClusterModeRow{
+	for _, m := range []clusterModeRow{
 		{run.Cluster, fmt.Sprintf("%.1f", cl.MeanFailoverTicks)},
 		{run.Baseline, fmt.Sprintf("%.1f", base.MeanColdRestoreTicks)},
 		{run.Unfaulted, "0.0"},
@@ -100,8 +99,8 @@ func (s *Suite) E26ClusterFailover() (ExperimentResult, error) {
 	return res, nil
 }
 
-// ClusterModeRow pairs one mode's result with its recovery-cost cell.
-type ClusterModeRow struct {
+// clusterModeRow pairs one mode's result with its recovery-cost cell.
+type clusterModeRow struct {
 	Run      faultlab.ClusterRunResult
 	Recovery string
 }

@@ -18,24 +18,24 @@ import (
 // registerCorpusExperiments registers the corpus-analysis experiments
 // (E01–E10) with the engine in paper order.
 func (s *Suite) registerCorpusExperiments(r *engine.Registry[ExperimentResult]) {
-	registerSuite(r, "E01", "§II-B data set: tracker mining and corpus shape", engine.KindExperiment, s.E01CorpusMining)
-	registerSuite(r, "E02", "§III bug type: determinism per controller", engine.KindExperiment, s.E02Determinism)
-	registerSuite(r, "E03", "§IV operational impact: symptom distribution", engine.KindExperiment, s.E03Symptoms)
-	registerSuite(r, "E04", "Figure 2: root causes by symptom and controller", engine.KindExperiment, s.E04RootCauseBySymptom)
-	registerSuite(r, "E05", "§V-A bug triggers", engine.KindExperiment, s.E05Triggers)
-	registerSuite(r, "E06", "Table III: configuration sub-categories", engine.KindExperiment, s.E06ConfigSubcategories)
-	registerSuite(r, "E07", "§V-A fixes: config and compatibility shares", engine.KindExperiment, s.E07FixAnalysis)
-	registerSuite(r, "E08", "Figure 7: resolution-time CDFs per trigger", engine.KindExperiment, s.E08ResolutionCDF)
-	registerSuite(r, "E09", "§II-C NLP validation: SVM vs DT vs AdaBoost vs PCA", engine.KindExperiment, s.E09NLPValidation)
-	registerSuite(r, "E10", "Figure 12: bug-category correlation CDF", engine.KindExperiment, s.E10CorrelationCDF)
+	registerSuite(r, "E01", "§II-B data set: tracker mining and corpus shape", engine.KindExperiment, s.e01CorpusMining)
+	registerSuite(r, "E02", "§III bug type: determinism per controller", engine.KindExperiment, s.e02Determinism)
+	registerSuite(r, "E03", "§IV operational impact: symptom distribution", engine.KindExperiment, s.e03Symptoms)
+	registerSuite(r, "E04", "Figure 2: root causes by symptom and controller", engine.KindExperiment, s.e04RootCauseBySymptom)
+	registerSuite(r, "E05", "§V-A bug triggers", engine.KindExperiment, s.e05Triggers)
+	registerSuite(r, "E06", "Table III: configuration sub-categories", engine.KindExperiment, s.e06ConfigSubcategories)
+	registerSuite(r, "E07", "§V-A fixes: config and compatibility shares", engine.KindExperiment, s.e07FixAnalysis)
+	registerSuite(r, "E08", "Figure 7: resolution-time CDFs per trigger", engine.KindExperiment, s.e08ResolutionCDF)
+	registerSuite(r, "E09", "§II-C NLP validation: SVM vs DT vs AdaBoost vs PCA", engine.KindExperiment, s.e09NLPValidation)
+	registerSuite(r, "E10", "Figure 12: bug-category correlation CDF", engine.KindExperiment, s.e10CorrelationCDF)
 }
 
-// E01CorpusMining reproduces §II-B's data collection: the corpus is
+// e01CorpusMining reproduces §II-B's data collection: the corpus is
 // loaded into the JIRA and GitHub simulators and mined back over HTTP,
 // checking the published per-controller critical-bug counts (251 /
 // 186 / 358) and the burst of bug creation around releases.
-func (s *Suite) E01CorpusMining() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E01", Title: "§II-B data set: tracker mining and corpus shape"}
+func (s *Suite) e01CorpusMining() (ExperimentResult, error) {
+	var res ExperimentResult
 	corp, err := s.Corpus()
 	if err != nil {
 		return res, err
@@ -76,14 +76,9 @@ func (s *Suite) E01CorpusMining() (ExperimentResult, error) {
 	tbl := &report.Table{Title: "Critical bugs mined per controller (§II-B)",
 		Headers: []string{"controller", "tracker", "paper", "mined"}}
 	for _, ctl := range controllerOrder {
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E01", Metric: ctl.String() + " critical bugs",
-			Paper:    fmt.Sprintf("%d", wants[ctl]),
-			Measured: fmt.Sprintf("%d", mined[ctl]),
-			Holds:    mined[ctl] == wants[ctl],
-		})
-		_ = tbl.AddRow(ctl.String(), tracker.TrackerFor(ctl).String(),
-			fmt.Sprintf("%d", wants[ctl]), fmt.Sprintf("%d", mined[ctl]))
+		c := report.CountEquals(ctl.String()+" critical bugs", wants[ctl], mined[ctl])
+		res.Checks = append(res.Checks, c)
+		_ = tbl.AddRow(ctl.String(), tracker.TrackerFor(ctl).String(), c.Paper, c.Measured)
 	}
 
 	// Methodology validation for the GitHub path (§II-B's keyword
@@ -102,7 +97,7 @@ func (s *Suite) E01CorpusMining() (ExperimentResult, error) {
 	}
 	recall := float64(flagged) / float64(jiraTotal)
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E01", Metric: "keyword severity heuristic flags critical bugs",
+		Metric:   "keyword severity heuristic flags critical bugs",
 		Paper:    "keyword approach [35] used for GitHub severities",
 		Measured: report.Pct(recall) + " of JIRA-critical bugs flagged critical-band",
 		Holds:    recall > 0.25,
@@ -118,19 +113,15 @@ func (s *Suite) E01CorpusMining() (ExperimentResult, error) {
 		releases = append(releases, spec.Releases...)
 	}
 	burst := full.ReleaseBurst(releases, 45*24*time.Hour)
-	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E01", Metric: "bugs created within 45d after a release",
-		Paper:    "bursts observed",
-		Measured: report.Pct(burst),
-		Holds:    burst > 0.5,
-	})
+	res.Checks = append(res.Checks,
+		report.ShareAbove("bugs created within 45d after a release", "bursts observed", burst, 0.5))
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E02Determinism reproduces §III: determinism share per controller.
-func (s *Suite) E02Determinism() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E02", Title: "§III bug type: determinism per controller"}
+// e02Determinism reproduces §III: determinism share per controller.
+func (s *Suite) e02Determinism() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -142,22 +133,18 @@ func (s *Suite) E02Determinism() (ExperimentResult, error) {
 	tbl := &report.Table{Title: "Deterministic bug share (§III)",
 		Headers: []string{"controller", "paper", "measured"}}
 	for _, ctl := range controllerOrder {
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E02", Metric: ctl.String() + " deterministic",
-			Paper:    report.Pct(wants[ctl]),
-			Measured: report.Pct(det[ctl]),
-			Holds:    within(det[ctl], wants[ctl], 0.05),
-		})
-		_ = tbl.AddRow(ctl.String(), report.Pct(wants[ctl]), report.Pct(det[ctl]))
+		c := report.ShareWithin(ctl.String()+" deterministic", wants[ctl], det[ctl], 0.05)
+		res.Checks = append(res.Checks, c)
+		_ = tbl.AddRow(ctl.String(), c.Paper, c.Measured)
 	}
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E03Symptoms reproduces §IV: symptom distribution and the byzantine
+// e03Symptoms reproduces §IV: symptom distribution and the byzantine
 // breakdown.
-func (s *Suite) E03Symptoms() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E03", Title: "§IV operational impact: symptom distribution"}
+func (s *Suite) e03Symptoms() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -174,13 +161,9 @@ func (s *Suite) E03Symptoms() (ExperimentResult, error) {
 		if err != nil {
 			continue
 		}
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E03", Metric: sh.Category,
-			Paper:    report.Pct(wants[sym]),
-			Measured: report.Pct(sh.Fraction),
-			Holds:    within(sh.Fraction, wants[sym], 0.05),
-		})
-		_ = tbl.AddRow(sh.Category, report.Pct(wants[sym]), report.Pct(sh.Fraction))
+		c := report.ShareWithin(sh.Category, wants[sym], sh.Fraction, 0.05)
+		res.Checks = append(res.Checks, c)
+		_ = tbl.AddRow(sh.Category, c.Paper, c.Measured)
 	}
 	res.Tables = append(res.Tables, tbl)
 
@@ -193,22 +176,18 @@ func (s *Suite) E03Symptoms() (ExperimentResult, error) {
 	bzTbl := &report.Table{Title: "Byzantine failure modes (§IV)",
 		Headers: []string{"mode", "paper", "measured"}}
 	for _, m := range taxonomy.ByzantineModes() {
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E03", Metric: "byzantine/" + m.String(),
-			Paper:    report.Pct(bzWants[m]),
-			Measured: report.Pct(bz[m]),
-			Holds:    within(bz[m], bzWants[m], 0.04),
-		})
-		_ = bzTbl.AddRow(m.String(), report.Pct(bzWants[m]), report.Pct(bz[m]))
+		c := report.ShareWithin("byzantine/"+m.String(), bzWants[m], bz[m], 0.04)
+		res.Checks = append(res.Checks, c)
+		_ = bzTbl.AddRow(m.String(), c.Paper, c.Measured)
 	}
 	res.Tables = append(res.Tables, bzTbl)
 	return res, nil
 }
 
-// E04RootCauseBySymptom reproduces Figure 2: root causes of fail-stop
+// e04RootCauseBySymptom reproduces Figure 2: root causes of fail-stop
 // and performance bugs per controller.
-func (s *Suite) E04RootCauseBySymptom() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E04", Title: "Figure 2: root causes by symptom and controller"}
+func (s *Suite) e04RootCauseBySymptom() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -259,19 +238,15 @@ func (s *Suite) E04RootCauseBySymptom() (ExperimentResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E04", Metric: "FAUCET fail-stop from human+ecosystem",
-		Paper: "majority", Measured: report.Pct(fhe), Holds: fhe > 0.5,
-	})
+	res.Checks = append(res.Checks,
+		report.ShareAbove("FAUCET fail-stop from human+ecosystem", "majority", fhe, 0.5))
 	for _, ctl := range []tracker.Controller{tracker.ONOS, tracker.CORD} {
 		logic, err := share(ctl, taxonomy.SymptomFailStop, isLogic)
 		if err != nil {
 			return res, err
 		}
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E04", Metric: ctl.String() + " fail-stop from controller logic",
-			Paper: "majority", Measured: report.Pct(logic), Holds: logic > 0.5,
-		})
+		res.Checks = append(res.Checks,
+			report.ShareAbove(ctl.String()+" fail-stop from controller logic", "majority", logic, 0.5))
 	}
 	cordMissing, err := share(tracker.CORD, taxonomy.SymptomFailStop, isMissing)
 	if err != nil {
@@ -282,7 +257,7 @@ func (s *Suite) E04RootCauseBySymptom() (ExperimentResult, error) {
 		return res, err
 	}
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E04", Metric: "CORD fail-stop missing-logic vs ONOS",
+		Metric:   "CORD fail-stop missing-logic vs ONOS",
 		Paper:    "CORD > ONOS",
 		Measured: fmt.Sprintf("%s vs %s", report.Pct(cordMissing), report.Pct(onosMissing)),
 		Holds:    cordMissing > onosMissing,
@@ -290,9 +265,9 @@ func (s *Suite) E04RootCauseBySymptom() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E05Triggers reproduces §V-A: the trigger distribution.
-func (s *Suite) E05Triggers() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E05", Title: "§V-A bug triggers"}
+// e05Triggers reproduces §V-A: the trigger distribution.
+func (s *Suite) e05Triggers() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -309,21 +284,17 @@ func (s *Suite) E05Triggers() (ExperimentResult, error) {
 		if err != nil {
 			continue
 		}
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E05", Metric: sh.Category,
-			Paper:    report.Pct(wants[trig]),
-			Measured: report.Pct(sh.Fraction),
-			Holds:    within(sh.Fraction, wants[trig], 0.05),
-		})
-		_ = tbl.AddRow(sh.Category, report.Pct(wants[trig]), report.Pct(sh.Fraction))
+		c := report.ShareWithin(sh.Category, wants[trig], sh.Fraction, 0.05)
+		res.Checks = append(res.Checks, c)
+		_ = tbl.AddRow(sh.Category, c.Paper, c.Measured)
 	}
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E06ConfigSubcategories reproduces Table III.
-func (s *Suite) E06ConfigSubcategories() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E06", Title: "Table III: configuration sub-categories"}
+// e06ConfigSubcategories reproduces Table III.
+func (s *Suite) e06ConfigSubcategories() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -341,23 +312,18 @@ func (s *Suite) E06ConfigSubcategories() (ExperimentResult, error) {
 			return res, err
 		}
 		for _, scope := range taxonomy.ConfigScopes() {
-			want := wants[ctl][scope]
-			res.Checks = append(res.Checks, report.Check{
-				Artifact: "E06", Metric: ctl.String() + " " + scope.String(),
-				Paper:    report.Pct(want),
-				Measured: report.Pct(got[scope]),
-				Holds:    within(got[scope], want, 0.09),
-			})
-			_ = tbl.AddRow(ctl.String(), scope.String(), report.Pct(want), report.Pct(got[scope]))
+			c := report.ShareWithin(ctl.String()+" "+scope.String(), wants[ctl][scope], got[scope], 0.09)
+			res.Checks = append(res.Checks, c)
+			_ = tbl.AddRow(ctl.String(), scope.String(), c.Paper, c.Measured)
 		}
 	}
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E07FixAnalysis reproduces §V-A's fix findings.
-func (s *Suite) E07FixAnalysis() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E07", Title: "§V-A fixes: config and compatibility shares"}
+// e07FixAnalysis reproduces §V-A's fix findings.
+func (s *Suite) e07FixAnalysis() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -366,35 +332,23 @@ func (s *Suite) E07FixAnalysis() (ExperimentResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.Checks = append(res.Checks,
-		report.Check{
-			Artifact: "E07", Metric: "config bugs fixed by config change",
-			Paper: "25.0%", Measured: report.Pct(fa.ConfigBugsFixedByConfig),
-			Holds: within(fa.ConfigBugsFixedByConfig, 0.25, 0.06),
-		},
-		report.Check{
-			Artifact: "E07", Metric: "external-call compatibility/upgrade fixes",
-			Paper: "41.4%", Measured: report.Pct(fa.ExternalCompatibilityFixes),
-			Holds: within(fa.ExternalCompatibilityFixes, 0.414, 0.07),
-		},
-		report.Check{
-			Artifact: "E07", Metric: "network-event bugs fixed by adding logic",
-			Paper: "majority", Measured: report.Pct(fa.NetworkEventAddLogic),
-			Holds: fa.NetworkEventAddLogic > 0.5,
-		},
-	)
+	res.Checks = []report.Check{
+		report.ShareWithin("config bugs fixed by config change", 0.25, fa.ConfigBugsFixedByConfig, 0.06),
+		report.ShareWithin("external-call compatibility/upgrade fixes", 0.414, fa.ExternalCompatibilityFixes, 0.07),
+		report.ShareAbove("network-event bugs fixed by adding logic", "majority", fa.NetworkEventAddLogic, 0.5),
+	}
 	tbl := &report.Table{Title: "Fix analysis (§V-A)", Headers: []string{"metric", "paper", "measured"}}
-	_ = tbl.AddRow("config fixed by config", "25.0%", report.Pct(fa.ConfigBugsFixedByConfig))
-	_ = tbl.AddRow("external compat fixes", "41.4%", report.Pct(fa.ExternalCompatibilityFixes))
-	_ = tbl.AddRow("network-event add-logic", "majority", report.Pct(fa.NetworkEventAddLogic))
+	for i, row := range []string{"config fixed by config", "external compat fixes", "network-event add-logic"} {
+		_ = tbl.AddRow(row, res.Checks[i].Paper, res.Checks[i].Measured)
+	}
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E08ResolutionCDF reproduces Figure 7: resolution-time CDFs per
+// e08ResolutionCDF reproduces Figure 7: resolution-time CDFs per
 // trigger for ONOS and CORD (FAUCET's GitHub data has no timestamps).
-func (s *Suite) E08ResolutionCDF() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E08", Title: "Figure 7: resolution-time CDFs per trigger"}
+func (s *Suite) e08ResolutionCDF() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -437,7 +391,7 @@ func (s *Suite) E08ResolutionCDF() (ExperimentResult, error) {
 	}
 	for _, c := range checks {
 		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E08", Metric: c.metric,
+			Metric:   c.metric,
 			Paper:    "ordering holds",
 			Measured: fmt.Sprintf("P90 %.0fd vs %.0fd", p90[c.a], p90[c.b]),
 			Holds:    p90[c.a] > p90[c.b],
@@ -453,7 +407,7 @@ func (s *Suite) E08ResolutionCDF() (ExperimentResult, error) {
 			}
 		}
 		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E08", Metric: ctl + " configuration is the slowest-resolving trigger",
+			Metric:   ctl + " configuration is the slowest-resolving trigger",
 			Paper:    "longest tail",
 			Measured: fmt.Sprintf("P90 %.0fd", conf),
 			Holds:    worst,
@@ -462,9 +416,9 @@ func (s *Suite) E08ResolutionCDF() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E09NLPValidation reproduces §II-C's model validation.
-func (s *Suite) E09NLPValidation() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E09", Title: "§II-C NLP validation: SVM vs DT vs AdaBoost vs PCA"}
+// e09NLPValidation reproduces §II-C's model validation.
+func (s *Suite) e09NLPValidation() (ExperimentResult, error) {
+	var res ExperimentResult
 	val, err := s.Validator()
 	if err != nil {
 		return res, err
@@ -492,13 +446,13 @@ func (s *Suite) E09NLPValidation() (ExperimentResult, error) {
 	symAcc := byDim[taxonomy.DimSymptom].Accuracies[study.ModelSVM]
 	fixAcc := byDim[taxonomy.DimFix].Accuracies[study.ModelSVM]
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E09", Metric: "SVM bug-type accuracy",
+		report.Check{Metric: "SVM bug-type accuracy",
 			Paper: "≈96%", Measured: report.Pct(typeAcc), Holds: typeAcc >= 0.90},
-		report.Check{Artifact: "E09", Metric: "SVM symptom accuracy",
+		report.Check{Metric: "SVM symptom accuracy",
 			Paper: "≈86%", Measured: report.Pct(symAcc), Holds: symAcc >= 0.72 && symAcc <= 0.97},
-		report.Check{Artifact: "E09", Metric: "fix prediction is poor",
+		report.Check{Metric: "fix prediction is poor",
 			Paper: "no accurate model found", Measured: report.Pct(fixAcc), Holds: fixAcc < symAcc-0.2},
-		report.Check{Artifact: "E09", Metric: "normalization helps the SVM",
+		report.Check{Metric: "normalization helps the SVM",
 			Paper: "SVM with normalization best",
 			Measured: fmt.Sprintf("sym %s vs %s unnormalized", report.Pct(symAcc),
 				report.Pct(byDim[taxonomy.DimSymptom].Accuracies[study.ModelSVMNoNorm])),
@@ -507,10 +461,10 @@ func (s *Suite) E09NLPValidation() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E10CorrelationCDF reproduces Figure 12: the bug-category correlation
+// e10CorrelationCDF reproduces Figure 12: the bug-category correlation
 // CDF and its strong tail.
-func (s *Suite) E10CorrelationCDF() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E10", Title: "Figure 12: bug-category correlation CDF"}
+func (s *Suite) e10CorrelationCDF() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -525,7 +479,7 @@ func (s *Suite) E10CorrelationCDF() (ExperimentResult, error) {
 
 	strong := full.StrongFraction(0.4)
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E10", Metric: "strongly correlated pair share",
+		Metric:   "strongly correlated pair share",
 		Paper:    "6.28% strong tail",
 		Measured: report.Pct(strong),
 		Holds:    strong > 0 && strong < 0.2,
@@ -552,11 +506,11 @@ func (s *Suite) E10CorrelationCDF() (ExperimentResult, error) {
 		return false
 	}
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E10", Metric: "third-party trigger ↔ add-compatibility fix",
+		report.Check{Metric: "third-party trigger ↔ add-compatibility fix",
 			Paper: "highly correlated", Measured: fmt.Sprintf("in top pairs: %v",
 				hasPair("external-call", "add-compatibility")),
 			Holds: hasPair("external-call", "add-compatibility")},
-		report.Check{Artifact: "E10", Metric: "concurrency ↔ add-synchronization",
+		report.Check{Metric: "concurrency ↔ add-synchronization",
 			Paper: "correlated (fix shortcut)", Measured: fmt.Sprintf("in top pairs: %v",
 				hasPair("concurrency", "add-synchronization")),
 			Holds: hasPair("concurrency", "add-synchronization")},

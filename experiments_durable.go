@@ -22,7 +22,7 @@ import (
 // experiment (E23) after the supervisor experiment.
 func (s *Suite) registerDurabilityExperiments(r *engine.Registry[ExperimentResult]) {
 	registerSuite(r, "E23", "kill-and-resume mining: byte-identical corpus across scheduled disk crashes",
-		engine.KindExperiment, s.E23KillAndResumeMining)
+		engine.KindExperiment, s.e23KillAndResumeMining)
 }
 
 // e23CrashPoints schedules one disk crash per mining round: the
@@ -41,7 +41,7 @@ type e23Round struct {
 	crashed   bool
 }
 
-// E23KillAndResumeMining is the crash-consistency experiment: the §II-B
+// e23KillAndResumeMining is the crash-consistency experiment: the §II-B
 // mining pipeline runs against chaos-wrapped trackers (50% fault rate,
 // as E21) while its corpus store lives on a fault-injecting filesystem
 // that kills the miner at five scheduled crash points — mid-append,
@@ -54,9 +54,8 @@ type e23Round struct {
 // recovery — no lost acks, no duplicates, no corrupt records — and a
 // concurrent open of the live state directory must fail fast with
 // ErrLocked.
-func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E23",
-		Title: "kill-and-resume mining: byte-identical corpus across scheduled disk crashes"}
+func (s *Suite) e23KillAndResumeMining() (ExperimentResult, error) {
+	var res ExperimentResult
 	corp, err := s.Corpus()
 	if err != nil {
 		return res, err
@@ -128,31 +127,31 @@ func (s *Suite) E23KillAndResumeMining() (ExperimentResult, error) {
 	faults := srv.chaosJira.Stats().Faults() + srv.chaosGH.Stats().Faults()
 
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E23", Metric: "clean single-shot mine corpus size",
+		report.Check{Metric: "clean single-shot mine corpus size",
 			Paper:    "186 ONOS + 358 CORD + 251 FAUCET = 795",
 			Measured: fmt.Sprintf("%d issues", cleanTotal),
 			Holds:    cleanTotal == 795},
-		report.Check{Artifact: "E23", Metric: "scheduled disk crashes fired",
+		report.Check{Metric: "scheduled disk crashes fired",
 			Paper:    fmt.Sprintf("%d kill points", len(e23CrashPoints)),
 			Measured: fmt.Sprintf("%d crashes fired", fired),
 			Holds:    fired == len(e23CrashPoints)},
-		report.Check{Artifact: "E23", Metric: "resumed corpus byte-identical to single-shot run",
+		report.Check{Metric: "resumed corpus byte-identical to single-shot run",
 			Paper:    "crashes must not change mined data",
 			Measured: fmt.Sprintf("%d issues, identical=%v", recoveredTotal, identical),
 			Holds:    identical && recoveredTotal == 795},
-		report.Check{Artifact: "E23", Metric: "torn journal tails truncated, never fatal",
+		report.Check{Metric: "torn journal tails truncated, never fatal",
 			Paper:    "recovery repairs what a torn write can explain",
 			Measured: fmt.Sprintf("%d torn bytes truncated across %d reopenings", tornTotal, len(rounds)),
 			Holds:    true}, // reaching this line means every recovery succeeded
-		report.Check{Artifact: "E23", Metric: "concurrent opener rejected with ErrLocked",
+		report.Check{Metric: "concurrent opener rejected with ErrLocked",
 			Paper:    "single-owner state directory",
 			Measured: fmt.Sprintf("second open: %v", lockedErr),
 			Holds:    errors.Is(lockedErr, durable.ErrLocked)},
-		report.Check{Artifact: "E23", Metric: "crash matrix: prefix-consistent recovery at every write op",
+		report.Check{Metric: "crash matrix: prefix-consistent recovery at every write op",
 			Paper:    "all acked records, at most one unacked, no duplicates",
 			Measured: fmt.Sprintf("%d crash points, %d violations", matrixPoints, matrixViolations),
 			Holds:    matrixPoints > 0 && matrixViolations == 0},
-		report.Check{Artifact: "E23", Metric: "tracker chaos active during the campaign",
+		report.Check{Metric: "tracker chaos active during the campaign",
 			Paper:    "fault rate 0.5 (as E21)",
 			Measured: fmt.Sprintf("faults injected: %v", faults > 0),
 			Holds:    faults > 0},

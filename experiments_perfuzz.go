@@ -14,10 +14,10 @@ import (
 // campaign.
 func (s *Suite) registerPerfuzzExperiments(r *engine.Registry[ExperimentResult]) {
 	registerSuite(r, "E24", "feedback-guided performance fuzzing with minimal-reproducer shrinking",
-		engine.KindExperiment, s.E24PerformanceFuzzing)
+		engine.KindExperiment, s.e24PerformanceFuzzing)
 }
 
-// E24PerformanceFuzzing is the schedule-search experiment: a genetic
+// e24PerformanceFuzzing is the schedule-search experiment: a genetic
 // fuzzer over event schedules (internal/perfuzz) hunts the stateful
 // performance bugs the taxonomy names — budget-driven queue
 // amplification, config-churn slowdown, reboot-storm stalls, and the
@@ -28,9 +28,8 @@ func (s *Suite) registerPerfuzzExperiments(r *engine.Registry[ExperimentResult])
 // trains a decision tree that must beat the majority and random-guess
 // baselines on held-out schedules; and the whole run is byte-identical
 // across same-seed repeats.
-func (s *Suite) E24PerformanceFuzzing() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E24",
-		Title: "feedback-guided performance fuzzing with minimal-reproducer shrinking"}
+func (s *Suite) e24PerformanceFuzzing() (ExperimentResult, error) {
+	var res ExperimentResult
 
 	cfg := perfuzz.Config{Seed: s.Seed}
 	rep, err := perfuzz.Fuzz(cfg)
@@ -69,28 +68,28 @@ func (s *Suite) E24PerformanceFuzzing() (ExperimentResult, error) {
 	}
 
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E24", Metric: "guided search finds degradation-inducing schedules",
+		report.Check{Metric: "guided search finds degradation-inducing schedules",
 			Paper: "stateful performance bugs need the right event sequence, not a poison input",
 			Measured: fmt.Sprintf("%d/%d guided schedules degraded; best fitness per gen %s monotone",
 				rep.Guided.Degraded, rep.Guided.Distinct, map[bool]string{true: "is", false: "is NOT"}[monotone]),
 			Holds: rep.Guided.Degraded >= 1 && monotone},
-		report.Check{Artifact: "E24", Metric: "feedback beats random search at equal budget",
+		report.Check{Metric: "feedback beats random search at equal budget",
 			Paper: "fitness-guided mutation concentrates the schedule mix the bugs reward",
 			Measured: fmt.Sprintf("guided %d degraded vs random %d (both %d evals)",
 				rep.Guided.Degraded, rep.Random.Degraded, rep.Guided.Evals),
 			Holds: rep.Guided.Degraded > rep.Random.Degraded},
-		report.Check{Artifact: "E24", Metric: "minimal reproducers keep their degradation class",
+		report.Check{Metric: "minimal reproducers keep their degradation class",
 			Paper: "delta debugging preserves the failure while discarding the noise",
 			Measured: fmt.Sprintf("%d reproducers, all class-stable and never longer; strictly shorter: %v",
 				len(rep.Reproducers), shrunkStrictly),
 			Holds: reprosHold && shrunkStrictly},
-		report.Check{Artifact: "E24", Metric: "failure model beats baselines on held-out schedules",
+		report.Check{Metric: "failure model beats baselines on held-out schedules",
 			Paper: "learned failure-inducing models predict degradation before replay",
 			Measured: fmt.Sprintf("tree %.3f vs majority %.3f vs random-guess %.3f (test n=%d)",
 				rep.Learner.Accuracy, rep.Learner.MajorityAccuracy,
 				rep.Learner.RandomGuessAccuracy, rep.Learner.TestSize),
 			Holds: rep.Learner.Beats},
-		report.Check{Artifact: "E24", Metric: "byte-identical reports at a fixed seed",
+		report.Check{Metric: "byte-identical reports at a fixed seed",
 			Paper:    "the fuzzer is reproducible from (seed, budget)",
 			Measured: fmt.Sprintf("%d-byte reports, identical=%v", len(js1), bytes.Equal(js1, js2)),
 			Holds:    bytes.Equal(js1, js2)},

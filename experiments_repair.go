@@ -13,10 +13,10 @@ import (
 // experiment (E25) after the performance fuzzer it builds on.
 func (s *Suite) registerRepairExperiments(r *engine.Registry[ExperimentResult]) {
 	registerSuite(r, "E25", "automatic repair loop: synthesize, validate, and lift sheds",
-		engine.KindExperiment, s.E25AutomaticRepair)
+		engine.KindExperiment, s.e25AutomaticRepair)
 }
 
-// E25AutomaticRepair closes the mine → classify → fix circle: when
+// e25AutomaticRepair closes the mine → classify → fix circle: when
 // the self-healing supervisor sheds a deterministic poison class, the
 // repair loop (internal/repair) synthesizes candidate flow-rule
 // programs from a small repair grammar, ranks them with the perfuzz
@@ -27,9 +27,8 @@ func (s *Suite) registerRepairExperiments(r *engine.Registry[ExperimentResult]) 
 // after repair must exceed shed-mode availability, no
 // previously-passing campaign check may regress, and the NetRep-style
 // repair report is byte-identical at a fixed seed.
-func (s *Suite) E25AutomaticRepair() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E25",
-		Title: "automatic repair loop: synthesize, validate, and lift sheds"}
+func (s *Suite) e25AutomaticRepair() (ExperimentResult, error) {
+	var res ExperimentResult
 
 	cfg := repair.Config{Seed: s.Seed}
 	rep, err := repair.Run(cfg)
@@ -77,27 +76,27 @@ func (s *Suite) E25AutomaticRepair() (ExperimentResult, error) {
 	}
 
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E25", Metric: "at least one taxonomy category repairs end-to-end",
+		report.Check{Metric: "at least one taxonomy category repairs end-to-end",
 			Paper: "sketch-based program repair fixes the trigger classes whose poison is an input, not the world",
 			Measured: fmt.Sprintf("%d/%d shed categories repaired; lifted %v",
 				repairedCats, attemptedCats, rep.Lifted),
 			Holds: repairedCats >= 1 && liftsHold},
-		report.Check{Artifact: "E25", Metric: "availability after repair exceeds shed-mode availability",
+		report.Check{Metric: "availability after repair exceeds shed-mode availability",
 			Paper: "a validated repair re-admits traffic a shed could only drop",
 			Measured: fmt.Sprintf("epoch1 (shed mode) %.4f -> epoch2 (repaired) %.4f on the identical schedule",
 				rep.Epoch1.Availability, rep.Epoch2.Availability),
 			Holds: rep.Epoch2.Availability > rep.Epoch1.Availability},
-		report.Check{Artifact: "E25", Metric: "no previously-passing campaign check regresses",
+		report.Check{Metric: "no previously-passing campaign check regresses",
 			Paper: "the full-campaign validator rejects repairs that fix one class by breaking another",
 			Measured: fmt.Sprintf("composed program (%d rules): regressions %v, shed %v",
 				rep.Final.ProgramRules, rep.Final.Regressions, rep.Final.ShedClasses),
 			Holds: len(rep.Final.Regressions) == 0},
-		report.Check{Artifact: "E25", Metric: "unrepairable classes stay shed",
+		report.Check{Metric: "unrepairable classes stay shed",
 			Paper: "no grammar production can repair a drifted environment or rebooting hardware from the event path",
 			Measured: fmt.Sprintf("epoch-2 shed set %v; re-shed after lift %v",
 				rep.Epoch2.ShedClasses, rep.ReShed),
 			Holds: unrepairedStayShed},
-		report.Check{Artifact: "E25", Metric: "byte-identical repair reports at a fixed seed",
+		report.Check{Metric: "byte-identical repair reports at a fixed seed",
 			Paper:    "the repair loop is reproducible from its seed",
 			Measured: fmt.Sprintf("%d-byte reports, identical=%v", len(js1), bytes.Equal(js1, js2)),
 			Holds:    bytes.Equal(js1, js2)},

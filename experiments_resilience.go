@@ -21,7 +21,7 @@ import (
 // (E21) after the paper experiments.
 func (s *Suite) registerResilienceExperiments(r *engine.Registry[ExperimentResult]) {
 	registerSuite(r, "E21", "robust mining: byte-identical corpus under injected tracker faults",
-		engine.KindExperiment, s.E21ResilientMining)
+		engine.KindExperiment, s.e21ResilientMining)
 }
 
 // faucetRepo is the FAUCET issue listing every mining experiment pages
@@ -64,16 +64,15 @@ func (t *trackerServers) Close() {
 	t.flakyGH.Close()
 }
 
-// E21ResilientMining is the robustness experiment: the §II-B mining
+// e21ResilientMining is the robustness experiment: the §II-B mining
 // pipeline runs against chaos-wrapped simulators — injected rate
 // limits with Retry-After, 5xx bursts, latency spikes, truncated
 // bodies, and dropped connections — through the resilience transport
 // (retry with backoff + jitter, retry budget, circuit breaker). The
 // mined corpus must be byte-identical to a fault-free run: the faults
 // may change the schedule, never the data.
-func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E21",
-		Title: "robust mining: byte-identical corpus under injected tracker faults"}
+func (s *Suite) e21ResilientMining() (ExperimentResult, error) {
+	var res ExperimentResult
 	corp, err := s.Corpus()
 	if err != nil {
 		return res, err
@@ -141,27 +140,27 @@ func (s *Suite) E21ResilientMining() (ExperimentResult, error) {
 	jiraSame := reflect.DeepEqual(chaosJira, baseJira)
 	ghSame := reflect.DeepEqual(chaosGH, baseGH)
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E21", Metric: "JIRA corpus identical under chaos",
+		report.Check{Metric: "JIRA corpus identical under chaos",
 			Paper:    "faults must not change mined data",
 			Measured: fmt.Sprintf("%d issues, identical=%v", len(chaosJira), jiraSame),
 			Holds:    jiraSame && len(chaosJira) == 186+358},
-		report.Check{Artifact: "E21", Metric: "GitHub corpus identical under chaos",
+		report.Check{Metric: "GitHub corpus identical under chaos",
 			Paper:    "faults must not change mined data",
 			Measured: fmt.Sprintf("%d issues, identical=%v", len(chaosGH), ghSame),
 			Holds:    ghSame && len(chaosGH) == 251},
-		report.Check{Artifact: "E21", Metric: "chaos actually injected faults",
+		report.Check{Metric: "chaos actually injected faults",
 			Paper:    "fault rate 0.5",
 			Measured: fmt.Sprintf("%d error faults injected", faults),
 			Holds:    faults > 0},
-		report.Check{Artifact: "E21", Metric: "transport retried through the faults",
+		report.Check{Metric: "transport retried through the faults",
 			Paper:    "retries absorb every fault",
 			Measured: fmt.Sprintf("retries observed: %v", m.Retries+m.BodyRetries > 0),
 			Holds:    m.Retries+m.BodyRetries > 0},
-		report.Check{Artifact: "E21", Metric: "circuit breaker stayed closed",
+		report.Check{Metric: "circuit breaker stayed closed",
 			Paper:    "bounded fault bursts never trip it",
 			Measured: fmt.Sprintf("%d opens, %d rejections", opens, rejections),
 			Holds:    opens == 0 && rejections == 0},
-		report.Check{Artifact: "E21", Metric: "retry budget never exhausted",
+		report.Check{Metric: "retry budget never exhausted",
 			Paper:    "budget sized for the fault rate",
 			Measured: fmt.Sprintf("%d retries granted, %d denied", retries, denied),
 			Holds:    denied == 0},

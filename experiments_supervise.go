@@ -12,14 +12,14 @@ import (
 // experiment (E22) after the robust-mining experiment.
 func (s *Suite) registerSuperviseExperiments(r *engine.Registry[ExperimentResult]) {
 	registerSuite(r, "E22", "self-healing controller under a sustained fault-injection campaign",
-		engine.KindExperiment, s.E22SelfHealingCampaign)
+		engine.KindExperiment, s.e22SelfHealingCampaign)
 }
 
 // e22CheckpointEvery is the checkpoint cadence of the supervised run
 // under test.
 const e22CheckpointEvery = 64
 
-// E22SelfHealingCampaign is the supervisor experiment: the full fault
+// e22SelfHealingCampaign is the supervisor experiment: the full fault
 // suite armed at once over a seed-deterministic schedule of
 // management events, traffic, poison inputs, and wire-level faults,
 // run three ways — supervised with checkpoints, supervised with cold
@@ -29,9 +29,8 @@ const e22CheckpointEvery = 64
 // lost events, shedding limited to deterministic poison classes, wire
 // faults absorbed instead of fatal, and byte-identical metrics across
 // same-seed runs.
-func (s *Suite) E22SelfHealingCampaign() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E22",
-		Title: "self-healing controller under a sustained fault-injection campaign"}
+func (s *Suite) e22SelfHealingCampaign() (ExperimentResult, error) {
+	var res ExperimentResult
 
 	supCkpt, err := faultlab.RunCampaign(faultlab.CampaignConfig{
 		Seed: s.Seed, Supervised: true, CheckpointEvery: e22CheckpointEvery})
@@ -66,41 +65,41 @@ func (s *Suite) E22SelfHealingCampaign() (ExperimentResult, error) {
 	identical := supCkpt.Fingerprint() == supCkpt2.Fingerprint()
 
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E22", Metric: "supervised availability above baseline",
+		report.Check{Metric: "supervised availability above baseline",
 			Paper: "supervision converts outages into bounded recovery",
 			Measured: fmt.Sprintf("supervised %.4f vs unsupervised %.4f",
 				supCkpt.EventAvailability(), unsup.EventAvailability()),
 			Holds: supCkpt.EventAvailability() > unsup.EventAvailability()},
-		report.Check{Artifact: "E22", Metric: "zero events lost under supervision",
+		report.Check{Metric: "zero events lost under supervision",
 			Paper: "fail-stop events are retried after restart, never dropped silently",
 			Measured: fmt.Sprintf("supervised lost %d vs unsupervised lost %d",
 				supCkpt.Lost, unsup.Lost),
 			Holds: supCkpt.Lost == 0 && unsup.Lost > 0},
-		report.Check{Artifact: "E22", Metric: "checkpoint restore cheaper than cold replay",
+		report.Check{Metric: "checkpoint restore cheaper than cold replay",
 			Paper: "restore cost scales with state size, not log length",
 			Measured: fmt.Sprintf("checkpoint %.1f ticks/restore vs cold %.1f",
 				supCkpt.MeanCheckpointRestoreTicks(), supCold.MeanColdRestoreTicks()),
 			Holds: supCkpt.CheckpointRestores > 0 && supCold.ColdRestores > 0 &&
 				supCkpt.MeanCheckpointRestoreTicks() < supCold.MeanColdRestoreTicks()},
-		report.Check{Artifact: "E22", Metric: "degradation sheds only deterministic poison classes",
+		report.Check{Metric: "degradation sheds only deterministic poison classes",
 			Paper: "graceful degradation is surgical: healthy siblings keep flowing",
 			Measured: fmt.Sprintf("shed %v (degradations %d)",
 				supCkpt.ShedClasses, supCkpt.Degradations),
 			Holds: shedOK && supCkpt.Degradations > 0},
-		report.Check{Artifact: "E22", Metric: "wire faults absorbed, never fatal",
+		report.Check{Metric: "wire faults absorbed, never fatal",
 			Paper: "malformed frames and dropped connections must not kill the controller",
 			Measured: fmt.Sprintf("supervised: %d faults, %d kills, final %s; baseline kills %d",
 				supCkpt.WireFaults, supCkpt.WireKills, supCkpt.FinalState, unsup.WireKills),
 			Holds: supCkpt.WireFaults > 0 && supCkpt.WireKills == 0 &&
 				supCkpt.FinalState == "running" && unsup.WireKills > 0},
-		report.Check{Artifact: "E22", Metric: "divergence spot-checks mask byzantine failures",
+		report.Check{Metric: "divergence spot-checks mask byzantine failures",
 			Paper: "silent broadcast loss is caught and degraded away",
 			Measured: fmt.Sprintf("broadcast failures: supervised %d/%d vs unsupervised %d/%d",
 				supCkpt.BroadcastFailures, supCkpt.BroadcastProbes,
 				unsup.BroadcastFailures, unsup.BroadcastProbes),
 			Holds: supCkpt.BroadcastProbes > 0 &&
 				supCkpt.BroadcastFailures*10 < unsup.BroadcastFailures},
-		report.Check{Artifact: "E22", Metric: "byte-identical metrics at a fixed seed",
+		report.Check{Metric: "byte-identical metrics at a fixed seed",
 			Paper: "logical time makes sustained campaigns reproducible",
 			Measured: fmt.Sprintf("fingerprints identical=%v, %d checkpoints taken",
 				identical, supCkpt.Checkpoints),

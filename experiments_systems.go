@@ -20,22 +20,22 @@ import (
 // registerSystemsExperiments registers the systems-analysis
 // experiments (E11–E20) with the engine in paper order.
 func (s *Suite) registerSystemsExperiments(r *engine.Registry[ExperimentResult]) {
-	registerSuite(r, "E11", "Figure 14: unique topic percentage per category", engine.KindExperiment, s.E11TopicUniqueness)
-	registerSuite(r, "E12", "Figure 13: predicted trigger distribution over the full corpus", engine.KindExperiment, s.E12FullDatasetPrediction)
-	registerSuite(r, "E13", "Figure 8: code smells across ONOS releases", engine.KindExperiment, s.E13SmellTrend)
-	registerSuite(r, "E14", "Figure 10: commits per ONOS release", engine.KindExperiment, s.E14CommitsPerRelease)
-	registerSuite(r, "E15", "Figure 11: FAUCET commit distribution", engine.KindExperiment, s.E15FaucetBurn)
-	registerSuite(r, "E16", "Table IV: FAUCET dependency burn-down", engine.KindExperiment, s.E16DependencyBurn)
-	registerSuite(r, "E17", "§V-A: ONOS dependency vulnerabilities over versions", engine.KindExperiment, s.E17VulnerabilityScan)
-	registerSuite(r, "E18", "§VII-A / Table VI: controller selection guideline", engine.KindExperiment, s.E18ControllerSelection)
-	registerSuite(r, "E19", "Table VII: recovery-framework coverage (empirical)", engine.KindExperiment, s.E19RecoveryCoverage)
-	registerSuite(r, "E20", "§IX: symptom shares across domains", engine.KindExperiment, s.E20CrossDomainComparison)
+	registerSuite(r, "E11", "Figure 14: unique topic percentage per category", engine.KindExperiment, s.e11TopicUniqueness)
+	registerSuite(r, "E12", "Figure 13: predicted trigger distribution over the full corpus", engine.KindExperiment, s.e12FullDatasetPrediction)
+	registerSuite(r, "E13", "Figure 8: code smells across ONOS releases", engine.KindExperiment, s.e13SmellTrend)
+	registerSuite(r, "E14", "Figure 10: commits per ONOS release", engine.KindExperiment, s.e14CommitsPerRelease)
+	registerSuite(r, "E15", "Figure 11: FAUCET commit distribution", engine.KindExperiment, s.e15FaucetBurn)
+	registerSuite(r, "E16", "Table IV: FAUCET dependency burn-down", engine.KindExperiment, s.e16DependencyBurn)
+	registerSuite(r, "E17", "§V-A: ONOS dependency vulnerabilities over versions", engine.KindExperiment, s.e17VulnerabilityScan)
+	registerSuite(r, "E18", "§VII-A / Table VI: controller selection guideline", engine.KindExperiment, s.e18ControllerSelection)
+	registerSuite(r, "E19", "Table VII: recovery-framework coverage (empirical)", engine.KindExperiment, s.e19RecoveryCoverage)
+	registerSuite(r, "E20", "§IX: symptom shares across domains", engine.KindExperiment, s.e20CrossDomainComparison)
 }
 
-// E11TopicUniqueness reproduces Figure 14: topic uniqueness per
+// e11TopicUniqueness reproduces Figure 14: topic uniqueness per
 // category via NMF over the manual set.
-func (s *Suite) E11TopicUniqueness() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E11", Title: "Figure 14: unique topic percentage per category"}
+func (s *Suite) e11TopicUniqueness() (ExperimentResult, error) {
+	var res ExperimentResult
 	manual, err := s.Manual()
 	if err != nil {
 		return res, err
@@ -63,7 +63,7 @@ func (s *Suite) E11TopicUniqueness() (ExperimentResult, error) {
 	for _, tag := range []string{"deterministic", "byzantine"} {
 		pos, ok := rank[tag]
 		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E11", Metric: tag + " topic uniqueness rank",
+			Metric:   tag + " topic uniqueness rank",
 			Paper:    "among the most unique",
 			Measured: fmt.Sprintf("rank %d of %d", pos+1, len(scores)),
 			Holds:    ok && pos <= half,
@@ -72,11 +72,11 @@ func (s *Suite) E11TopicUniqueness() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E12FullDatasetPrediction reproduces Figure 13: the trained pipeline
+// e12FullDatasetPrediction reproduces Figure 13: the trained pipeline
 // labels the whole corpus and the predicted trigger distribution keeps
 // configuration dominant with network events a small share.
-func (s *Suite) E12FullDatasetPrediction() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E12", Title: "Figure 13: predicted trigger distribution over the full corpus"}
+func (s *Suite) e12FullDatasetPrediction() (ExperimentResult, error) {
+	var res ExperimentResult
 	p, err := s.Pipeline()
 	if err != nil {
 		return res, err
@@ -122,19 +122,19 @@ func (s *Suite) E12FullDatasetPrediction() (ExperimentResult, error) {
 		}
 	}
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E12", Metric: "configuration is the dominant predicted trigger",
+		report.Check{Metric: "configuration is the dominant predicted trigger",
 			Paper: "configuration major", Measured: report.Pct(shares["configuration"]),
 			Holds: shares["configuration"] > maxOther},
-		report.Check{Artifact: "E12", Metric: "network events contribute a small part",
+		report.Check{Metric: "network events contribute a small part",
 			Paper: "only a small part", Measured: report.Pct(shares["network-event"]),
 			Holds: shares["network-event"] < shares["configuration"]},
 	)
 	return res, nil
 }
 
-// E13SmellTrend reproduces Figure 8: smell scores across ONOS releases.
-func (s *Suite) E13SmellTrend() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E13", Title: "Figure 8: code smells across ONOS releases"}
+// e13SmellTrend reproduces Figure 8: smell scores across ONOS releases.
+func (s *Suite) e13SmellTrend() (ExperimentResult, error) {
+	var res ExperimentResult
 	pts, err := smell.Trend(codemodel.ONOSReleases(), s.Seed)
 	if err != nil {
 		return res, err
@@ -156,25 +156,25 @@ func (s *Suite) E13SmellTrend() (ExperimentResult, error) {
 	first, mid, last := pts[0], pts[2], pts[len(pts)-1]
 	godDrift := last.Counts[smell.GodComponent] - first.Counts[smell.GodComponent]
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E13", Metric: "god component ~constant",
+		report.Check{Metric: "god component ~constant",
 			Paper: "mainly constant", Measured: fmt.Sprintf("drift %+d", godDrift),
 			Holds: godDrift >= -2 && godDrift <= 2},
-		report.Check{Artifact: "E13", Metric: "unstable dependencies decline 1.12→2.3",
+		report.Check{Metric: "unstable dependencies decline 1.12→2.3",
 			Paper: "decreased steadily",
 			Measured: fmt.Sprintf("%d → %d", first.Counts[smell.UnstableDependency],
 				last.Counts[smell.UnstableDependency]),
 			Holds: last.Counts[smell.UnstableDependency] < first.Counts[smell.UnstableDependency]},
-		report.Check{Artifact: "E13", Metric: "design-smell spike 1.12–1.14",
+		report.Check{Metric: "design-smell spike 1.12–1.14",
 			Paper: "initial spike",
 			Measured: fmt.Sprintf("insufficient-mod %d → %d", first.Counts[smell.InsufficientModularization],
 				mid.Counts[smell.InsufficientModularization]),
 			Holds: mid.Counts[smell.InsufficientModularization] > first.Counts[smell.InsufficientModularization]},
-		report.Check{Artifact: "E13", Metric: "broken hierarchy recedes after 1.14 (ONOS-6594)",
+		report.Check{Metric: "broken hierarchy recedes after 1.14 (ONOS-6594)",
 			Paper: "reduction 1.14–2.3",
 			Measured: fmt.Sprintf("%d → %d", mid.Counts[smell.BrokenHierarchy],
 				last.Counts[smell.BrokenHierarchy]),
 			Holds: last.Counts[smell.BrokenHierarchy] < mid.Counts[smell.BrokenHierarchy]},
-		report.Check{Artifact: "E13", Metric: "classes grow while modularity does not",
+		report.Check{Metric: "classes grow while modularity does not",
 			Paper:    "intent.impl 49 → 107 classes",
 			Measured: fmt.Sprintf("total classes %d → %d", first.Classes, last.Classes),
 			Holds:    last.Classes > first.Classes},
@@ -182,9 +182,9 @@ func (s *Suite) E13SmellTrend() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E14CommitsPerRelease reproduces Figure 10.
-func (s *Suite) E14CommitsPerRelease() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E14", Title: "Figure 10: commits per ONOS release"}
+// e14CommitsPerRelease reproduces Figure 10.
+func (s *Suite) e14CommitsPerRelease() (ExperimentResult, error) {
+	var res ExperimentResult
 	var schedule []int
 	var versions []string
 	for _, p := range codemodel.ONOSReleases() {
@@ -207,7 +207,7 @@ func (s *Suite) E14CommitsPerRelease() (ExperimentResult, error) {
 	res.Tables = append(res.Tables, tbl)
 	declining := got[len(got)-1] < got[0]
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E14", Metric: "commit counts decline or flatten across releases",
+		Metric:   "commit counts decline or flatten across releases",
 		Paper:    "decreased or became constant",
 		Measured: fmt.Sprintf("%d → %d", got[0], got[len(got)-1]),
 		Holds:    declining,
@@ -215,9 +215,9 @@ func (s *Suite) E14CommitsPerRelease() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E15FaucetBurn reproduces Figure 11.
-func (s *Suite) E15FaucetBurn() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E15", Title: "Figure 11: FAUCET commit distribution"}
+// e15FaucetBurn reproduces Figure 11.
+func (s *Suite) e15FaucetBurn() (ExperimentResult, error) {
+	var res ExperimentResult
 	h := vcs.GenerateFaucet(s.Seed)
 	dist, err := burn.Distribution(h)
 	if err != nil {
@@ -231,21 +231,17 @@ func (s *Suite) E15FaucetBurn() (ExperimentResult, error) {
 	tbl := &report.Table{Title: "FAUCET commits by subsystem (Figure 11)",
 		Headers: []string{"subsystem", "paper", "measured"}}
 	for _, sub := range burn.Subsystems() {
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E15", Metric: sub.String(),
-			Paper:    report.Pct(wants[sub]),
-			Measured: report.Pct(dist[sub]),
-			Holds:    within(dist[sub], wants[sub], 0.03),
-		})
-		_ = tbl.AddRow(sub.String(), report.Pct(wants[sub]), report.Pct(dist[sub]))
+		c := report.ShareWithin(sub.String(), wants[sub], dist[sub], 0.03)
+		res.Checks = append(res.Checks, c)
+		_ = tbl.AddRow(sub.String(), c.Paper, c.Measured)
 	}
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E16DependencyBurn reproduces Table IV.
-func (s *Suite) E16DependencyBurn() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E16", Title: "Table IV: FAUCET dependency burn-down"}
+// e16DependencyBurn reproduces Table IV.
+func (s *Suite) e16DependencyBurn() (ExperimentResult, error) {
+	var res ExperimentResult
 	h := vcs.GenerateFaucet(s.Seed)
 	table, err := burn.BurnDownTable(h)
 	if err != nil {
@@ -258,22 +254,18 @@ func (s *Suite) E16DependencyBurn() (ExperimentResult, error) {
 	tbl := &report.Table{Title: "Dependency version changes (Table IV)",
 		Headers: []string{"dependency", "paper", "measured"}}
 	for _, row := range table {
-		res.Checks = append(res.Checks, report.Check{
-			Artifact: "E16", Metric: row.Dependency + " version changes",
-			Paper:    fmt.Sprintf("%d", want[row.Dependency]),
-			Measured: fmt.Sprintf("%d", row.Changes),
-			Holds:    row.Changes == want[row.Dependency],
-		})
-		_ = tbl.AddRow(row.Dependency, fmt.Sprintf("%d", want[row.Dependency]), fmt.Sprintf("%d", row.Changes))
+		c := report.CountEquals(row.Dependency+" version changes", want[row.Dependency], row.Changes)
+		res.Checks = append(res.Checks, c)
+		_ = tbl.AddRow(row.Dependency, c.Paper, c.Measured)
 	}
 	res.Tables = append(res.Tables, tbl)
 	return res, nil
 }
 
-// E17VulnerabilityScan reproduces the §V-A dependency-vulnerability
+// e17VulnerabilityScan reproduces the §V-A dependency-vulnerability
 // analysis of ONOS.
-func (s *Suite) E17VulnerabilityScan() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E17", Title: "§V-A: ONOS dependency vulnerabilities over versions"}
+func (s *Suite) e17VulnerabilityScan() (ExperimentResult, error) {
+	var res ExperimentResult
 	pts, err := depscan.VulnerabilityTrend(depscan.ONOSManifests(), depscan.BuiltinDB())
 	if err != nil {
 		return res, err
@@ -290,7 +282,7 @@ func (s *Suite) E17VulnerabilityScan() (ExperimentResult, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E17", Metric: "vulnerability count grows with versions",
+		report.Check{Metric: "vulnerability count grows with versions",
 			Paper: "increased over time as dependencies were added",
 			Measured: fmt.Sprintf("%d → %d findings", pts[0].Findings,
 				pts[len(pts)-1].Findings),
@@ -310,7 +302,7 @@ func (s *Suite) E17VulnerabilityScan() (ExperimentResult, error) {
 		}
 	}
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E17", Metric: "OVSDB DoS (CVE-2018-1000615) detected",
+		Metric:   "OVSDB DoS (CVE-2018-1000615) detected",
 		Paper:    "outdated OVSDB exposed ONOS to DoS",
 		Measured: fmt.Sprintf("detected: %v", found),
 		Holds:    found,
@@ -318,10 +310,10 @@ func (s *Suite) E17VulnerabilityScan() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E18ControllerSelection reproduces §VII-A / Table VI: the controller
+// e18ControllerSelection reproduces §VII-A / Table VI: the controller
 // selection guideline.
-func (s *Suite) E18ControllerSelection() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E18", Title: "§VII-A / Table VI: controller selection guideline"}
+func (s *Suite) e18ControllerSelection() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -340,26 +332,24 @@ func (s *Suite) E18ControllerSelection() (ExperimentResult, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E18", Metric: "recommended controller",
+		report.Check{Metric: "recommended controller",
 			Paper: "ONOS most stable", Measured: gs[0].Controller.String(),
 			Holds: gs[0].Controller == tracker.ONOS},
-		report.Check{Artifact: "E18", Metric: "FAUCET missing-logic share",
-			Paper: "52.5%", Measured: report.Pct(byCtl[tracker.FAUCET].MissingLogicShare),
-			Holds: within(byCtl[tracker.FAUCET].MissingLogicShare, 0.525, 0.08)},
-		report.Check{Artifact: "E18", Metric: "CORD load share vs ONOS",
+		report.ShareWithin("FAUCET missing-logic share", 0.525, byCtl[tracker.FAUCET].MissingLogicShare, 0.08),
+		report.Check{Metric: "CORD load share vs ONOS",
 			Paper: "30% vs 16%",
 			Measured: fmt.Sprintf("%s vs %s", report.Pct(byCtl[tracker.CORD].LoadShare),
 				report.Pct(byCtl[tracker.ONOS].LoadShare)),
-			Holds: within(byCtl[tracker.CORD].LoadShare, 0.30, 0.07) &&
-				within(byCtl[tracker.ONOS].LoadShare, 0.16, 0.07)},
+			Holds: report.Within(byCtl[tracker.CORD].LoadShare, 0.30, 0.07) &&
+				report.Within(byCtl[tracker.ONOS].LoadShare, 0.16, 0.07)},
 	)
 	return res, nil
 }
 
-// E19RecoveryCoverage reproduces Table VII empirically: inject every
+// e19RecoveryCoverage reproduces Table VII empirically: inject every
 // taxonomy fault class and measure each framework model's recovery.
-func (s *Suite) E19RecoveryCoverage() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E19", Title: "Table VII: recovery-framework coverage (empirical)"}
+func (s *Suite) e19RecoveryCoverage() (ExperimentResult, error) {
+	var res ExperimentResult
 	m, err := recovery.Evaluate(recovery.StandardStrategies(), recovery.EvalConfig{Trials: 6, Seed: s.Seed})
 	if err != nil {
 		return res, err
@@ -393,12 +383,12 @@ func (s *Suite) E19RecoveryCoverage() (ExperimentResult, error) {
 		}
 	}
 	res.Checks = append(res.Checks,
-		report.Check{Artifact: "E19", Metric: "most strategies recover non-deterministic bugs",
+		report.Check{Metric: "most strategies recover non-deterministic bugs",
 			Paper: "most systems easily recover non-deterministic issues",
 			Measured: fmt.Sprintf("%d/%d strategies cover ≥ half the non-det classes",
 				ndCovered, strategies),
 			Holds: ndCovered*2 >= strategies},
-		report.Check{Artifact: "E19", Metric: "deterministic bugs remain largely unsolved",
+		report.Check{Metric: "deterministic bugs remain largely unsolved",
 			Paper: "very little for deterministic issues",
 			Measured: fmt.Sprintf("best strategy covers %s of deterministic classes",
 				report.Pct(worstDet)),
@@ -407,7 +397,7 @@ func (s *Suite) E19RecoveryCoverage() (ExperimentResult, error) {
 	cov := m.CoverageByTrigger()
 	et := cov["event-transform"]
 	res.Checks = append(res.Checks, report.Check{
-		Artifact: "E19", Metric: "network-event tools do not cover config/external triggers",
+		Metric:   "network-event tools do not cover config/external triggers",
 		Paper:    "existing approaches focus on network events",
 		Measured: fmt.Sprintf("event-transform: net=%v conf=%v ext=%v", et[taxonomy.TriggerNetworkEvent], et[taxonomy.TriggerConfiguration], et[taxonomy.TriggerExternalCall]),
 		Holds:    et[taxonomy.TriggerNetworkEvent] && !et[taxonomy.TriggerConfiguration] && !et[taxonomy.TriggerExternalCall],
@@ -415,10 +405,10 @@ func (s *Suite) E19RecoveryCoverage() (ExperimentResult, error) {
 	return res, nil
 }
 
-// E20CrossDomainComparison reproduces the §IX related-work table:
+// e20CrossDomainComparison reproduces the §IX related-work table:
 // symptom shares in SDN vs cloud vs BGP studies.
-func (s *Suite) E20CrossDomainComparison() (ExperimentResult, error) {
-	res := ExperimentResult{ID: "E20", Title: "§IX: symptom shares across domains"}
+func (s *Suite) e20CrossDomainComparison() (ExperimentResult, error) {
+	var res ExperimentResult
 	full, err := s.Full()
 	if err != nil {
 		return res, err
@@ -437,14 +427,14 @@ func (s *Suite) E20CrossDomainComparison() (ExperimentResult, error) {
 		switch r.Symptom {
 		case taxonomy.SymptomFailStop:
 			res.Checks = append(res.Checks, report.Check{
-				Artifact: "E20", Metric: "SDN fail-stop share below cloud and BGP",
+				Metric:   "SDN fail-stop share below cloud and BGP",
 				Paper:    "20% vs 59% / 39%",
 				Measured: report.Pct(r.SDNMeasured),
 				Holds:    r.SDNMeasured < r.CloudRef && r.SDNMeasured < r.BGPRef,
 			})
 		case taxonomy.SymptomByzantine:
 			res.Checks = append(res.Checks, report.Check{
-				Artifact: "E20", Metric: "SDN byzantine share above cloud and BGP",
+				Metric:   "SDN byzantine share above cloud and BGP",
 				Paper:    "61.33% vs 25% / 38%",
 				Measured: report.Pct(r.SDNMeasured),
 				Holds:    r.SDNMeasured > r.CloudRef && r.SDNMeasured > r.BGPRef,

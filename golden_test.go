@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"reflect"
 	"strconv"
@@ -54,24 +53,6 @@ var goldenIDs = []string{
 	"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20",
 	"E21", "E22", "E23", "E24", "E25", "E26",
 	"A01", "A02", "A03", "A04", "A05", "A06", "A07",
-}
-
-// goldenRaceSkip are the goldenIDs too slow to run under -race; the
-// race pass neither runs them nor expects their recorded digests.
-var goldenRaceSkip = map[string]bool{"E09": true, "A01": true, "A02": true, "A03": true}
-
-// goldenRunIDs returns the goldenIDs this build runs.
-func goldenRunIDs() []string {
-	if !raceEnabled {
-		return goldenIDs
-	}
-	var ids []string
-	for _, id := range goldenIDs {
-		if !goldenRaceSkip[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 // goldenCampaigns are the four E22 campaign configurations.
@@ -146,7 +127,7 @@ func goldenRun(t *testing.T, seed int64, workers, parallelism int) goldenRecord 
 	rec := goldenRecord{Digests: map[string]string{}, Campaigns: map[string]string{}}
 	suite := NewSuite(seed)
 	suite.Workers = workers
-	run, err := suite.Run(context.Background(), RunOptions{IDs: goldenRunIDs(), Parallelism: parallelism})
+	run, err := suite.Run(context.Background(), RunOptions{IDs: goldenIDs, Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +172,6 @@ func goldenRun(t *testing.T, seed int64, workers, parallelism int) goldenRecord 
 }
 
 func TestGoldenContract(t *testing.T) {
-	if *updateGolden && raceEnabled {
-		t.Fatal("-update would drop the digests -race skips; regenerate without -race")
-	}
 	got := map[string]goldenRecord{}
 	for _, g := range goldenSeeds {
 		got[fmt.Sprintf("seed%d", g.seed)] = goldenRun(t, g.seed, g.workers, g.parallelism)
@@ -227,12 +205,6 @@ func TestGoldenContract(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: not recorded", seed)
 			continue
-		}
-		if raceEnabled {
-			w.Digests = maps.Clone(w.Digests)
-			for id := range goldenRaceSkip {
-				delete(w.Digests, id)
-			}
 		}
 		compareGolden(t, seed, w, g)
 	}

@@ -2,8 +2,8 @@
 // of runnable experiment descriptors, a concurrent Runner with a
 // bounded worker pool, and a RunReport that accounts for where the
 // wall-clock time went. The root package registers E01–E26 and
-// A01–A07 here and every consumer — CLI, examples, benchmarks, tests
-// — selects and executes them through the same engine.
+// A01–A07 here and every consumer — CLI, benchmarks, tests — selects
+// and executes them through the same engine.
 //
 // The engine is generic over the result type so it carries no
 // dependency on the root package: the suite instantiates it with its
@@ -119,15 +119,6 @@ func (r *Registry[T]) OfKind(k Kind) []Experiment[T] {
 		}
 	}
 	return out
-}
-
-// Lookup resolves one ID (case-insensitively).
-func (r *Registry[T]) Lookup(id string) (Experiment[T], bool) {
-	i, ok := r.index[NormalizeID(id)]
-	if !ok {
-		return Experiment[T]{}, false
-	}
-	return r.entries[i], true
 }
 
 // Select resolves an ID set into experiments in registration order —

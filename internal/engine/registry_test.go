@@ -48,11 +48,11 @@ func TestRegisterDefaultsKind(t *testing.T) {
 	r := NewRegistry[int]()
 	r.MustRegister(Experiment[int]{ID: "x1",
 		Run: func(context.Context) (int, error) { return 0, nil }})
-	e, ok := r.Lookup("X1")
-	if !ok {
-		t.Fatal("lookup failed")
+	got, err := r.Select([]string{"X1"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.Kind != KindExperiment {
+	if e := got[0]; e.Kind != KindExperiment {
 		t.Errorf("Kind = %q, want %q", e.Kind, KindExperiment)
 	}
 }
@@ -69,11 +69,11 @@ func TestMustRegisterPanics(t *testing.T) {
 
 func TestLookupNormalizesID(t *testing.T) {
 	r := newTestRegistry(t, "E01", "E02")
-	if _, ok := r.Lookup("  e02 "); !ok {
-		t.Error("lookup should be case/space-insensitive")
+	if got, err := r.Select([]string{"  e02 "}); err != nil || len(got) != 1 || got[0].ID != "E02" {
+		t.Errorf("Select(\"  e02 \") = %v, %v; want E02 (case/space-insensitive)", got, err)
 	}
-	if _, ok := r.Lookup("E99"); ok {
-		t.Error("lookup of unknown id should fail")
+	if _, err := r.Select([]string{"E99"}); !errors.Is(err, ErrUnknownID) {
+		t.Errorf("Select of unknown id: err = %v, want ErrUnknownID", err)
 	}
 }
 

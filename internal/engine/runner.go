@@ -45,10 +45,6 @@ type Outcome[T any] struct {
 	Passed, Failed int
 }
 
-// OK reports whether the experiment ran without error and every
-// check held.
-func (o Outcome[T]) OK() bool { return o.Err == nil && o.Failed == 0 }
-
 // EventType tags runner lifecycle events.
 type EventType int
 

@@ -102,21 +102,6 @@ func (r *RunReport) Summary() string {
 		len(r.Timings), fmtDur(r.Wall), fmtDur(r.Serial), r.Speedup(), ok, failed, errored)
 }
 
-// Failures describes every non-ok row, in submission order.
-func (r *RunReport) Failures() []string {
-	var out []string
-	for _, t := range r.Timings {
-		switch t.Status() {
-		case "ERROR":
-			out = append(out, fmt.Sprintf("%s: %v", t.ID, t.Err))
-		case "FAIL":
-			out = append(out, fmt.Sprintf("%s: %d/%d checks failed",
-				t.ID, t.Failed, t.Passed+t.Failed))
-		}
-	}
-	return out
-}
-
 // TimingTable renders per-experiment timings in submission order.
 func (r *RunReport) TimingTable() *report.Table {
 	t := &report.Table{Title: "Per-experiment timings",

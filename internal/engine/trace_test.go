@@ -61,15 +61,12 @@ func TestReportStatusesAndFailures(t *testing.T) {
 			t.Errorf("Timings[%d].Status = %q, want %q", i, tm.Status(), want[i])
 		}
 	}
-	fails := rep.Failures()
-	if len(fails) != 2 {
-		t.Fatalf("Failures = %v, want 2 entries", fails)
+	// The failing rows carry what went wrong from their outcomes.
+	if tm := rep.Timings[1]; tm.Passed != 2 || tm.Failed != 1 {
+		t.Errorf("E02 checks = %d/%d, want 2 passed, 1 failed", tm.Passed, tm.Failed)
 	}
-	if !strings.Contains(fails[0], "E02") || !strings.Contains(fails[0], "1/3") {
-		t.Errorf("check-failure line = %q", fails[0])
-	}
-	if !strings.Contains(fails[1], "exploded") {
-		t.Errorf("error line = %q", fails[1])
+	if err := rep.Timings[2].Err; err == nil || !strings.Contains(err.Error(), "exploded") {
+		t.Errorf("A01 err = %v, want the experiment's error", err)
 	}
 }
 

@@ -155,6 +155,34 @@ type Check struct {
 	Holds bool
 }
 
+// ShareWithin checks a measured share against the paper's: Paper is
+// Pct(paper), Measured is Pct(got), and the check holds when
+// |got−paper| ≤ tol.
+func ShareWithin(metric string, paper, got, tol float64) Check {
+	return Check{Metric: metric, Paper: Pct(paper), Measured: Pct(got), Holds: Within(got, paper, tol)}
+}
+
+// CountEquals checks a measured count against the paper's exact count.
+func CountEquals(metric string, paper, got int) Check {
+	return Check{Metric: metric, Paper: strconv.Itoa(paper), Measured: strconv.Itoa(got), Holds: got == paper}
+}
+
+// ShareAbove checks that a measured share is strictly above bound;
+// paper words the claim ("majority"), and a share equal to the bound
+// does not hold.
+func ShareAbove(metric, paper string, got, bound float64) Check {
+	return Check{Metric: metric, Paper: paper, Measured: Pct(got), Holds: got > bound}
+}
+
+// Within reports |got−want| ≤ tol.
+func Within(got, want, tol float64) bool {
+	d := got - want
+	if d < 0 {
+		d = -d
+	}
+	return d <= tol
+}
+
 // ChecksTable renders comparison rows.
 func ChecksTable(title string, checks []Check) *Table {
 	t := &Table{Title: title, Headers: []string{"artifact", "metric", "paper", "measured", "holds"}}

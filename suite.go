@@ -15,26 +15,14 @@ import (
 )
 
 // ExperimentResult is one reproduced table or figure with its
-// paper-vs-measured checks and renderable artifacts.
+// paper-vs-measured checks and renderable artifacts. Its ID and title
+// live in the registry entry that produced it (engine.Outcome).
 type ExperimentResult struct {
-	// ID is the experiment id from DESIGN.md (E01..E26).
-	ID string
-	// Title names the paper artifact.
-	Title string
-	// Checks compare measured values to the paper's published ones.
+	// Checks compare measured values to the paper's published ones;
+	// each check's Artifact is the experiment's registered ID.
 	Checks []report.Check
 	// Tables are the regenerated artifacts.
 	Tables []*report.Table
-}
-
-// Holds reports whether every check passed.
-func (r ExperimentResult) Holds() bool {
-	for _, c := range r.Checks {
-		if !c.Holds {
-			return false
-		}
-	}
-	return true
 }
 
 // Suite materializes the study's data once and runs experiments
@@ -195,14 +183,21 @@ func (s *Suite) Registry() *engine.Registry[ExperimentResult] {
 	return s.reg
 }
 
-// registerSuite wires one context-free suite method into a registry.
-// The suite's experiments predate context plumbing; the engine still
-// honors cancellation between experiments.
+// registerSuite wires one context-free suite method into a registry
+// and stamps every check it returns with id. The suite's experiments
+// predate context plumbing; the engine still honors cancellation
+// between experiments.
 func registerSuite(r *engine.Registry[ExperimentResult], id, title string,
 	kind engine.Kind, run func() (ExperimentResult, error)) {
 	r.MustRegister(engine.Experiment[ExperimentResult]{
 		ID: id, Title: title, Kind: kind,
-		Run: func(context.Context) (ExperimentResult, error) { return run() },
+		Run: func(context.Context) (ExperimentResult, error) {
+			res, err := run()
+			for i := range res.Checks {
+				res.Checks[i].Artifact = id
+			}
+			return res, err
+		},
 	})
 }
 
@@ -264,15 +259,6 @@ func (s *Suite) Run(ctx context.Context, opts RunOptions) (engine.Run[Experiment
 		ExperimentTimeout: opts.ExperimentTimeout,
 	}
 	return runner.Run(ctx, exps)
-}
-
-// within reports |got-want| <= tol.
-func within(got, want, tol float64) bool {
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	return d <= tol
 }
 
 // controllerOrder is the display order used across tables.

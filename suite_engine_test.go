@@ -182,27 +182,3 @@ func TestRunCancelledContext(t *testing.T) {
 		}
 	}
 }
-
-// TestWrappersUseRegistry pins the registry's E02 entry to the Suite
-// method it wraps: running E02 through the engine must give the same
-// result as calling E02Determinism directly.
-func TestWrappersUseRegistry(t *testing.T) {
-	run, err := sharedSuite.Run(context.Background(), RunOptions{IDs: []string{"E02"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sharedSuite.E02Determinism()
-	if err != nil {
-		t.Fatal(err)
-	}
-	engineRes := run.Outcomes[0].Result
-	if engineRes.ID != direct.ID || len(engineRes.Checks) != len(direct.Checks) {
-		t.Errorf("engine result %s/%d checks, direct %s/%d checks",
-			engineRes.ID, len(engineRes.Checks), direct.ID, len(direct.Checks))
-	}
-	for i := range engineRes.Checks {
-		if engineRes.Checks[i] != direct.Checks[i] {
-			t.Errorf("check %d diverged: %+v vs %+v", i, engineRes.Checks[i], direct.Checks[i])
-		}
-	}
-}

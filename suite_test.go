@@ -1,10 +1,9 @@
 package sdnbugs
 
 import (
+	"context"
 	"strings"
 	"testing"
-
-	"sdnbugs/internal/report"
 )
 
 // sharedSuite is reused across tests in this package to avoid
@@ -41,88 +40,56 @@ func TestSuiteLazyInit(t *testing.T) {
 	}
 }
 
-func TestFastExperimentsHold(t *testing.T) {
-	// The non-NLP experiments run quickly; every check must hold.
-	runs := []func() (ExperimentResult, error){
-		sharedSuite.E01CorpusMining,
-		sharedSuite.E02Determinism,
-		sharedSuite.E03Symptoms,
-		sharedSuite.E04RootCauseBySymptom,
-		sharedSuite.E05Triggers,
-		sharedSuite.E06ConfigSubcategories,
-		sharedSuite.E07FixAnalysis,
-		sharedSuite.E08ResolutionCDF,
-		sharedSuite.E10CorrelationCDF,
-		sharedSuite.E13SmellTrend,
-		sharedSuite.E14CommitsPerRelease,
-		sharedSuite.E15FaucetBurn,
-		sharedSuite.E16DependencyBurn,
-		sharedSuite.E17VulnerabilityScan,
-		sharedSuite.E18ControllerSelection,
-		sharedSuite.E20CrossDomainComparison,
-		sharedSuite.E21ResilientMining,
-		sharedSuite.E22SelfHealingCampaign,
-		sharedSuite.E23KillAndResumeMining,
-		sharedSuite.E24PerformanceFuzzing,
+// runHolds runs ids through the registry one at a time and, in one
+// subtest per ID, fails every check that does not hold.
+func runHolds(t *testing.T, ids []string, subtest func(*testing.T, ExperimentResult)) {
+	t.Helper()
+	run, err := sharedSuite.Run(context.Background(), RunOptions{IDs: ids, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, run := range runs {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("%v", err)
-		}
-		t.Run(res.ID, func(t *testing.T) {
-			if len(res.Checks) == 0 {
-				t.Fatal("experiment produced no checks")
+	for _, o := range run.Outcomes {
+		t.Run(o.ID, func(t *testing.T) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
 			}
-			if len(res.Tables) == 0 {
-				t.Fatal("experiment produced no tables")
+			if subtest != nil {
+				subtest(t, o.Result)
 			}
-			for _, c := range res.Checks {
+			for _, c := range o.Result.Checks {
+				if c.Artifact != o.ID {
+					t.Errorf("check %q: artifact %q, want %q", c.Metric, c.Artifact, o.ID)
+				}
 				if !c.Holds {
 					t.Errorf("check failed: %s — paper %q, measured %q", c.Metric, c.Paper, c.Measured)
 				}
 			}
-			for _, tbl := range res.Tables {
-				if out := tbl.RenderString(); !strings.Contains(out, "##") {
-					t.Error("table should render with a title")
-				}
-			}
 		})
 	}
+}
+
+func TestFastExperimentsHold(t *testing.T) {
+	// The non-NLP experiments run quickly; every check must hold.
+	ids := []string{"E01", "E02", "E03", "E04", "E05", "E06", "E07", "E08", "E10",
+		"E13", "E14", "E15", "E16", "E17", "E18", "E20", "E21", "E22", "E23", "E24"}
+	runHolds(t, ids, func(t *testing.T, res ExperimentResult) {
+		if len(res.Checks) == 0 {
+			t.Fatal("experiment produced no checks")
+		}
+		if len(res.Tables) == 0 {
+			t.Fatal("experiment produced no tables")
+		}
+		for _, tbl := range res.Tables {
+			if out := tbl.RenderString(); !strings.Contains(out, "##") {
+				t.Error("table should render with a title")
+			}
+		}
+	})
 }
 
 func TestSlowExperimentsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NLP experiments are slow; skipped with -short")
 	}
-	runs := []func() (ExperimentResult, error){
-		sharedSuite.E09NLPValidation,
-		sharedSuite.E11TopicUniqueness,
-		sharedSuite.E12FullDatasetPrediction,
-		sharedSuite.E19RecoveryCoverage,
-	}
-	for _, run := range runs {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("%v", err)
-		}
-		t.Run(res.ID, func(t *testing.T) {
-			for _, c := range res.Checks {
-				if !c.Holds {
-					t.Errorf("check failed: %s — paper %q, measured %q", c.Metric, c.Paper, c.Measured)
-				}
-			}
-		})
-	}
-}
-
-func TestExperimentResultHolds(t *testing.T) {
-	r := ExperimentResult{}
-	if !r.Holds() {
-		t.Error("empty result should hold")
-	}
-	r.Checks = append(r.Checks, report.Check{Holds: true}, report.Check{Holds: false})
-	if r.Holds() {
-		t.Error("result with a failing check must not hold")
-	}
+	runHolds(t, []string{"E09", "E11", "E12", "E19"}, nil)
 }
