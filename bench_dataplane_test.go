@@ -272,6 +272,14 @@ const (
 	// (0.76 measured: the primary's re-punt bytes and packet-in
 	// slices; standby replays forward nothing).
 	ensembleAllocsPerPunt = 0.8
+	// ensembleBytesPerPunt gates the heap bytes per punt over the timed
+	// runs, almost all of them the event log's geometric growth. With
+	// standbys adopting the primary's log only the primary's array
+	// grows: 562 B/punt measured at -benchtime 200x and 742 at 1x,
+	// where one regrowth falls in the single timed run. 800 holds both
+	// and still fails three replicas each growing a copy (1,466 at
+	// 200x).
+	ensembleBytesPerPunt = 800
 )
 
 func ensembleHostMAC(d, p int) uint64 { return uint64(d)<<8 | uint64(p) }
@@ -321,8 +329,9 @@ func ensemblePunts(n int) []sdn.Event {
 // flowsetup runs, without the wire: each 64-punt slot submits every
 // punt to a 3-replica cluster.Ensemble of L2Switch, pumps the
 // primary's re-punts, drains its deliveries and calls EndSlot, which
-// replays the slot on both standbys. It reports ns and heap objects
-// per punt and fails above ensembleAllocsPerPunt.
+// replays the slot on both standbys. It reports ns, heap objects and
+// heap bytes per punt and fails above ensembleAllocsPerPunt or
+// ensembleBytesPerPunt.
 func BenchmarkEnsembleSlot(b *testing.B) {
 	ens, err := cluster.New(cluster.Config{Factory: func() (*sdn.Controller, error) {
 		n, err := ensembleNetwork()
@@ -361,21 +370,29 @@ func BenchmarkEnsembleSlot(b *testing.B) {
 	}
 	run() // learn every MAC and install the flows before timing
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	if !ens.Converged() {
 		b.Fatal("standbys did not converge")
 	}
 	nsPerPunt := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(punts))
 	// A fixed run count keeps the gated figure independent of b.N.
 	allocs := testing.AllocsPerRun(20, run) / float64(len(punts))
+	bytesPerPunt := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N*len(punts))
 	b.ReportMetric(nsPerPunt, "ns/punt")
 	b.ReportMetric(allocs, "allocs/punt")
+	b.ReportMetric(bytesPerPunt, "B/punt")
 	recordDataplane(benchDataplane{Name: "ensemble_slot", NsPerOp: nsPerPunt, AllocsPerOp: allocs})
 	if allocs > ensembleAllocsPerPunt {
 		b.Fatalf("ensemble slot: %.2f allocs/punt, want <= %.2f", allocs, ensembleAllocsPerPunt)
+	}
+	if bytesPerPunt > ensembleBytesPerPunt {
+		b.Fatalf("ensemble slot: %.0f B/punt, want <= %d", bytesPerPunt, ensembleBytesPerPunt)
 	}
 }

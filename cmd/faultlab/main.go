@@ -39,7 +39,8 @@
 // ensemble state diverges from the unfaulted fingerprint, so it
 // doubles as the cluster smoke check. -json emits the three mode
 // results plus the metrics snapshot (election/failover/fencing
-// counters, failover wall-tick histogram) as one document.
+// counters, the standby catch-up counters — adopted, compared, copied —
+// and the failover wall-tick histogram) as one document.
 //
 //	faultlab -cluster -seed 1 [-events 1500] [-replicas 3] [-lease-slots 3] [-json]
 package main

@@ -188,4 +188,9 @@ func TestClusterJSONShape(t *testing.T) {
 	if snap.Counters["cluster_failovers_total"] == 0 {
 		t.Errorf("metrics snapshot lacks failovers: %v", snap.Counters)
 	}
+	// Standbys catch up by adopting the primary's log; the campaign's
+	// logs never diverge, so no catch-up falls back to copying.
+	if snap.Counters["cluster_catchup_adopted_total"] == 0 || snap.Counters["cluster_catchup_copied_total"] != 0 {
+		t.Errorf("catch-up counters: %v", snap.Counters)
+	}
 }

@@ -26,8 +26,9 @@
 // on a -parallel worker pool
 // (0 means GOMAXPROCS) with identical output to a sequential run,
 // keep going past individual experiment failures (including panics,
-// which surface as errored outcomes), and report where the time went
-// on stderr with -timings. -workers bounds the pools *inside*
+// which surface as errored outcomes), and report where the time went,
+// and how many inserts the NLP memo caches refused at their limits, on
+// stderr with -timings. -workers bounds the pools *inside*
 // experiments (the NLP validation grid, batch prediction) and, like
 // -parallel, never changes output. -exp-timeout bounds each
 // experiment's wall clock; one that overruns is reported errored with
@@ -64,6 +65,7 @@ import (
 	"sdnbugs/internal/durable"
 	"sdnbugs/internal/engine"
 	"sdnbugs/internal/mine"
+	"sdnbugs/internal/nlp"
 	"sdnbugs/internal/report"
 	"sdnbugs/internal/tracker"
 	"sdnbugs/internal/trackerd"
@@ -199,6 +201,8 @@ func (ef engineFlags) runSuite(ctx context.Context, ablations bool) (engine.Run[
 		fmt.Fprintln(os.Stderr, rep.Summary())
 		_ = rep.TimingTable().Render(os.Stderr)
 		_ = rep.SlowestTable(5).Render(os.Stderr)
+		stem, pre := nlp.CacheRefusals()
+		fmt.Fprintf(os.Stderr, "nlp memo caches: %d stem and %d preprocess inserts refused at their limits\n", stem, pre)
 	}
 	return run, nil
 }

@@ -108,7 +108,7 @@ func TestReportTimingsOnStderr(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d", code)
 	}
-	for _, frag := range []string{"1 experiments in", "Per-experiment timings", "Slowest"} {
+	for _, frag := range []string{"1 experiments in", "Per-experiment timings", "Slowest", "inserts refused"} {
 		if !strings.Contains(errOut, frag) {
 			t.Errorf("-timings stderr missing %q:\n%s", frag, errOut)
 		}

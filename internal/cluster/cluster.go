@@ -1,9 +1,11 @@
 // Package cluster turns the single supervised controller into an
 // N-replica ensemble: deterministic term/lease-based leader election,
 // primary→standby state replication by shipping the primary's event
-// log in bounded batches (sdn.EventQueue + ProcessBatch, which applies
-// the log without re-forwarding the primary's packet-outs, so replicas
-// converge byte-identically and standbys keep empty dataplane queues),
+// log in bounded batches (sdn.Controller.Follow: a standby whose log is
+// a prefix of the primary's adopts the primary's entries instead of
+// copying them, and applies them without re-forwarding the primary's
+// packet-outs, so replicas converge byte-identically and standbys keep
+// empty dataplane queues),
 // OpenFlow mastership handoff at the ofconn layer (role request/reply
 // with generation ids), and fencing tokens so a deposed primary's
 // in-flight writes are rejected — no dual-master window ever mutates
@@ -40,7 +42,7 @@ const (
 	// lease costs while standbys wait out the primary's lease.
 	LeaseTickCost = 4
 	// DefaultInboxCapacity is the default per-standby replication
-	// ring: the most log events one slot ships to a standby. A longer
+	// batch: the most log events one slot ships to a standby. A longer
 	// suffix is deferred to later slots and counted in
 	// cluster_inbox_deferred_total.
 	DefaultInboxCapacity = 4096
@@ -53,7 +55,7 @@ type Config struct {
 	// LeaseSlots is how many slots without a primary heartbeat a
 	// standby waits before starting an election (default 3).
 	LeaseSlots int
-	// InboxCapacity bounds the replication batch ring per standby
+	// InboxCapacity bounds the replication batch per standby
 	// (default DefaultInboxCapacity events per slot).
 	InboxCapacity int
 	// Factory builds one replica's controller. Every replica must be
@@ -167,10 +169,6 @@ type Replica struct {
 	// term is the highest term this replica held the primaryship
 	// under — the fencing token its writes carry.
 	term uint64
-	// inbox is the bounded replication ring this standby drains one
-	// batch per slot; scratch is its reusable drain buffer.
-	inbox   *sdn.EventQueue
-	scratch []sdn.Event
 }
 
 // Term returns the fencing token of the replica's last primaryship.
@@ -214,7 +212,7 @@ func New(cfg Config) (*Ensemble, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
-		rep := &Replica{ID: i, C: c, inbox: sdn.NewEventQueue(cfg.InboxCapacity)}
+		rep := &Replica{ID: i, C: c}
 		rep.Sup = e.newSupervisor(rep)
 		e.Reps = append(e.Reps, rep)
 	}
@@ -528,21 +526,22 @@ func (e *Ensemble) failover(from *Replica, retry *sdn.Event) bool {
 // mid-slot would silently lose the unshipped tail. A partitioned
 // (alive, unreachable) primary's log cannot be read, but partitions
 // take effect at slot boundaries, after EndSlot has shipped
-// everything, so there is never an unshipped tail to lose. The tail's
-// traffic was the deposed primary's to forward, so ProcessBatch
-// forwards none of it again. Returns the replay cost in ticks; when
-// the suffix already contains the in-flight retry event (a crash
-// after logging), the retry is cancelled so the event is not applied
-// twice.
+// everything, so there is never an unshipped tail to lose. The winner
+// follows the deposed primary's whole log: it adopts the tail's
+// entries when its own log is a prefix, and the tail's traffic was the
+// deposed primary's to forward, so it forwards none of it again.
+// Returns the replay cost in ticks; when the tail already contains the
+// in-flight retry event (a crash after logging), the retry is
+// cancelled so the event is not applied twice.
 func (e *Ensemble) recoverDurableLog(oldID, winner int, retry **sdn.Event) int {
 	old, win := e.Reps[oldID], e.Reps[winner]
-	if old.C.State != sdn.StateCrashed || len(old.C.Log) <= len(win.C.Log) {
+	end := len(old.C.Log)
+	if old.C.State != sdn.StateCrashed || end <= len(win.C.Log) {
 		return 0
 	}
-	suffix := old.C.Log[len(win.C.Log):]
 	before := win.C.Stats.TotalCost
-	win.C.ProcessBatch(suffix)
-	if *retry != nil && sameEvent(suffix[len(suffix)-1], **retry) {
+	e.follow(win.C, old.C, end)
+	if *retry != nil && sameEvent(old.C.Log[end-1], **retry) {
 		*retry = nil
 	}
 	return win.C.Stats.TotalCost - before
@@ -573,11 +572,11 @@ func (e *Ensemble) EnsureServing() bool {
 
 // EndSlot finishes one campaign slot. A primary holding quorum
 // heartbeats and replicates: every bidirectionally reachable standby
-// receives the primary's log suffix through its bounded inbox ring
-// and applies it with ProcessBatch — so standby state converges
-// byte-identically without re-forwarding the primary's traffic. A
-// primary without quorum burns lease: after LeaseSlots slots the
-// majority side elects a successor.
+// catches up on at most InboxCapacity events of the primary's log
+// suffix, adopting the primary's entries rather than copying them —
+// so standby state converges byte-identically without re-forwarding
+// the primary's traffic. A primary without quorum burns lease: after
+// LeaseSlots slots the majority side elects a successor.
 func (e *Ensemble) EndSlot() {
 	if e.hasQuorum(e.primary) && e.Primary().C.State != sdn.StateCrashed {
 		e.quorumLostSlots = 0
@@ -597,29 +596,42 @@ func (e *Ensemble) EndSlot() {
 }
 
 // catchUp ships the primary's log suffix to one standby and applies
-// it. The inbox ring bounds one slot's shipment; a lagging standby
+// it. InboxCapacity bounds one slot's shipment; a lagging standby
 // finishes catching up over subsequent slots, and the events left for
-// them are counted in cluster_inbox_deferred_total.
+// them are counted in cluster_inbox_deferred_total. It returns the
+// number of events shipped.
 func (e *Ensemble) catchUp(rep *Replica) int {
 	p := e.Primary()
-	if rep.C.State == sdn.StateCrashed || len(rep.C.Log) >= len(p.C.Log) {
+	have := len(rep.C.Log)
+	if rep.C.State == sdn.StateCrashed || have >= len(p.C.Log) {
 		return 0
 	}
-	suffix := p.C.Log[len(rep.C.Log):]
-	n := rep.inbox.EnqueueAll(suffix)
-	if n < len(suffix) && e.cfg.Metrics != nil {
-		e.cfg.Metrics.Counter("cluster_inbox_deferred_total").Add(uint64(len(suffix) - n))
+	left := len(p.C.Log) - have
+	n := min(left, e.cfg.InboxCapacity)
+	if n < left && e.cfg.Metrics != nil {
+		e.cfg.Metrics.Counter("cluster_inbox_deferred_total").Add(uint64(left - n))
 	}
-	if n == 0 {
-		return 0
+	// Follow forwards none of the replayed packet-outs: the primary
+	// already delivered them, so the standby's punt and delivery
+	// queues stay empty for the day it is promoted.
+	e.follow(rep.C, p.C, have+n)
+	return n
+}
+
+// follow catches c up on leader's log through index to and counts how
+// the catch-up went: adopted after the O(1) prefix proof, adopted
+// after an element-wise comparison, or copied because the logs
+// diverge.
+func (e *Ensemble) follow(c, leader *sdn.Controller, to int) {
+	path, _, _ := c.Follow(leader, to)
+	switch path {
+	case sdn.FollowAdopted:
+		e.count("cluster_catchup_adopted_total")
+	case sdn.FollowCompared:
+		e.count("cluster_catchup_compared_total")
+	case sdn.FollowCopied:
+		e.count("cluster_catchup_copied_total")
 	}
-	batch := rep.inbox.Drain(rep.scratch[:0])
-	rep.scratch = batch[:0]
-	// ProcessBatch forwards none of the replayed packet-outs: the
-	// primary already delivered them, so the standby's punt and
-	// delivery queues stay empty for the day it is promoted.
-	rep.C.ProcessBatch(batch)
-	return len(batch)
 }
 
 // Sync drives replication to convergence: crashed replicas revived,

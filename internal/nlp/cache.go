@@ -3,6 +3,8 @@ package nlp
 import (
 	"sync"
 	"sync/atomic"
+
+	"sdnbugs/internal/metrics"
 )
 
 // The training pipeline re-preprocesses the same small corpus dozens
@@ -16,13 +18,16 @@ import (
 // The bound is enforced by refusing inserts once full rather than by
 // evicting: eviction buys nothing for a workload whose key space (a
 // fixed corpus vocabulary) is small and stable, and skipping it keeps
-// the fast path to one atomic load + one map read.
+// the fast path to one atomic load + one map read. Every refused
+// insert is counted (CacheRefusals), so a workload that outgrows a
+// limit shows it instead of silently losing its memo.
 
 // memoCache is a bounded concurrent memo table.
 type memoCache[V any] struct {
-	limit int
-	size  atomic.Int64
-	m     sync.Map // string -> V
+	limit   int
+	size    atomic.Int64
+	m       sync.Map // string -> V
+	refused metrics.Counter
 }
 
 func (c *memoCache[V]) get(key string) (V, bool) {
@@ -36,6 +41,7 @@ func (c *memoCache[V]) get(key string) (V, bool) {
 
 func (c *memoCache[V]) put(key string, v V) {
 	if c.size.Load() >= int64(c.limit) {
+		c.refused.Inc()
 		return
 	}
 	if _, loaded := c.m.LoadOrStore(key, v); !loaded {
@@ -60,6 +66,12 @@ var (
 	stemCache       = memoCache[string]{limit: stemCacheLimit}
 	preprocessCache = memoCache[[]string]{limit: preprocessCacheLimit}
 )
+
+// CacheRefusals returns how many inserts the stem and preprocess memo
+// caches refused because they were full.
+func CacheRefusals() (stem, preprocess uint64) {
+	return stemCache.refused.Value(), preprocessCache.refused.Value()
+}
 
 // CachedStem is Stem behind the bounded memo table. Porter stemming
 // is pure, so the cache can be global: the same token always maps to

@@ -84,3 +84,29 @@ func TestMemoCacheBound(t *testing.T) {
 		t.Error("entry within the bound should be retained")
 	}
 }
+
+// Each memo cache stops inserting at its limit and counts every insert
+// it refuses; a refused key stays a miss.
+func TestMemoCacheCountsRefusedInserts(t *testing.T) {
+	const past = 3
+	stems := memoCache[string]{limit: stemCacheLimit}
+	for i := 0; i < stemCacheLimit+past; i++ {
+		stems.put(fmt.Sprintf("w%d", i), "s")
+	}
+	if got := stems.refused.Value(); got != past {
+		t.Fatalf("stem cache refused %d inserts past its limit of %d, want %d", got, stemCacheLimit, past)
+	}
+	if _, ok := stems.get(fmt.Sprintf("w%d", stemCacheLimit)); ok {
+		t.Fatal("a refused stem was cached")
+	}
+	texts := memoCache[[]string]{limit: preprocessCacheLimit}
+	for i := 0; i < preprocessCacheLimit+past; i++ {
+		texts.put(fmt.Sprintf("text %d", i), nil)
+	}
+	if got := texts.refused.Value(); got != past {
+		t.Fatalf("preprocess cache refused %d inserts past its limit of %d, want %d", got, preprocessCacheLimit, past)
+	}
+	if n := texts.size.Load(); n != preprocessCacheLimit {
+		t.Fatalf("preprocess cache holds %d entries, want its limit %d", n, preprocessCacheLimit)
+	}
+}

@@ -10,66 +10,6 @@ import (
 	"sdnbugs/internal/openflow"
 )
 
-func TestEventRingFIFO(t *testing.T) {
-	r := NewEventRing(4)
-	for i := 0; i < 3; i++ {
-		if !r.Push(Event{Seq: i}) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	got := r.PopAll(nil)
-	if len(got) != 3 || got[0].Seq != 0 || got[2].Seq != 2 {
-		t.Fatalf("popped %+v", got)
-	}
-	// Wrap around: the ring must stay FIFO across the seam.
-	for cycle := 0; cycle < 5; cycle++ {
-		for i := 0; i < 3; i++ {
-			if !r.Push(Event{Seq: cycle*10 + i}) {
-				t.Fatalf("cycle %d push %d failed", cycle, i)
-			}
-		}
-		got = r.PopAll(got[:0])
-		for i, ev := range got {
-			if ev.Seq != cycle*10+i {
-				t.Fatalf("cycle %d: got %+v", cycle, got)
-			}
-		}
-	}
-}
-
-func TestEventRingFull(t *testing.T) {
-	r := NewEventRing(2)
-	if !r.Push(Event{}) || !r.Push(Event{}) {
-		t.Fatal("pushes within capacity failed")
-	}
-	if r.Push(Event{}) {
-		t.Fatal("push beyond capacity succeeded")
-	}
-	if r.Len() != 2 || r.Cap() != 2 {
-		t.Fatalf("len=%d cap=%d", r.Len(), r.Cap())
-	}
-}
-
-func TestEventQueueDrainAndDrops(t *testing.T) {
-	q := NewEventQueue(3)
-	if n := q.EnqueueAll([]Event{{Seq: 1}, {Seq: 2}, {Seq: 3}, {Seq: 4}}); n != 3 {
-		t.Fatalf("enqueued %d, want 3", n)
-	}
-	if q.Dropped() != 1 {
-		t.Fatalf("dropped = %d", q.Dropped())
-	}
-	got := q.Drain(nil)
-	if len(got) != 3 || got[0].Seq != 1 {
-		t.Fatalf("drained %+v", got)
-	}
-	if !q.Enqueue(Event{Seq: 5}) {
-		t.Fatal("enqueue after drain failed")
-	}
-	if got := q.Drain(got[:0]); len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("drained %+v", got)
-	}
-}
-
 // batchTestApp deterministically exercises every liveness path: plain
 // events, logged errors, stalls, and a crash at a chosen sequence.
 func batchTestApp(crashAt int) App {

@@ -3,6 +3,7 @@ package sdn
 import (
 	"errors"
 	"fmt"
+	"weak"
 
 	"sdnbugs/internal/openflow"
 )
@@ -143,7 +144,10 @@ type Controller struct {
 	Config map[string]string
 
 	// Log is the ordered record of processed events (for replay-based
-	// recovery).
+	// recovery). It is append-only: Submit appends, ReserveLog and
+	// Follow replace it with a longer log that has it as a prefix, and
+	// only Restart(false) drops it. Followers share its array, so
+	// nothing may rewrite an entry below its length.
 	Log []Event
 
 	// ErrorLog holds logged (non-fatal) error messages.
@@ -153,6 +157,11 @@ type Controller struct {
 	Stats Stats
 
 	handler HandlerFunc
+
+	// grewFrom and grewLen record the array ReserveLog last copied
+	// Log out of and how many events it copied (see Follow).
+	grewFrom weak.Pointer[Event]
+	grewLen  int
 }
 
 // NewController wires a controller to a network, environment, and app,
@@ -246,7 +255,10 @@ func (c *Controller) Restart(keepLog bool) {
 	c.ErrorLog = nil
 	c.Config = make(map[string]string)
 	if !keepLog {
+		// The new log shares nothing with the array the old one grew
+		// from, so that record must not prove a prefix any more.
 		c.Log = nil
+		c.grewFrom, c.grewLen = weak.Pointer[Event]{}, 0
 	}
 	if r, ok := c.App.(interface{ Reset() }); ok {
 		r.Reset()

@@ -270,9 +270,9 @@ type Network struct {
 	// Deliveries accumulates every host delivery; drivers drain it.
 	Deliveries []Delivery
 
-	// replaying is set while a controller's ProcessBatch replays
-	// events another replica served: packet-outs are validated but not
-	// forwarded.
+	// replaying is set while a controller's ProcessBatch or Follow
+	// replays events another replica served: packet-outs are validated
+	// but not forwarded.
 	replaying bool
 }
 
@@ -469,8 +469,8 @@ func (n *Network) emit(sw *Switch, port uint32, p Packet, hops int) {
 // ApplyPacketOut executes a controller packet-out: the carried packet
 // is pushed out of the named switch according to the actions, returning
 // any host deliveries. New table misses downstream punt to PacketIns.
-// During a ProcessBatch replay the packet-out is validated but not
-// forwarded, so it delivers and punts nothing.
+// During a ProcessBatch or Follow replay the packet-out is validated
+// but not forwarded, so it delivers and punts nothing.
 func (n *Network) ApplyPacketOut(po openflow.PacketOut) ([]Delivery, error) {
 	sw, err := n.Switch(po.DatapathID)
 	if err != nil {
