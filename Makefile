@@ -10,7 +10,7 @@ GO ?= go
 # pool turns the same setting into real speedup.
 BENCH_GOMAXPROCS ?= 4
 
-.PHONY: build fmt-check vet perfbench-vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke verify
+.PHONY: build fmt-check vet perfbench-vet cross-check test race loc bench bench-smoke bench-dataplane-smoke bench-served-page bench-tracker-smoke fuzz fuzz-perf fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke verify
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,14 @@ bench-smoke:
 # heap bytes per punt, which only a single shared event log keeps low.
 bench-dataplane-smoke:
 	$(GO) test -run='^$$' -bench 'BenchmarkOpenFlow|BenchmarkControllerEvents|BenchmarkEnsembleSlot' -benchtime 200x .
+
+# bench-served-page is the tracker read path's framing gate, run in
+# `make verify` next to bench-dataplane-smoke: one 50-issue JIRA search
+# page fetched over loopback through a write-counting listener fails
+# above 2 socket writes per page (the header and one length-framed
+# body; chunked framing took 11), and reports B/op and allocs/op.
+bench-served-page:
+	$(GO) test -run='^$$' -bench 'BenchmarkServedSearchPage' -benchtime 200x ./internal/trackerd/
 
 # bench-tracker-smoke drives the whole served-tracker stack at small
 # scale — multi-tenant service, WAL group commit, kill-and-resume
@@ -157,4 +165,4 @@ examples-smoke:
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/triage > /dev/null
 
-verify: build fmt-check vet perfbench-vet cross-check test race bench-dataplane-smoke fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke
+verify: build fmt-check vet perfbench-vet cross-check test race bench-dataplane-smoke bench-served-page fuzz-perf-smoke repair-smoke cluster-smoke examples-smoke

@@ -24,7 +24,8 @@ import (
 // *Issue and never mutates one it has installed, so an installed issue
 // is immutable and its pointer names one version of it: a refresh
 // reuses the previous view's encoding of every issue whose pointer is
-// unchanged, and an edit re-encodes one issue, not the shard.
+// unchanged, and an edit re-encodes one issue and copies one chunk of
+// the view, not the shard.
 type Replica struct {
 	src    *Store
 	encode func(*Issue) ([]byte, error)
@@ -52,10 +53,32 @@ type ReplicaStats struct {
 
 // replicaView is one immutable snapshot: every issue with its
 // encoding, in the canonical listing order (creation time, then ID).
+// The entries are cut into chunks of viewChunk (the last may be
+// shorter), so a refresh that swaps in a few issues copies only their
+// chunks and shares the rest with the previous view.
 type replicaView struct {
 	version uint64
-	entries []Encoded
-	index   map[string]int // ID → position in entries
+	n       int
+	chunks  [][]Encoded
+	index   map[string]int // ID → position in the listing order
+	at      []int          // store insertion position → listing position
+	ctl     Controller     // every entry's controller; ControllerUnknown if they differ
+}
+
+// matchesAll reports whether q matches every issue of v, so List can
+// cut its page by position instead of testing each entry.
+func (v *replicaView) matchesAll(q Query) bool {
+	return q.MinSeverity == SeverityUnknown && q.Status == StatusUnknown &&
+		q.CreatedAfter.IsZero() && q.CreatedBefore.IsZero() &&
+		(q.Controller == ControllerUnknown || q.Controller == v.ctl)
+}
+
+// viewChunk is the number of entries in a full view chunk.
+const viewChunk = 64
+
+// entry returns the entry at listing position i.
+func (v *replicaView) entry(i int) *Encoded {
+	return &v.chunks[i/viewChunk][i%viewChunk]
 }
 
 // NewReplica returns a replica over src whose views carry encode's
@@ -89,37 +112,62 @@ func (r *Replica) publish(old, nv *replicaView) *replicaView {
 
 // build makes the view of the store's current contents. When the ID
 // set is unchanged and no replaced issue moved in time, it keeps
-// prev's order and index and swaps in only the replaced issues;
+// prev's order and indexes and swaps in only the replaced issues;
 // otherwise it sorts afresh, reusing prev's encoding of every issue
-// whose pointer is unchanged.
+// whose pointer is unchanged. The store never deletes or reorders, so
+// an insertion position names the same ID in every view, and both
+// paths compare pointers by position without hashing an ID.
 func (r *Replica) build(prev *replicaView) *replicaView {
 	r.refreshes.Add(1)
 	r.src.mu.RLock()
 	nv := &replicaView{version: r.src.version}
-	if swaps, ok := prev.replaced(r.src); ok {
+	var buf [8]swap // holds a typical refresh's swaps without allocating
+	if swaps, ok := prev.replaced(r.src, buf[:0]); ok {
 		r.src.mu.RUnlock()
-		nv.entries = slices.Clone(prev.entries)
-		nv.index = prev.index
+		nv.n, nv.index, nv.at, nv.ctl = prev.n, prev.index, prev.at, prev.ctl
+		nv.chunks = slices.Clone(prev.chunks)
 		for _, s := range swaps {
-			nv.entries[s.pos] = r.encodeIssue(s.iss)
+			if s.iss.Controller != nv.ctl {
+				nv.ctl = ControllerUnknown
+			}
+			c := nv.chunks[s.pos/viewChunk]
+			if &c[0] == &prev.chunks[s.pos/viewChunk][0] { // still prev's
+				c = slices.Clone(c)
+				nv.chunks[s.pos/viewChunk] = c
+			}
+			c[s.pos%viewChunk] = r.encodeIssue(s.iss)
 		}
 		return nv
 	}
-	issues := make([]*Issue, len(r.src.order))
-	for i, id := range r.src.order {
-		issues[i] = r.src.issues[id]
-	}
+	issues := slices.Clone(r.src.issues)
 	r.src.mu.RUnlock()
-	sort.Slice(issues, func(a, b int) bool { return issueLess(issues[a], issues[b]) })
-	nv.entries = make([]Encoded, len(issues))
+	order := make([]int, len(issues)) // listing position → insertion position
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return issueLess(issues[order[a]], issues[order[b]]) })
+	entries := make([]Encoded, len(issues))
+	nv.n = len(issues)
 	nv.index = make(map[string]int, len(issues))
-	for i, iss := range issues {
+	nv.at = make([]int, len(issues))
+	for i, p := range order {
+		iss := issues[p]
 		nv.index[iss.ID] = i
-		if e, ok := prev.lookup(iss.ID); ok && e.Issue == iss {
-			nv.entries[i] = e
-		} else {
-			nv.entries[i] = r.encodeIssue(iss)
+		nv.at[p] = i
+		if i == 0 {
+			nv.ctl = iss.Controller
+		} else if iss.Controller != nv.ctl {
+			nv.ctl = ControllerUnknown
 		}
+		if prev != nil && p < len(prev.at) && prev.entry(prev.at[p]).Issue == iss {
+			entries[i] = *prev.entry(prev.at[p])
+		} else {
+			entries[i] = r.encodeIssue(iss)
+		}
+	}
+	for lo := 0; lo < len(entries); lo += viewChunk {
+		hi := min(lo+viewChunk, len(entries))
+		nv.chunks = append(nv.chunks, entries[lo:hi:hi])
 	}
 	return nv
 }
@@ -131,21 +179,22 @@ type swap struct {
 	iss *Issue
 }
 
-// replaced reports the issues src replaced since v was built, and
-// whether v's order still holds for src: the ID set is unchanged (the
-// store never deletes, so equal counts mean equal sets) and no
-// replaced issue changed its creation time. The caller holds src.mu.
-func (v *replicaView) replaced(src *Store) ([]swap, bool) {
-	if v == nil || len(src.order) != len(v.entries) {
+// replaced appends to swaps the issues src replaced since v was
+// built, and reports whether v's order still holds for src: the ID set
+// is unchanged (the store never deletes, so equal counts mean equal
+// sets) and no replaced issue changed its creation time. The caller
+// holds src.mu.
+func (v *replicaView) replaced(src *Store, swaps []swap) ([]swap, bool) {
+	if v == nil || len(src.issues) != v.n {
 		return nil, false
 	}
-	var swaps []swap
-	for i, e := range v.entries {
-		cur := src.issues[e.Issue.ID]
-		if cur == e.Issue {
+	for p, cur := range src.issues {
+		i := v.at[p]
+		old := v.entry(i).Issue
+		if cur == old {
 			continue
 		}
-		if !cur.Created.Equal(e.Issue.Created) {
+		if !cur.Created.Equal(old.Created) {
 			return nil, false
 		}
 		swaps = append(swaps, swap{i, cur})
@@ -162,7 +211,7 @@ func (v *replicaView) lookup(id string) (Encoded, bool) {
 	if !ok {
 		return Encoded{}, false
 	}
-	return v.entries[i], true
+	return *v.entry(i), true
 }
 
 // encodeIssue renders one issue with the replica's encoder.
@@ -180,18 +229,30 @@ func (r *Replica) List(q Query) ([]Encoded, int) {
 	lo := max(q.Offset, 0)
 	var page []Encoded
 	if q.Limit > 0 {
-		page = make([]Encoded, 0, min(q.Limit, len(v.entries)))
+		page = make([]Encoded, 0, min(q.Limit, v.n))
+	}
+	if v.matchesAll(q) {
+		hi := v.n
+		if q.Limit > 0 && q.Limit < hi-lo {
+			hi = lo + q.Limit
+		}
+		for i := lo; i < hi; i++ {
+			page = append(page, *v.entry(i))
+		}
+		return page, v.n
 	}
 	total := 0
-	for i := range v.entries {
-		e := &v.entries[i]
-		if !q.Matches(e.Issue) {
-			continue
+	for _, c := range v.chunks {
+		for i := range c {
+			e := &c[i]
+			if !q.Matches(e.Issue) {
+				continue
+			}
+			if total >= lo && (q.Limit <= 0 || total-lo < q.Limit) {
+				page = append(page, *e)
+			}
+			total++
 		}
-		if total >= lo && (q.Limit <= 0 || total-lo < q.Limit) {
-			page = append(page, *e)
-		}
-		total++
 	}
 	return page, total
 }
@@ -202,7 +263,7 @@ func (r *Replica) Get(id string) (Encoded, bool) {
 }
 
 // Len returns the view's issue count.
-func (r *Replica) Len() int { return len(r.refresh().entries) }
+func (r *Replica) Len() int { return r.refresh().n }
 
 // Stats returns the replica's refresh and encode counts.
 func (r *Replica) Stats() ReplicaStats {

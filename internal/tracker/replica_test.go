@@ -201,6 +201,98 @@ func TestReplicaRefreshReencodesOnlyReplacedIssues(t *testing.T) {
 	want(4, 14)
 }
 
+// TestReplicaEditCopiesOnlyItsChunk: over several view chunks, with
+// insertion order the reverse of listing order, an edit refreshes by
+// copying only the chunk that holds the edited issue; the other chunks
+// are shared with the old view, which keeps its issues and bytes, and
+// the new view still matches Store.List.
+func TestReplicaEditCopiesOnlyItsChunk(t *testing.T) {
+	const n = 3*viewChunk + 5
+	s := NewStore()
+	base := time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := n - 1; i >= 0; i-- {
+		if err := s.Put(Issue{ID: fmt.Sprintf("ONOS-%03d", i), Controller: ONOS, Title: "t",
+			Severity: Severity(1 + i%4), Created: base.Add(time.Duration(i) * time.Minute)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReplica(s, encodeCanonical)
+	r.Len()
+	before := r.view.Load()
+	edited := viewChunk + 3 // listing position of ONOS-067, in chunk 1
+	iss, err := s.Get(fmt.Sprintf("ONOS-%03d", edited))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iss.Title = "edited"
+	if err := s.Put(iss); err != nil {
+		t.Fatal(err)
+	}
+	r.Len()
+	after := r.view.Load()
+	if got := r.Stats(); got != (ReplicaStats{Refreshes: 2, Encodes: n + 1}) {
+		t.Fatalf("stats = %+v, want 2 refreshes, %d encodes", got, n+1)
+	}
+	for c := range after.chunks {
+		shared := &after.chunks[c][0] == &before.chunks[c][0]
+		if shared != (c != edited/viewChunk) {
+			t.Errorf("chunk %d: shared with the old view = %v", c, shared)
+		}
+	}
+	if e := before.entry(edited); e.Issue.Title != "t" || strings.Contains(string(e.Wire), "edited") {
+		t.Errorf("old view changed: %+v %s", *e.Issue, e.Wire)
+	}
+	if e := after.entry(edited); e.Issue.Title != "edited" {
+		t.Errorf("new view missed the edit: %+v", *e.Issue)
+	}
+	for _, q := range []Query{{}, {Offset: viewChunk - 2, Limit: 5}, {MinSeverity: SeverityMajor, Offset: 40, Limit: 60}, {Offset: n - 1}} {
+		wantIss, wantTotal := s.List(q)
+		page, total := r.List(q)
+		if total != wantTotal || !reflect.DeepEqual(issuesOf(page), wantIss) {
+			t.Errorf("query %+v: replica diverged from store", q)
+		}
+		checkWire(t, page)
+	}
+}
+
+// TestReplicaControllerEdit: a view whose issues share one controller
+// cuts that controller's pages by position; an edit that moves one
+// issue to another controller must end that shortcut, on the fast
+// refresh path as well as the full one.
+func TestReplicaControllerEdit(t *testing.T) {
+	s := NewStore()
+	replicaSeed(t, s, 2*viewChunk)
+	r := NewReplica(s, encodeCanonical)
+	check := func() {
+		t.Helper()
+		for _, q := range []Query{{Controller: ONOS}, {Controller: ONOS, Offset: 5, Limit: 70},
+			{Controller: CORD}, {Offset: viewChunk, Limit: 3}, {Controller: ONOS, Offset: 1 << 62, Limit: 1 << 62}} {
+			wantIss, wantTotal := s.List(q)
+			page, total := r.List(q)
+			if total != wantTotal || !reflect.DeepEqual(issuesOf(page), wantIss) {
+				t.Fatalf("query %+v: replica has %d of %d, store %d of %d", q, len(page), total, len(wantIss), wantTotal)
+			}
+		}
+	}
+	check()
+	iss, err := s.Get("ONOS-070")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iss.Controller = CORD
+	if err := s.Put(iss); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if got := r.Stats().Encodes; got != 2*viewChunk+1 {
+		t.Fatalf("%d encodes, want the fast path's %d", got, 2*viewChunk+1)
+	}
+	if err := s.Put(Issue{ID: "ONOS-new", Controller: ONOS, Title: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	check()
+}
+
 // TestReplicaKeepsEncodeErrors: an issue the encoder rejects stays in
 // the view with its error, and the others keep their bytes.
 func TestReplicaKeepsEncodeErrors(t *testing.T) {

@@ -244,9 +244,9 @@ func ExtractSeverity(text string) Severity {
 // and pagination both tracker simulators expose.
 type Store struct {
 	mu      sync.RWMutex
-	issues  map[string]*Issue
-	order   []string // insertion order for stable pagination
-	version uint64   // bumped on every Put; lets replicas detect staleness
+	pos     map[string]int // ID → position in issues
+	issues  []*Issue       // insertion order, for stable pagination
+	version uint64         // bumped on every Put; lets replicas detect staleness
 }
 
 // ErrNotFound is returned for lookups of unknown issue IDs.
@@ -254,7 +254,7 @@ var ErrNotFound = errors.New("tracker: issue not found")
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{issues: make(map[string]*Issue)}
+	return &Store{pos: make(map[string]int)}
 }
 
 // Put inserts or replaces an issue (copied). It always installs a
@@ -267,13 +267,15 @@ func (s *Store) Put(issue Issue) error {
 	issue.ControllerName = issue.Controller.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.issues[issue.ID]; !exists {
-		s.order = append(s.order, issue.ID)
-	}
 	cp := issue
 	cp.Comments = append([]Comment(nil), issue.Comments...)
 	cp.Labels = append([]string(nil), issue.Labels...)
-	s.issues[issue.ID] = &cp
+	if i, exists := s.pos[issue.ID]; exists {
+		s.issues[i] = &cp
+	} else {
+		s.pos[issue.ID] = len(s.issues)
+		s.issues = append(s.issues, &cp)
+	}
 	s.version++
 	return nil
 }
@@ -290,11 +292,11 @@ func (s *Store) Version() uint64 {
 func (s *Store) Get(id string) (Issue, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	iss, ok := s.issues[id]
+	i, ok := s.pos[id]
 	if !ok {
 		return Issue{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return *iss, nil
+	return *s.issues[i], nil
 }
 
 // Len returns the number of stored issues.
@@ -387,9 +389,9 @@ func issueLess(a, b *Issue) bool {
 // plus the total number of matches before pagination.
 func (s *Store) List(q Query) ([]Issue, int) {
 	s.mu.RLock()
-	matched := make([]*Issue, 0, len(s.order))
-	for _, id := range s.order {
-		if iss := s.issues[id]; q.Matches(iss) {
+	matched := make([]*Issue, 0, len(s.issues))
+	for _, iss := range s.issues {
+		if q.Matches(iss) {
 			matched = append(matched, iss)
 		}
 	}

@@ -215,7 +215,8 @@ func TestGitHubIssueWithoutNumberIs500(t *testing.T) {
 // FuzzReplicaPageMatchesEncoder holds the spliced pages and issues to
 // the json.Encoder reference over fuzzed query parameters and issue
 // text: HTML and Unicode escapes, invalid UTF-8, and empty or absent
-// labels and comments.
+// labels and comments. Every page answered 200 must also carry its
+// own length as Content-Length.
 func FuzzReplicaPageMatchesEncoder(f *testing.F) {
 	f.Add("startAt=1&maxResults=2", "<b>crash</b> &  ", "line\nbreak \"quoted\"", "", uint8(0))
 	f.Add("project=ONOS&severity=critical&page=2&per_page=1", "naïve ☃", "\xff\xfe", "bug", uint8(7))
@@ -253,6 +254,14 @@ func FuzzReplicaPageMatchesEncoder(f *testing.F) {
 		jp, gp := jiraPair(jira), githubPair(gh)
 		jp.compare(t, "/rest/api/2/search", rawQuery)
 		gp.compare(t, "/repos/faucetsdn/faucet/issues", rawQuery)
+		for _, rec := range []*httptest.ResponseRecorder{
+			serve(jp.got, "/rest/api/2/search", rawQuery),
+			serve(gp.got, "/repos/faucetsdn/faucet/issues", rawQuery),
+		} {
+			if got := rec.Header().Get("Content-Length"); rec.Code == http.StatusOK && got != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("page of %d bytes sent Content-Length %q", rec.Body.Len(), got)
+			}
+		}
 		for i := 0; i < 6; i++ {
 			jp.compare(t, fmt.Sprintf("/rest/api/2/issue/ONOS-%d", i), "")
 			gp.compare(t, fmt.Sprintf("/repos/faucetsdn/faucet/issues/%d", i), "")

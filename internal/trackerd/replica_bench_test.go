@@ -3,8 +3,11 @@ package trackerd
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"sdnbugs/internal/corpus"
@@ -71,6 +74,78 @@ func BenchmarkReplicaSearchPage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Reset()
 		svc.ServeHTTP(w, req)
+	}
+}
+
+// maxPageWrites gates BenchmarkServedSearchPage: socket writes per
+// served page, one for the header and one for the length-framed body.
+const maxPageWrites = 2
+
+// countingListener counts the writes of every connection it accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// BenchmarkServedSearchPage fetches one 50-issue JIRA search page over
+// a loopback keep-alive connection whose server side counts its socket
+// writes. It reports writes, bytes and allocations per page (client
+// and server together) and fails above maxPageWrites writes per page.
+func BenchmarkServedSearchPage(b *testing.B) {
+	svc, _, _ := benchShard(b)
+	srv := httptest.NewUnstartedServer(svc)
+	var writes atomic.Int64
+	srv.Listener = countingListener{srv.Listener, &writes}
+	srv.Start()
+	defer srv.Close()
+	client := srv.Client()
+	url := srv.URL + "/t/alpha/bugs/rest/api/2/search?maxResults=50&startAt=100"
+	var body bytes.Buffer
+	fetch := func() {
+		resp, err := client.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		body.Reset()
+		_, err = io.Copy(&body, resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("GET %s: %d, %v", url, resp.StatusCode, err)
+		}
+	}
+	fetch() // connects and builds the replica's first view
+	if !bytes.Contains(body.Bytes(), []byte(`"maxResults":50,`)) {
+		b.Fatalf("unexpected page: %.200s", body.Bytes())
+	}
+	writes.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
+	b.StopTimer()
+	perPage := float64(writes.Load()) / float64(b.N)
+	b.ReportMetric(perPage, "writes/op")
+	if perPage > maxPageWrites {
+		b.Fatalf("served search page: %.2f socket writes per %d-byte page, want <= %d", perPage, body.Len(), maxPageWrites)
 	}
 }
 

@@ -170,8 +170,9 @@ func (s *Service) mountProject(cfg Config, tc TenantConfig, pc ProjectConfig, li
 	return nil
 }
 
-// registerGauges exposes shard sizes, aggregate WAL commit stats and
-// aggregate replica refresh and encode counts at scrape time — the
+// registerGauges exposes shard sizes, aggregate WAL commit stats,
+// aggregate replica refresh and encode counts, and the page buffers
+// too large to pool (process-wide) at scrape time — the
 // observability seam between the serving layer and the durability and
 // replica layers, without either importing metrics.
 func (s *Service) registerGauges() {
@@ -195,6 +196,7 @@ func (s *Service) registerGauges() {
 	s.reg.GaugeFunc("durable.batches", sum(func(sh *Shard) uint64 { return sh.DS.Durable().CommitStats().Batches }))
 	s.reg.GaugeFunc("replica.refreshes", sum(func(sh *Shard) uint64 { return sh.Replica.Stats().Refreshes }))
 	s.reg.GaugeFunc("replica.encodes", sum(func(sh *Shard) uint64 { return sh.Replica.Stats().Encodes }))
+	s.reg.GaugeFunc("page_buffers.dropped", func() float64 { return float64(pageBuffersDropped.Load()) })
 }
 
 // ServeHTTP implements http.Handler.
@@ -240,6 +242,10 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}{"ok", len(s.shards)})
 }
 
+// maxIngestLine is the longest issue encoding one ingest line may
+// carry; a longer line answers 400.
+const maxIngestLine = 4 << 20
+
 // handleIngest is the admin write path: a newline-delimited stream of
 // canonical issue encodings (tracker.EncodeIssue), each journaled into
 // the shard before the next is read. Readers keep serving from the
@@ -248,7 +254,7 @@ func (s *Service) handleIngest(shard *Shard) http.HandlerFunc {
 	ingested := s.reg.Counter("ingest." + shard.Tenant + "." + shard.Project + ".issues")
 	return func(w http.ResponseWriter, r *http.Request) {
 		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+		sc.Buffer(nil, maxIngestLine)
 		n := 0
 		for sc.Scan() {
 			line := sc.Bytes()

@@ -380,6 +380,26 @@ func TestIngestRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestIngestLineTooLongIs400: a line longer than maxIngestLine answers
+// 400 and ingests nothing.
+func TestIngestLineTooLongIs400(t *testing.T) {
+	svc := newService(t)
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	line := bytes.Repeat([]byte{'x'}, maxIngestLine+1)
+	resp, err := http.Post(srv.URL+"/t/alpha/bugs/admin/ingest", "application/x-ndjson", bytes.NewReader(append(line, '\n')))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	if n := svc.Shard("alpha", "bugs").DS.Len(); n != 0 {
+		t.Errorf("shard holds %d issues, want 0", n)
+	}
+}
+
 // TestIngestThenReadReencodesOneIssue: after the first read encodes a
 // shard, one ingest of an edit followed by one read re-encodes exactly
 // the edited issue, as the replica.* gauges report.

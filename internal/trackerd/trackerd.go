@@ -16,7 +16,10 @@ package trackerd
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"sdnbugs/internal/tracker"
 )
@@ -63,35 +66,69 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// comma separates the elements of a spliced JSON array; newline ends
-// a single spliced issue, as json.Encoder ends every value.
-var comma, newline = []byte{','}, []byte{'\n'}
+// newline ends a single spliced issue, as json.Encoder ends every
+// value.
+var newline = []byte{'\n'}
+
+// maxPooledPage is the capacity of the largest page buffer writePage
+// returns to pagePool. It holds the default page of either dialect (a
+// 50-issue JIRA search page is about 42 KB, a 30-issue GitHub list
+// page about 22 KB); a buffer grown past it by a larger page is left to
+// the collector, so one maxResults=200 request does not pin its
+// buffer in the pool.
+const maxPooledPage = 64 << 10
+
+// pagePool holds the buffers writePage assembles responses in.
+var pagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// pageBuffersDropped counts page buffers writePage did not return to
+// pagePool because they outgrew maxPooledPage.
+var pageBuffersDropped atomic.Uint64
 
 // writePage answers with head, then page's pre-encoded issues as a JSON
 // array (or empty when page is), then tail — the bytes json.Encoder
-// writes for the same values. The pieces go straight to w, which
-// buffers them, so no response is assembled in memory. An encoding
-// error answers 500 before anything is written.
+// writes for the same values. The response is assembled in one pooled
+// buffer and written once with its Content-Length, so net/http sends
+// it unchunked in a header write and a body write. An encoding error
+// answers 500 before anything is written.
 func writePage(w http.ResponseWriter, head []byte, page []tracker.Encoded, empty, tail string) {
+	// n is at least the response's size: head, tail, empty or the
+	// brackets and commas, and every issue.
+	n := len(head) + len(empty) + len(tail) + len(page) + 1
 	for _, e := range page {
 		if e.Err != nil {
 			http.Error(w, e.Err.Error(), http.StatusInternalServerError)
 			return
 		}
+		n += len(e.Wire)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	bp := pagePool.Get().(*[]byte)
+	buf := append(slices.Grow((*bp)[:0], n), head...)
 	if len(page) == 0 {
-		_, _ = w.Write(append(append(head, empty...), tail...))
+		buf = append(buf, empty...)
+	} else {
+		buf = append(buf, '[')
+		for i, e := range page {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, e.Wire...)
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, tail...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
+	_, _ = w.Write(buf)
+	// Write has returned and must not have kept buf (io.Writer), so the
+	// buffer can go back to the pool.
+	if cap(buf) > maxPooledPage {
+		pageBuffersDropped.Add(1)
 		return
 	}
-	_, _ = w.Write(append(head, '['))
-	for i, e := range page {
-		if i > 0 {
-			_, _ = w.Write(comma)
-		}
-		_, _ = w.Write(e.Wire)
-	}
-	_, _ = w.Write(append(append(head[:0], ']'), tail...))
+	*bp = buf
+	pagePool.Put(bp)
 }
 
 // writeIssue answers with one pre-encoded issue and json.Encoder's
